@@ -13,8 +13,7 @@ rather than an error.
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .interpretations import (_minimal_interpretations, _prefix_offsets,
-                              is_weakly_synchronized)
+from .interpretations import _cut, _parses, is_weakly_synchronized
 from .language import _language_at_least
 from .repetitiveness import RepetitivenessVerdict, detect_unbounded_repetitive
 from .system import DF0LSystem
@@ -77,14 +76,14 @@ def weak_threshold(system: DF0LSystem, cutoff: int) -> ThresholdReport:
 
 def _pair_status(system, word, size):
     """(admissible, strongly_synchronizing) for the middle split of word."""
-    interps = _minimal_interpretations(system, word)
-    if not interps:
+    parses = _parses(system, word)
+    if not parses:
         return False, True
     admissible = False
     strong = True
     letters = set()
-    for i in interps:
-        index = _prefix_offsets(system, i.w).get(len(i.s) + size)
+    for i, cuts in parses:
+        index = _cut(cuts, size)
         if index is None:
             strong = False
         else:

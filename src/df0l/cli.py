@@ -9,6 +9,7 @@ violations such as an erasing morphism.
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -336,6 +337,22 @@ def main(argv=None) -> int:
     return 0
 
 
+def console_main() -> int:
+    """Console entry point: main() that ends quietly with status 1 when the
+    reader of standard output goes away, as in `df0l ... | head`."""
+    try:
+        code = main()
+        # flush here so that a closed pipe raises inside the try block
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes standard streams on exit; point stdout at devnull
+        # so that the shutdown flush does not raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
 def _emit_error(args, message, code):
     if getattr(args, "json", False):
         print(json.dumps({"command": args.command,
@@ -346,4 +363,4 @@ def _emit_error(args, message, code):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -6,31 +6,48 @@ first letter and t shorter than the image of its last letter.  Checking
 pairs against minimal interpretations suffices for admissibility and for
 weak/strong synchronization, because any witnessing split survives trimming
 w down to its minimal core.
+
+Minimal interpretations are found by desubstitution: u is parsed from left
+to right into letter images.  A parse starts at each language letter a and
+each offset s < |image(a)| at which image(a)[s:] agrees with u, then extends
+w one letter b at a time while image(b) equals the next chunk of u, and
+closes when image(b) reaches or overhangs the end of u.  A branch is pruned
+as soon as w leaves the language, which is factorial, so every partial
+parse is a language word, and the work follows the number of partial
+parses, not the size of the language.
+
+Each parse carries its cut tuple: cuts[i] = |image(w[:i])| - |s| for
+i = 0..|w|, the offset in u at which the image of each prefix of w ends.
+A split of u after k letters is compatible with the interpretation exactly
+when k is a cut, at the prefix i with cuts[i] == k, so admissibility and
+weak and strong synchronization all read the one lookup `_cut`.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import PreconditionError
 from .language import _language_at_least, require_member
 from .system import DF0LSystem
-from .words import Word, occurrences
+from .words import Word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interpretation:
     s: Word
     w: Word
     t: Word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairSplit:
     left: Word
     right: Word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WordSyncReport:
     synchronized: bool
     split_at: int | None
@@ -49,26 +66,62 @@ def interpretation_length_bounds(system: DF0LSystem, u) -> tuple[int, int]:
     return lo, hi
 
 
+def _cuts(phi, s_len: int, w: Word) -> tuple[int, ...]:
+    """|image(w[:i])| - s_len for i = 0..|w|: where in u each prefix image ends."""
+    images = phi.images
+    return tuple(accumulate((len(images[b]) for b in w), initial=-s_len))
+
+
+def _cut(cuts: tuple[int, ...], k: int) -> int | None:
+    """The prefix length i with cuts[i] == k, if any.
+
+    Cuts strictly increase along w because the morphism is non-erasing, so
+    a split of u after k letters is compatible with at most one prefix.
+    """
+    i = bisect_left(cuts, k)
+    return i if i < len(cuts) and cuts[i] == k else None
+
+
 @lru_cache(maxsize=1 << 17)
-def _minimal_interpretations(system: DF0LSystem, u: Word) -> tuple[Interpretation, ...]:
+def _parses(system: DF0LSystem, u: Word) -> tuple[tuple[Interpretation, tuple[int, ...]], ...]:
+    """Every minimal interpretation of u with its cuts, in canonical order."""
     phi = system.morphism
-    lo, hi = interpretation_length_bounds(system, u)
-    fs = _language_at_least(system, hi)
+    images = phi.images
+    _, hi = interpretation_length_bounds(system, u)
+    words = _language_at_least(system, hi).words
+    letters = system.alphabet.letters
+    n = len(u)
     found = []
-    for n in range(max(1, lo), hi + 1):
-        for w in fs.words_of_length(n):
-            image = phi.apply(w)
-            if len(image) < len(u):
+    partial = []    # (w, letters of u that image(w) covers, s)
+    for a in letters:
+        if (a,) not in words:
+            continue
+        image = images[a]
+        for start in range(len(image)):
+            chunk = image[start:start + n]
+            if chunk != u[:len(chunk)]:
                 continue
-            first_len = len(phi.image(w[0]))
-            last_len = len(phi.image(w[-1]))
-            for pos in occurrences(u, image):
-                t_len = len(image) - pos - len(u)
-                if pos < first_len and t_len < last_len:
-                    found.append(Interpretation(image[:pos], w, image[pos + len(u):]))
+            if start + n <= len(image):
+                found.append(Interpretation(image[:start], (a,), image[start + n:]))
+            else:
+                partial.append(((a,), len(chunk), image[:start]))
+    while partial:
+        w, p, s = partial.pop()
+        for b in letters:
+            image = images[b]
+            chunk = u[p:p + len(image)]
+            if image[:len(chunk)] != chunk:
+                continue
+            v = w + (b,)
+            if v not in words:
+                continue
+            if p + len(image) < n:
+                partial.append((v, p + len(image), s))
+            else:
+                found.append(Interpretation(s, v, image[len(chunk):]))
     key = system.alphabet.word_key
     found.sort(key=lambda i: (key(i.s), key(i.w), key(i.t)))
-    return tuple(dict.fromkeys(found))
+    return tuple((i, _cuts(phi, len(i.s), i.w)) for i in found)
 
 
 def minimal_interpretations(system: DF0LSystem, u) -> list[Interpretation]:
@@ -76,23 +129,7 @@ def minimal_interpretations(system: DF0LSystem, u) -> list[Interpretation]:
     u = require_member(system, u)
     if not u:
         raise PreconditionError("interpretations are defined for non-empty words")
-    return list(_minimal_interpretations(system, u))
-
-
-@lru_cache(maxsize=1 << 17)
-def _prefix_offsets(system: DF0LSystem, w: Word) -> dict:
-    """Map |image(prefix)| -> prefix length, for every prefix of w.
-
-    Image lengths are strictly increasing along prefixes of a non-erasing
-    morphism, so the map is injective and a compatible split is unique.
-    """
-    phi = system.morphism
-    out = {0: 0}
-    acc = 0
-    for i, letter in enumerate(w, 1):
-        acc += len(phi.image(letter))
-        out[acc] = i
-    return out
+    return [i for i, _ in _parses(system, u)]
 
 
 def compatible_split(system: DF0LSystem, interp: Interpretation,
@@ -107,7 +144,7 @@ def compatible_split(system: DF0LSystem, interp: Interpretation,
     u = image[len(interp.s):len(image) - len(interp.t)]
     if left + right != u:
         raise PreconditionError("left·right must equal the interpreted word")
-    index = _prefix_offsets(system, interp.w).get(len(interp.s) + len(left))
+    index = _cut(_cuts(phi, len(interp.s), interp.w), len(left))
     if index is None:
         return None
     return PairSplit(interp.w[:index], interp.w[index:])
@@ -119,8 +156,7 @@ def is_admissible(system: DF0LSystem, left, right) -> bool:
     u = require_member(system, left + right)
     if not u:
         raise PreconditionError("the pair must concatenate to a non-empty word")
-    interps = _minimal_interpretations(system, u)
-    return any(len(i.s) + len(left) in _prefix_offsets(system, i.w) for i in interps)
+    return any(_cut(cuts, len(left)) is not None for _, cuts in _parses(system, u))
 
 
 def is_weakly_synchronizing(system: DF0LSystem, left, right) -> bool:
@@ -129,8 +165,7 @@ def is_weakly_synchronizing(system: DF0LSystem, left, right) -> bool:
     u = require_member(system, left + right)
     if not u:
         raise PreconditionError("the pair must concatenate to a non-empty word")
-    interps = _minimal_interpretations(system, u)
-    return all(len(i.s) + len(left) in _prefix_offsets(system, i.w) for i in interps)
+    return all(_cut(cuts, len(left)) is not None for _, cuts in _parses(system, u))
 
 
 def is_weakly_synchronized(system: DF0LSystem, u) -> WordSyncReport:
@@ -142,14 +177,14 @@ def is_weakly_synchronized(system: DF0LSystem, u) -> WordSyncReport:
     u = require_member(system, u)
     if not u:
         raise PreconditionError("the empty word has no synchronization status")
-    interps = _minimal_interpretations(system, u)
-    if not interps:
+    parses = _parses(system, u)
+    if not parses:
         return WordSyncReport(True, 0, True)
-    offsets = [(len(i.s), _prefix_offsets(system, i.w)) for i in interps]
-    for k in range(len(u) + 1):
-        if all(s_len + k in table for s_len, table in offsets):
-            return WordSyncReport(True, k, False)
-    return WordSyncReport(False, None, False)
+    # the first parse's cuts are increasing: the first one shared by every
+    # parse is the smallest offset in the intersection of the cut sets
+    split = next((k for k in parses[0][1] if 0 <= k <= len(u)
+                  and all(_cut(cuts, k) is not None for _, cuts in parses[1:])), None)
+    return WordSyncReport(split is not None, split, False)
 
 
 def strong_sync_letter(system: DF0LSystem, left, right) -> str | None:
@@ -164,12 +199,12 @@ def strong_sync_letter(system: DF0LSystem, left, right) -> str | None:
     if not left:
         raise PreconditionError("the left part of a strong pair must be non-empty")
     u = require_member(system, left + right)
-    interps = _minimal_interpretations(system, u)
-    if not interps:
+    parses = _parses(system, u)
+    if not parses:
         return system.alphabet.letters[0]
     letters = set()
-    for i in interps:
-        index = _prefix_offsets(system, i.w).get(len(i.s) + len(left))
+    for i, cuts in parses:
+        index = _cut(cuts, len(left))
         if not index:
             return None
         letters.add(i.w[index - 1])
@@ -183,5 +218,4 @@ def is_strongly_synchronizing(system: DF0LSystem, left, right) -> bool:
 
 
 def clear_interpretation_cache():
-    _minimal_interpretations.cache_clear()
-    _prefix_offsets.cache_clear()
+    _parses.cache_clear()

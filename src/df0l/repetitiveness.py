@@ -38,13 +38,6 @@ def default_period_bound(system: DF0LSystem) -> int:
     return max(64, system.morphism.max_image_len ** (len(system.alphabet) + 1))
 
 
-def _power_images(morphism, power):
-    images = {a: morphism.image(a) for a in morphism.alphabet}
-    for _ in range(power - 1):
-        images = {a: morphism.apply(w) for a, w in images.items()}
-    return images
-
-
 def _fixed_prefix(images, letter, n):
     # prefix of the one-sided fixed point at `letter`, truncated to n letters
     word = (letter,)
@@ -71,7 +64,7 @@ def fixed_point_prefix(system: DF0LSystem, letter: str, power: int, n: int) -> W
     if len(start) < 2 or start[0] != letter:
         raise PreconditionError(
             f"image^{power}({letter}) must start with {letter} and be longer")
-    return _fixed_prefix(_power_images(phi, power), letter, n)
+    return _fixed_prefix(phi.power(power).images, letter, n)
 
 
 def detect_unbounded_repetitive(system: DF0LSystem,
@@ -94,7 +87,7 @@ def detect_unbounded_repetitive(system: DF0LSystem,
             continue
         for ell in range(1, power_bound + 1):
             if ell not in images_by_power:
-                images_by_power[ell] = _power_images(phi, ell)
+                images_by_power[ell] = phi.power(ell).images
             images = images_by_power[ell]
             start = images[a]
             if len(start) < 2 or start[0] != a:

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 from df0l import (contains, is_weakly_synchronized, parse_system, parse_word,
                   strong_sync_letter)
@@ -222,3 +224,21 @@ def test_witnesses_revalidate(capsys):
                              "a b", "a b", "--mode", "strong")
     letter = payload["result"]["letter"]
     assert strong_sync_letter(system, parse_word("a b"), parse_word("a b")) == letter
+
+
+def test_closed_pipe_ends_quietly():
+    """`df0l --json delta ... | head -c 10` must not end in a traceback: with
+    the reader of stdout gone, the console entry point exits with status 1."""
+    env = {**os.environ,
+           "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)   # the reader is gone before the first write
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "df0l", "--json", "delta", "-L", "14",
+             sample("collapse_unbounded_delta.sys")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from df0l import (Interpretation, NotInLanguageError, PairSplit,
-                  compatible_split, factor_language,
+from df0l import (Alphabet, DF0LSystem, Interpretation, Morphism,
+                  NotInLanguageError, PairSplit, compatible_split, factor_language,
                   interpretation_length_bounds, is_admissible,
                   is_strongly_synchronizing, is_weakly_synchronized,
                   is_weakly_synchronizing, minimal_interpretations,
@@ -216,3 +217,84 @@ def test_extension_preserves_synchronization(thue_morse, collapse_bounded):
                         if strong:
                             assert is_strongly_synchronizing(
                                 system, bigger_left, bigger_right)
+
+
+def _binary_family():
+    """Every binary non-erasing system with images of length <= 2 and a
+    one-letter axiom: 6 images per letter, 2 axioms, 72 systems."""
+    images = [image for n in (1, 2) for image in itertools.product("ab", repeat=n)]
+    for image_a, image_b in itertools.product(images, repeat=2):
+        morphism = Morphism(Alphabet(("a", "b")), {"a": image_a, "b": image_b})
+        for axiom in ("a", "b"):
+            yield DF0LSystem(morphism, [(axiom,)])
+
+
+def _rederived(system, u, interps):
+    """Every synchronization predicate at every split of u, re-derived from
+    the given interpretations by applying the morphism to prefixes of w."""
+    phi = system.morphism
+    ends = [{len(phi.apply(i.w[:j])) - len(i.s): j for j in range(len(i.w) + 1)}
+            for i in interps]
+    splits = range(len(u) + 1)
+    common = [k for k in splits if all(k in e for e in ends)]
+    if not interps:
+        synchronized = (True, 0, True)
+    else:
+        synchronized = (bool(common), common[0] if common else None, False)
+    admissible = [any(k in e for e in ends) for k in splits]
+    weakly = [all(k in e for e in ends) for k in splits]
+    letters = []
+    for k in splits[1:]:
+        last = {i.w[e[k] - 1] if e.get(k) else None for i, e in zip(interps, ends)}
+        if not interps:
+            letters.append(system.alphabet.letters[0])
+        else:
+            letters.append(last.pop() if len(last) == 1 else None)
+    return synchronized, admissible, weakly, letters
+
+
+def test_exhaustive_binary_family_matches_oracle():
+    systems = list(_binary_family())
+    assert len(systems) == 72
+    words = 0
+    for system in systems:
+        key = system.alphabet.word_key
+        for u in factor_language(system, 6).all_words():
+            if not u:
+                continue
+            expected = sorted(naive_minimal_interpretations(system, u),
+                              key=lambda i: (key(i.s), key(i.w), key(i.t)))
+            assert minimal_interpretations(system, u) == expected, (system, u)
+            report = is_weakly_synchronized(system, u)
+            got = ((report.synchronized, report.split_at, report.vacuous),
+                   [is_admissible(system, u[:k], u[k:]) for k in range(len(u) + 1)],
+                   [is_weakly_synchronizing(system, u[:k], u[k:])
+                    for k in range(len(u) + 1)],
+                   [strong_sync_letter(system, u[:k], u[k:])
+                    for k in range(1, len(u) + 1)])
+            assert got == _rederived(system, u, expected), (system, u)
+            words += 1
+    assert words > 1000
+
+
+def test_membership_prunes_letters_with_a_shared_image(collapse_unbounded):
+    """b and c share the image aba, so every interpretation through b has a
+    twin through c with the same image; only language members are kept."""
+    phi = collapse_unbounded.morphism
+    lang = factor_language(collapse_unbounded, 12)
+    pruned = 0
+    for u in lang.all_words():
+        if not 4 <= len(u) <= 8:
+            continue
+        got = minimal_interpretations(collapse_unbounded, u)
+        assert set(got) == naive_minimal_interpretations(collapse_unbounded, u)
+        for interp in got:
+            for j, letter in enumerate(interp.w):
+                if letter in "bc":
+                    twin = interp.w[:j] + ("c" if letter == "b" else "b",) \
+                        + interp.w[j + 1:]
+                    assert phi.apply(twin) == phi.apply(interp.w)
+                    if twin not in lang:
+                        pruned += 1
+                        assert Interpretation(interp.s, twin, interp.t) not in got
+    assert pruned > 0
