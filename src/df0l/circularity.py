@@ -2,18 +2,21 @@
 
 The weak threshold is the largest length of a non-weakly-synchronized word;
 the strong threshold is the largest side length of an admissible pair that
-is not strongly synchronizing.  Both searches work level by level.  A word
-with a synchronized factor is synchronized, so level-L candidates are
-restricted to words whose two length-(L-1) trims both failed at the previous
-level; the analogous restriction applies to pair cores.  Strong circularity
-is not known to be decidable, so exhausting the cutoff is an explicit result
-rather than an error.
+is not strongly synchronizing.  Both run through one level search over
+language words: level L reads the words of length L in the weak mode and of
+length 2L, split into two halves, in the strong mode.  A word with a
+synchronized factor is synchronized, so level-L candidates are restricted
+to words whose trims all failed at the previous level: both end-trims
+w[1:] and w[:-1] of a weak word, the core w[1:-1] of a strong pair.  The
+level at which no candidate fails is re-verified over every word before the
+threshold is reported.  Strong circularity is not known to be decidable, so
+exhausting the cutoff is an explicit result rather than an error.
 """
 
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .interpretations import _cut, _parses, is_weakly_synchronized
+from .interpretations import _admissible, _split_ends, _strong_letter, _word_sync
 from .language import _language_at_least
 from .repetitiveness import RepetitivenessVerdict, detect_unbounded_repetitive
 from .system import DF0LSystem
@@ -38,6 +41,53 @@ class ThresholdReport:
         return self.status == "found"
 
 
+def _level_search(system: DF0LSystem, cutoff: int, mode: str, width: int,
+                  trims, fails) -> ThresholdReport:
+    """The level loop shared by both searches.
+
+    Level L tests the language words of length width·L; fails(system, w, L)
+    is the mode's failure test and trims(w) the previous-level words that
+    must all have failed for w to be a candidate.
+    """
+    def item(w):
+        # a strong-mode word stands for the pair of its two halves
+        return w if mode == "weak" else (w[:len(w) // 2], w[len(w) // 2:])
+
+    prev_bad: list[Word] | None = None
+    bad: list[Word] = []
+    for level in range(1, cutoff + 1):
+        words = _language_at_least(system, width * level).words_of_length(width * level)
+        if prev_bad is None:
+            candidates = words
+        else:
+            failed = set(prev_bad)
+            candidates = [w for w in words if failed.issuperset(trims(w))]
+        bad = [w for w in candidates if fails(system, w, level)]
+        if not bad:
+            for w in words:
+                if fails(system, w, level):
+                    raise AssertionError(
+                        f"level {level} verification failed on {' '.join(w)}")
+            witness = item(prev_bad[0]) if prev_bad else None
+            return ThresholdReport(mode, "found", threshold=level - 1,
+                                   witness_word=witness if mode == "weak" else None,
+                                   witness_pair=witness if mode == "strong" else None)
+        prev_bad = bad
+    return ThresholdReport(mode, "cutoff_exceeded", last_level=cutoff,
+                           survivors=tuple(map(item, bad[:_SURVIVOR_SAMPLE])))
+
+
+def _weak_fails(system: DF0LSystem, w: Word, level: int) -> bool:
+    """No split of w is weakly synchronizing."""
+    return not _word_sync(system, w).synchronized
+
+
+def _strong_fails(system: DF0LSystem, w: Word, size: int) -> bool:
+    """The middle split of w is admissible and not strongly synchronizing."""
+    ends = _split_ends(system, w, size)
+    return _admissible(ends) and _strong_letter(system, ends) is None
+
+
 def weak_threshold(system: DF0LSystem, cutoff: int) -> ThresholdReport:
     """Exact weak circularity threshold, or cutoff exhaustion.
 
@@ -49,51 +99,8 @@ def weak_threshold(system: DF0LSystem, cutoff: int) -> ThresholdReport:
     system.require_pdf0l()
     if cutoff < 1:
         raise PreconditionError("cutoff must be >= 1")
-    prev_bad: list[Word] | None = None
-    bad: list[Word] = []
-    for level in range(1, cutoff + 1):
-        words = _language_at_least(system, level).words_of_length(level)
-        if prev_bad is None:
-            candidates = words
-        else:
-            failed = set(prev_bad)
-            candidates = [w for w in words if w[1:] in failed and w[:-1] in failed]
-        bad = [w for w in candidates
-               if not is_weakly_synchronized(system, w).synchronized]
-        if not bad:
-            for w in words:
-                if not is_weakly_synchronized(system, w).synchronized:
-                    raise AssertionError(
-                        f"level {level} verification failed on {' '.join(w)}")
-            if prev_bad:
-                return ThresholdReport("weak", "found", threshold=level - 1,
-                                       witness_word=prev_bad[0])
-            return ThresholdReport("weak", "found", threshold=0)
-        prev_bad = bad
-    return ThresholdReport("weak", "cutoff_exceeded", last_level=cutoff,
-                           survivors=tuple(bad[:_SURVIVOR_SAMPLE]))
-
-
-def _pair_status(system, word, size):
-    """(admissible, strongly_synchronizing) for the middle split of word."""
-    parses = _parses(system, word)
-    if not parses:
-        return False, True
-    admissible = False
-    strong = True
-    letters = set()
-    for i, cuts in parses:
-        index = _cut(cuts, size)
-        if index is None:
-            strong = False
-        else:
-            admissible = True
-            if index == 0:
-                strong = False
-            else:
-                letters.add(i.w[index - 1])
-    strong = strong and len(letters) == 1
-    return admissible, strong
+    return _level_search(system, cutoff, "weak", 1,
+                         lambda w: (w[1:], w[:-1]), _weak_fails)
 
 
 def strong_threshold(system: DF0LSystem, cutoff: int, *,
@@ -115,31 +122,8 @@ def strong_threshold(system: DF0LSystem, cutoff: int, *,
         if verdict.repetitive:
             return ThresholdReport("strong", "not_strongly_circular",
                                    repetition=verdict)
-    prev_bad: list[tuple[Word, Word]] | None = None
-    bad: list[tuple[Word, Word]] = []
-    for size in range(1, cutoff + 1):
-        words = _language_at_least(system, 2 * size).words_of_length(2 * size)
-        bad = []
-        failed = None if prev_bad is None else set(prev_bad)
-        for w in words:
-            left, right = w[:size], w[size:]
-            if failed is not None and (left[1:], right[:-1]) not in failed:
-                continue
-            admissible, strong = _pair_status(system, w, size)
-            if admissible and not strong:
-                bad.append((left, right))
-        if not bad:
-            for w in words:
-                admissible, strong = _pair_status(system, w, size)
-                if admissible and not strong:
-                    raise AssertionError(
-                        f"level {size} verification failed on {' '.join(w)}")
-            witness = prev_bad[0] if prev_bad else None
-            return ThresholdReport("strong", "found", threshold=size - 1,
-                                   witness_pair=witness)
-        prev_bad = bad
-    return ThresholdReport("strong", "cutoff_exceeded", last_level=cutoff,
-                           survivors=tuple(bad[:_SURVIVOR_SAMPLE]))
+    return _level_search(system, cutoff, "strong", 2,
+                         lambda w: (w[1:-1],), _strong_fails)
 
 
 def weak_power_transfer_bound(system: DF0LSystem, k: int) -> int:

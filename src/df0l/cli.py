@@ -29,10 +29,6 @@ def _load(path):
     return parse_system(text)
 
 
-def _word_out(word):
-    return format_word(word)
-
-
 def _word_text(word):
     return format_word(word) or "ε"
 
@@ -41,7 +37,7 @@ def _system_info(system):
     report = validate(system)
     return {
         "alphabet": list(system.alphabet.letters),
-        "axioms": [_word_out(w) for w in system.axioms],
+        "axioms": [format_word(w) for w in system.axioms],
         "pdf0l": report.is_pdf0l,
         "min_image_len": report.min_image_len,
         "max_image_len": report.max_image_len,
@@ -52,7 +48,7 @@ def _cmd_language(args, system):
     fs = language.factor_language(system, args.max_len)
     words = fs.all_words()
     result = {"max_len": args.max_len, "count": len(words),
-              "words": [_word_out(w) for w in words]}
+              "words": [format_word(w) for w in words]}
     lines = [f"{len(words)} words of length <= {args.max_len}:"]
     lines += ["  " + _word_text(w) for w in words]
     return result, lines
@@ -61,9 +57,9 @@ def _cmd_language(args, system):
 def _cmd_interpretations(args, system):
     u = parse_word(args.word)
     found = interpretations.minimal_interpretations(system, u)
-    result = {"word": _word_out(u), "count": len(found),
+    result = {"word": format_word(u), "count": len(found),
               "interpretations": [
-                  {"s": _word_out(i.s), "w": _word_out(i.w), "t": _word_out(i.t)}
+                  {"s": format_word(i.s), "w": format_word(i.w), "t": format_word(i.t)}
                   for i in found]}
     lines = [f"{len(found)} minimal interpretation(s) of {_word_text(u)}:"]
     lines += [f"  ({_word_text(i.s)}, {_word_text(i.w)}, {_word_text(i.t)})"
@@ -81,7 +77,7 @@ def _cmd_sync(args, system):
     else:
         letter = interpretations.strong_sync_letter(system, left, right)
         ok = letter is not None
-    result = {"left": _word_out(left), "right": _word_out(right),
+    result = {"left": format_word(left), "right": format_word(right),
               "mode": args.mode, "synchronizing": ok, "admissible": admissible,
               "letter": letter, "interpretations": count, "vacuous": count == 0}
     verdict = f"{args.mode}ly synchronizing" if ok else f"not {args.mode}ly synchronizing"
@@ -96,15 +92,15 @@ def _threshold_result(report):
               "D": report.threshold, "witness": None, "last_level": report.last_level,
               "survivors": None, "repetition": None}
     if report.witness_word is not None:
-        result["witness"] = _word_out(report.witness_word)
+        result["witness"] = format_word(report.witness_word)
     if report.witness_pair is not None:
-        result["witness"] = [_word_out(report.witness_pair[0]),
-                             _word_out(report.witness_pair[1])]
+        result["witness"] = [format_word(report.witness_pair[0]),
+                             format_word(report.witness_pair[1])]
     if report.survivors is not None:
         if report.mode == "weak":
-            result["survivors"] = [_word_out(w) for w in report.survivors]
+            result["survivors"] = [format_word(w) for w in report.survivors]
         else:
-            result["survivors"] = [[_word_out(a), _word_out(b)]
+            result["survivors"] = [[format_word(a), format_word(b)]
                                    for a, b in report.survivors]
     if report.repetition is not None:
         result["repetition"] = _repetition_result(report.repetition)
@@ -148,7 +144,7 @@ def _cmd_power(args, system):
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
-    result = {"k": args.k, "axioms": [_word_out(w) for w in powered.axioms],
+    result = {"k": args.k, "axioms": [format_word(w) for w in powered.axioms],
               "rendered": text, "output": args.output}
     lines = [text.rstrip("\n")] if not args.output else [f"wrote {args.output}"]
     return result, lines
@@ -175,7 +171,7 @@ def _cmd_letters(args, system):
 def _repetition_result(verdict):
     return {"status": "repetitive" if verdict.repetitive else "no_witness",
             "letter": verdict.letter, "power": verdict.power,
-            "witness": None if verdict.witness is None else _word_out(verdict.witness),
+            "witness": None if verdict.witness is None else format_word(verdict.witness),
             "exponent": verdict.exponent,
             "period_bound": verdict.period_bound,
             "power_bound": verdict.power_bound}
@@ -196,9 +192,9 @@ def _cmd_repetitive(args, system):
 
 def _cmd_delta(args, system):
     pairs = injectivity.collisions_upto(system, args.max_len)
-    bound, count = injectivity.delta_estimate(system, args.max_len)
+    bound, count = injectivity._delta_bound(system, pairs), len(pairs)
     result = {"max_len": args.max_len, "count": count,
-              "pairs": [[_word_out(p.u), _word_out(p.v)] for p in pairs],
+              "pairs": [[format_word(p.u), format_word(p.v)] for p in pairs],
               "delta_lower_bound": bound}
     lines = [f"{count} collision pair(s) up to length {args.max_len}; "
              f"delta lower bound {bound}:"]

@@ -13,14 +13,13 @@ every letter needs exactly one map line; at least one axiom is required.
 Rendering and parsing round-trip exactly.
 """
 
-from .errors import ParseError
+from .errors import InvalidSystemError, ParseError
 from .system import Alphabet, DF0LSystem, LetterMap, Morphism
 
 
 def parse_system(text: str) -> DF0LSystem:
     alphabet = None
     images = {}
-    image_lines = {}
     axioms = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -28,43 +27,34 @@ def parse_system(text: str) -> DF0LSystem:
             continue
         tokens = line.split()
         head = tokens[0]
-        if head == "alphabet:":
-            if alphabet is not None:
-                raise ParseError("duplicate alphabet line", lineno)
-            if len(tokens) == 1:
-                raise ParseError("alphabet line has no letters", lineno)
-            seen = set()
-            for tok in tokens[1:]:
-                if tok in seen:
-                    raise ParseError(f"duplicate letter {tok!r}", lineno)
-                seen.add(tok)
-            alphabet = Alphabet(tokens[1:])
-        elif head == "map":
-            if alphabet is None:
-                raise ParseError("map before alphabet line", lineno)
-            if len(tokens) < 3 or tokens[2] != "->":
-                raise ParseError("map syntax is: map <letter> -> <letter> ...", lineno)
-            letter = tokens[1]
-            if letter not in alphabet:
-                raise ParseError(f"unknown letter {letter!r}", lineno)
-            if letter in images:
-                raise ParseError(f"duplicate map for letter {letter!r}", lineno)
-            for tok in tokens[3:]:
-                if tok not in alphabet:
-                    raise ParseError(f"unknown letter {tok!r}", lineno)
-            images[letter] = tuple(tokens[3:])
-            image_lines[letter] = lineno
-        elif head == "axiom:":
-            if alphabet is None:
-                raise ParseError("axiom before alphabet line", lineno)
-            if len(tokens) == 1:
-                raise ParseError("axiom line has no letters", lineno)
-            for tok in tokens[1:]:
-                if tok not in alphabet:
-                    raise ParseError(f"unknown letter {tok!r}", lineno)
-            axioms.append(tuple(tokens[1:]))
-        else:
-            raise ParseError(f"unknown directive {head!r}", lineno)
+        try:
+            if head == "alphabet:":
+                if alphabet is not None:
+                    raise ParseError("duplicate alphabet line")
+                if len(tokens) == 1:
+                    raise ParseError("alphabet line has no letters")
+                alphabet = Alphabet(tokens[1:])
+            elif head == "map":
+                if alphabet is None:
+                    raise ParseError("map before alphabet line")
+                if len(tokens) < 3 or tokens[2] != "->":
+                    raise ParseError("map syntax is: map <letter> -> <letter> ...")
+                (letter,) = alphabet.check_word(tokens[1:2])
+                if letter in images:
+                    raise ParseError(f"duplicate map for letter {letter!r}")
+                images[letter] = alphabet.check_word(tokens[3:])
+            elif head == "axiom:":
+                if alphabet is None:
+                    raise ParseError("axiom before alphabet line")
+                if len(tokens) == 1:
+                    raise ParseError("axiom line has no letters")
+                axioms.append(alphabet.check_word(tokens[1:]))
+            else:
+                raise ParseError(f"unknown directive {head!r}")
+        except InvalidSystemError as exc:
+            # the syntax checks above and the model's own letter checks
+            # (duplicate and unknown letters) report the line they fail on
+            raise ParseError(str(exc), lineno) from None
     if alphabet is None:
         raise ParseError("missing alphabet line")
     for letter in alphabet:

@@ -50,9 +50,12 @@ def delta_estimate(system: DF0LSystem, max_len: int) -> tuple[int, int]:
     max_len; callers must treat it as a bound, never as the exact value.
     """
     pairs = collisions_upto(system, max_len)
-    phi = system.morphism
-    best = max((len(phi.apply(p.u)) for p in pairs), default=0)
-    return best, len(pairs)
+    return _delta_bound(system, pairs), len(pairs)
+
+
+def _delta_bound(system: DF0LSystem, pairs) -> int:
+    """The longest common image among the collision pairs (0 for none)."""
+    return max((len(system.morphism.apply(p.u)) for p in pairs), default=0)
 
 
 def collision_family_check(system: DF0LSystem, n: int,

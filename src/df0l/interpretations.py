@@ -19,8 +19,13 @@ parses, not the size of the language.
 Each parse carries its cut tuple: cuts[i] = |image(w[:i])| - |s| for
 i = 0..|w|, the offset in u at which the image of each prefix of w ends.
 A split of u after k letters is compatible with the interpretation exactly
-when k is a cut, at the prefix i with cuts[i] == k, so admissibility and
-weak and strong synchronization all read the one lookup `_cut`.
+when k is a cut, at the prefix i with cuts[i] == k.  Every split decision
+reads one primitive, `_split_ends(system, u, k)`: per interpretation, None
+(k is not a cut), `_LEFT_EMPTY` or the letter that ends the left part of w.
+A pair is admissible when some entry is not None, weakly synchronizing when
+none is None, strongly synchronizing when all are one letter.  Public
+predicates check the caller's input and then call these cores; the
+threshold searches call the cores directly on language words.
 """
 
 from bisect import bisect_left
@@ -124,11 +129,63 @@ def _parses(system: DF0LSystem, u: Word) -> tuple[tuple[Interpretation, tuple[in
     return tuple((i, _cuts(phi, len(i.s), i.w)) for i in found)
 
 
-def minimal_interpretations(system: DF0LSystem, u) -> list[Interpretation]:
-    """All minimal interpretations of u, deduplicated, in canonical order."""
+# a letter token is never empty, so this marks a split with an empty left part
+_LEFT_EMPTY = ""
+
+
+def _split_ends(system: DF0LSystem, u: Word, k: int) -> list[str | None]:
+    """Per minimal interpretation (s, w, t) of u, in canonical order, what a
+    split of u after k letters leaves at the end of the left part of w."""
+    ends = []
+    for interp, cuts in _parses(system, u):
+        i = _cut(cuts, k)
+        ends.append(None if i is None else interp.w[i - 1] if i else _LEFT_EMPTY)
+    return ends
+
+
+def _admissible(ends: list[str | None]) -> bool:
+    return any(end is not None for end in ends)
+
+
+def _strong_letter(system: DF0LSystem, ends: list[str | None]) -> str | None:
+    """The common non-empty end letter; the first alphabet letter when the
+    pair is vacuously synchronizing (no interpretation at all)."""
+    if not ends:
+        return system.alphabet.letters[0]
+    first = ends[0]
+    return first if first and ends.count(first) == len(ends) else None
+
+
+def _word_sync(system: DF0LSystem, u: Word) -> WordSyncReport:
+    parses = _parses(system, u)
+    if not parses:
+        return WordSyncReport(True, 0, True)
+    # the first parse's cuts are increasing: the first one shared by every
+    # parse is the smallest offset in the intersection of the cut sets
+    split = next((k for k in parses[0][1] if 0 <= k <= len(u)
+                  and all(_cut(cuts, k) is not None for _, cuts in parses[1:])), None)
+    return WordSyncReport(split is not None, split, False)
+
+
+def _require_word(system: DF0LSystem, u, message: str) -> Word:
+    """The caller's word, required to be a non-empty language word."""
     u = require_member(system, u)
     if not u:
-        raise PreconditionError("interpretations are defined for non-empty words")
+        raise PreconditionError(message)
+    return u
+
+
+def _pair_ends(system: DF0LSystem, left, right) -> list[str | None]:
+    """The split primitive for the caller's pair, after the input checks."""
+    left = tuple(left)
+    u = _require_word(system, left + tuple(right),
+                      "the pair must concatenate to a non-empty word")
+    return _split_ends(system, u, len(left))
+
+
+def minimal_interpretations(system: DF0LSystem, u) -> list[Interpretation]:
+    """All minimal interpretations of u, deduplicated, in canonical order."""
+    u = _require_word(system, u, "interpretations are defined for non-empty words")
     return [i for i, _ in _parses(system, u)]
 
 
@@ -152,20 +209,12 @@ def compatible_split(system: DF0LSystem, interp: Interpretation,
 
 def is_admissible(system: DF0LSystem, left, right) -> bool:
     """True iff some minimal interpretation of left·right admits a compatible split."""
-    left, right = tuple(left), tuple(right)
-    u = require_member(system, left + right)
-    if not u:
-        raise PreconditionError("the pair must concatenate to a non-empty word")
-    return any(_cut(cuts, len(left)) is not None for _, cuts in _parses(system, u))
+    return _admissible(_pair_ends(system, left, right))
 
 
 def is_weakly_synchronizing(system: DF0LSystem, left, right) -> bool:
     """True iff every minimal interpretation of left·right admits a compatible split."""
-    left, right = tuple(left), tuple(right)
-    u = require_member(system, left + right)
-    if not u:
-        raise PreconditionError("the pair must concatenate to a non-empty word")
-    return all(_cut(cuts, len(left)) is not None for _, cuts in _parses(system, u))
+    return None not in _pair_ends(system, left, right)
 
 
 def is_weakly_synchronized(system: DF0LSystem, u) -> WordSyncReport:
@@ -174,17 +223,8 @@ def is_weakly_synchronized(system: DF0LSystem, u) -> WordSyncReport:
     A word with no interpretation at all is vacuously synchronized; the
     report's vacuous flag lets callers tell the two cases apart.
     """
-    u = require_member(system, u)
-    if not u:
-        raise PreconditionError("the empty word has no synchronization status")
-    parses = _parses(system, u)
-    if not parses:
-        return WordSyncReport(True, 0, True)
-    # the first parse's cuts are increasing: the first one shared by every
-    # parse is the smallest offset in the intersection of the cut sets
-    split = next((k for k in parses[0][1] if 0 <= k <= len(u)
-                  and all(_cut(cuts, k) is not None for _, cuts in parses[1:])), None)
-    return WordSyncReport(split is not None, split, False)
+    return _word_sync(system, _require_word(
+        system, u, "the empty word has no synchronization status"))
 
 
 def strong_sync_letter(system: DF0LSystem, left, right) -> str | None:
@@ -195,22 +235,10 @@ def strong_sync_letter(system: DF0LSystem, left, right) -> str | None:
     interpretations the pair is vacuously synchronizing; the first alphabet
     letter is reported.
     """
-    left, right = tuple(left), tuple(right)
+    left = tuple(left)
     if not left:
         raise PreconditionError("the left part of a strong pair must be non-empty")
-    u = require_member(system, left + right)
-    parses = _parses(system, u)
-    if not parses:
-        return system.alphabet.letters[0]
-    letters = set()
-    for i, cuts in parses:
-        index = _cut(cuts, len(left))
-        if not index:
-            return None
-        letters.add(i.w[index - 1])
-        if len(letters) > 1:
-            return None
-    return letters.pop()
+    return _strong_letter(system, _pair_ends(system, left, right))
 
 
 def is_strongly_synchronizing(system: DF0LSystem, left, right) -> bool:

@@ -137,6 +137,6 @@ def contains(system: DF0LSystem, word) -> bool:
 
 def require_member(system: DF0LSystem, word) -> Word:
     word = system.alphabet.check_word(word)
-    if not contains(system, word):
+    if word not in _language_at_least(system, len(word)).words:
         raise NotInLanguageError(f"word {' '.join(word) or 'ε'!r} is not in the language")
     return word

@@ -120,7 +120,7 @@ class LetterMap:
 class Morphism(LetterMap):
     """Endomorphism of a fixed alphabet; images may be empty (erasing)."""
 
-    __slots__ = ("alphabet", "_hash")
+    __slots__ = ("alphabet", "is_nonerasing", "_hash")
 
     def __init__(self, alphabet, images):
         if not isinstance(alphabet, Alphabet):
@@ -135,11 +135,8 @@ class Morphism(LetterMap):
         for letter in alphabet:
             alphabet.check_word(self.images[letter])
         self.alphabet = alphabet
+        self.is_nonerasing = all(self.images[a] for a in alphabet)
         self._hash = hash((alphabet.letters, tuple(self.images[a] for a in alphabet)))
-
-    @property
-    def is_nonerasing(self) -> bool:
-        return all(self.images[a] for a in self.alphabet)
 
     def erasing_letters(self) -> tuple[str, ...]:
         return tuple(a for a in self.alphabet if not self.images[a])

@@ -1,0 +1,97 @@
+"""The exception class each public synchronization entry raises on bad input.
+
+Checks run in a fixed order at every entry: letters against the alphabet,
+then the non-erasing requirement, then language membership, then the
+non-empty preconditions (the strong test rejects an empty left part first).
+"""
+
+import pytest
+
+from df0l import (ErasingMorphismError, InvalidSystemError, NotInLanguageError,
+                  PreconditionError, is_admissible, is_weakly_synchronized,
+                  is_weakly_synchronizing, minimal_interpretations,
+                  strong_sync_letter, strong_threshold, weak_threshold)
+
+from conftest import sys1, w
+
+TM = sys1("ab", {"a": "ab", "b": "ba"}, ["a"])
+ERASING = sys1("ab", {"a": "ab", "b": ""}, ["a"])
+
+WORD_ENTRIES = {
+    "minimal_interpretations": minimal_interpretations,
+    "is_weakly_synchronized": is_weakly_synchronized,
+}
+
+PAIR_ENTRIES = {
+    "is_admissible": is_admissible,
+    "is_weakly_synchronizing": is_weakly_synchronizing,
+    "strong_sync_letter": strong_sync_letter,
+}
+
+SEARCHES = {
+    "weak_threshold": weak_threshold,
+    "strong_threshold": strong_threshold,
+}
+
+CASES = []
+for name, entry in WORD_ENTRIES.items():
+    CASES += [
+        (name, "non-member", lambda f=entry: f(TM, w("aaa")), NotInLanguageError),
+        (name, "unknown letter", lambda f=entry: f(TM, w("ax")), InvalidSystemError),
+        (name, "erasing", lambda f=entry: f(ERASING, w("a")), ErasingMorphismError),
+        (name, "empty word", lambda f=entry: f(TM, ()), PreconditionError),
+        (name, "unknown letter before erasing",
+         lambda f=entry: f(ERASING, w("x")), InvalidSystemError),
+        (name, "erasing before membership",
+         lambda f=entry: f(ERASING, w("bbbb")), ErasingMorphismError),
+        (name, "erasing before empty", lambda f=entry: f(ERASING, ()),
+         ErasingMorphismError),
+    ]
+for name, entry in PAIR_ENTRIES.items():
+    CASES += [
+        (name, "non-member", lambda f=entry: f(TM, w("aa"), w("a")), NotInLanguageError),
+        (name, "unknown letter",
+         lambda f=entry: f(TM, w("a"), w("x")), InvalidSystemError),
+        (name, "erasing",
+         lambda f=entry: f(ERASING, w("a"), w("b")), ErasingMorphismError),
+        (name, "unknown letter before erasing",
+         lambda f=entry: f(ERASING, w("a"), w("x")), InvalidSystemError),
+        (name, "erasing before membership",
+         lambda f=entry: f(ERASING, w("bb"), w("bb")), ErasingMorphismError),
+    ]
+for name in ("is_admissible", "is_weakly_synchronizing"):
+    entry = PAIR_ENTRIES[name]
+    CASES += [
+        (name, "empty pair", lambda f=entry: f(TM, (), ()), PreconditionError),
+        (name, "erasing before empty", lambda f=entry: f(ERASING, (), ()),
+         ErasingMorphismError),
+    ]
+CASES += [
+    ("strong_sync_letter", "empty pair",
+     lambda: strong_sync_letter(TM, (), ()), PreconditionError),
+    ("strong_sync_letter", "empty left part",
+     lambda: strong_sync_letter(TM, (), w("ab")), PreconditionError),
+    ("strong_sync_letter", "empty left part before membership",
+     lambda: strong_sync_letter(TM, (), w("aaa")), PreconditionError),
+    ("strong_sync_letter", "empty left part before alphabet",
+     lambda: strong_sync_letter(TM, (), w("x")), PreconditionError),
+    ("strong_sync_letter", "empty left part before erasing",
+     lambda: strong_sync_letter(ERASING, (), w("a")), PreconditionError),
+]
+for name, search in SEARCHES.items():
+    CASES += [
+        (name, "erasing", lambda f=search: f(ERASING, 5), ErasingMorphismError),
+        (name, "cutoff 0", lambda f=search: f(TM, 0), PreconditionError),
+        (name, "erasing before cutoff", lambda f=search: f(ERASING, 0),
+         ErasingMorphismError),
+    ]
+
+
+@pytest.mark.parametrize("call,expected", [
+    pytest.param(call, expected, id=f"{name}-{case}")
+    for name, case, call, expected in CASES])
+def test_boundary_errors(call, expected):
+    """Each bad input raises exactly the pinned class, not a subclass."""
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is expected

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from df0l import (check_threshold_bounds, contains,
+from df0l import (Alphabet, DF0LSystem, Morphism, check_threshold_bounds, contains,
                   detect_unbounded_repetitive, factor_language, is_admissible,
                   is_strongly_synchronizing, is_weakly_synchronized,
                   power_system, strong_threshold, weak_power_transfer_bound,
@@ -201,6 +202,55 @@ def test_threshold_searches_match_unpruned_oracles():
             assert not strong_threshold(system, 4, repetitive_check=False).found
             repetitive_cases += 1
     assert repetitive_cases > 20
+
+
+def _binary_census():
+    """Every binary system with images of length 1-3 and axiom a or b:
+    14 images per letter, 2 axioms, 392 systems."""
+    images = [image for n in (1, 2, 3) for image in itertools.product("ab", repeat=n)]
+    for image_a, image_b in itertools.product(images, repeat=2):
+        morphism = Morphism(Alphabet(("a", "b")), {"a": image_a, "b": image_b})
+        for axiom in ("a", "b"):
+            yield DF0LSystem(morphism, [(axiom,)])
+
+
+def test_exhaustive_binary_census():
+    """Both searches equal the unpruned oracles on every census system, every
+    witness and survivor re-validates, D_weak <= 2·D_strong + max|φ(a)|, and
+    a certified repetition never comes with a strong threshold."""
+    systems = list(_binary_census())
+    assert len(systems) == 392
+    weak_exhausted = 0
+    for system in systems:
+        weak = weak_threshold(system, 14)
+        mine = ("found", weak.threshold) if weak.found else ("cutoff", None)
+        assert mine == _oracle_weak(system, 14), system
+        if weak.witness_word is not None:
+            assert len(weak.witness_word) == weak.threshold
+            assert not is_weakly_synchronized(system, weak.witness_word).synchronized
+        for word in weak.survivors or ():
+            assert len(word) == 14
+            assert not is_weakly_synchronized(system, word).synchronized
+        weak_exhausted += not weak.found
+
+        strong = strong_threshold(system, 10, repetitive_check=False)
+        mine = ("found", strong.threshold) if strong.found else ("cutoff", None)
+        assert mine == _oracle_strong(system, 10), system
+        pairs = list(strong.survivors or ())
+        if strong.witness_pair is not None:
+            assert len(strong.witness_pair[0]) == strong.threshold
+            pairs.append(strong.witness_pair)
+        for left, right in pairs:
+            assert len(left) == len(right)
+            assert is_admissible(system, left, right)
+            assert not is_strongly_synchronizing(system, left, right)
+
+        if weak.found and strong.found:
+            max_len = system.morphism.max_image_len
+            assert weak.threshold <= 2 * strong.threshold + max_len, system
+        if detect_unbounded_repetitive(system).repetitive:
+            assert not strong.found, system
+    assert weak_exhausted == 126
 
 
 def test_power_transfer_property_random():
