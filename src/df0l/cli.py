@@ -3,8 +3,15 @@
 One system file per invocation; verdicts go to stdout as text or, with
 --json, as a schema-stable JSON report whose lists are in canonical order.
 Exit codes: 0 for any computed verdict (including cutoff exhaustion and
-no-witness results), 2 for input or parse errors, 3 for precondition
+no-witness results), 2 for input or parse errors (including a file that is
+not UTF-8 and an output path that cannot be written), 3 for precondition
 violations such as an erasing morphism.
+
+The commands form one static table, built once at import: each handler
+declares its subcommand with the `_command` decorator, which adds the
+system-file argument and the shared --json flag and attaches the handler to
+the parsed arguments.  A handler returns (JSON result, text lines) for one
+loaded system, and main() parses, loads, dispatches and prints.
 """
 
 import argparse
@@ -19,12 +26,44 @@ from .fileformat import parse_letter_map, parse_system, render_system
 from .system import classify_letters, power_system, validate
 from .words import format_word, parse_word
 
+_PARSER = argparse.ArgumentParser(
+    prog="df0l", description="Decision procedures for DF0L systems.")
+_PARSER.add_argument("--json", action="store_true", default=False,
+                     help="emit a JSON report")
+_COMMANDS = _PARSER.add_subparsers(dest="command", required=True)
+# --json is accepted both before and after the subcommand; the subparser
+# copy must not clobber a value parsed at the top level
+_JSON_AFTER = argparse.ArgumentParser(add_help=False)
+_JSON_AFTER.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                         help="emit a JSON report")
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+def _command(name, help, *arguments):
+    """Declare subcommand `name`, with the system file and `arguments`
+    (from _arg), handled by the decorated function."""
+    def declare(handler):
+        parser = _COMMANDS.add_parser(name, parents=[_JSON_AFTER], help=help)
+        parser.add_argument("file")
+        for flags, options in arguments:
+            parser.add_argument(*flags, **options)
+        parser.set_defaults(handler=handler)
+        return handler
+    return declare
+
+
+def _max_len(**options):
+    return _arg("-L", "--max-len", type=int, dest="max_len", **options)
+
 
 def _load(path):
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidSystemError(f"cannot read {path}: {exc}") from exc
     return parse_system(text)
 
@@ -44,6 +83,8 @@ def _system_info(system):
     }
 
 
+@_command("language", "enumerate language factors up to a length",
+          _max_len(required=True))
 def _cmd_language(args, system):
     fs = language.factor_language(system, args.max_len)
     words = fs.all_words()
@@ -54,6 +95,8 @@ def _cmd_language(args, system):
     return result, lines
 
 
+@_command("interpretations", "minimal interpretations of a word",
+          _arg("word", help="space-separated letter tokens, quoted"))
 def _cmd_interpretations(args, system):
     u = parse_word(args.word)
     found = interpretations.minimal_interpretations(system, u)
@@ -67,6 +110,8 @@ def _cmd_interpretations(args, system):
     return result, lines
 
 
+@_command("sync", "synchronization test for a pair", _arg("left"), _arg("right"),
+          _arg("--mode", choices=["weak", "strong"], default="weak"))
 def _cmd_sync(args, system):
     left, right = parse_word(args.left), parse_word(args.right)
     admissible = interpretations.is_admissible(system, left, right)
@@ -87,71 +132,71 @@ def _cmd_sync(args, system):
     return result, lines
 
 
-def _threshold_result(report):
-    result = {"mode": report.mode, "status": report.status,
-              "D": report.threshold, "witness": None, "last_level": report.last_level,
-              "survivors": None, "repetition": None}
-    if report.witness_word is not None:
-        result["witness"] = format_word(report.witness_word)
-    if report.witness_pair is not None:
-        result["witness"] = [format_word(report.witness_pair[0]),
-                             format_word(report.witness_pair[1])]
-    if report.survivors is not None:
-        if report.mode == "weak":
-            result["survivors"] = [format_word(w) for w in report.survivors]
-        else:
-            result["survivors"] = [[format_word(a), format_word(b)]
-                                   for a, b in report.survivors]
-    if report.repetition is not None:
-        result["repetition"] = _repetition_result(report.repetition)
-    return result
+_WITNESS_LABEL = {"weak": "witness (not weakly synchronized)",
+                  "strong": "witness pair (admissible, not strongly synchronizing)"}
 
 
+@_command("threshold", "weak or strong circularity threshold search",
+          _arg("--mode", choices=["weak", "strong"], required=True),
+          _arg("--cutoff", type=int, default=30))
 def _cmd_threshold(args, system):
-    if args.mode == "weak":
-        report = circularity.weak_threshold(system, args.cutoff)
-    else:
-        report = circularity.strong_threshold(system, args.cutoff)
-    result = _threshold_result(report)
-    result["cutoff"] = args.cutoff
+    search = (circularity.weak_threshold if args.mode == "weak"
+              else circularity.strong_threshold)
+    report = search(system, args.cutoff)
+    weak = report.mode == "weak"
+
+    def show(item, text):
+        """A word of the weak search or a pair of the strong search, as text
+        or as JSON."""
+        word = _word_text if text else format_word
+        if weak:
+            return word(item)
+        left, right = word(item[0]), word(item[1])
+        return f"({left} | {right})" if text else [left, right]
+
+    witness = report.witness_word if weak else report.witness_pair
+    survivors = report.survivors
+    rep = report.repetition
+    result = {"mode": report.mode, "status": report.status, "D": report.threshold,
+              "witness": None if witness is None else show(witness, False),
+              "last_level": report.last_level,
+              "survivors": None if survivors is None
+              else [show(item, False) for item in survivors],
+              "repetition": None if rep is None else _repetition_result(rep),
+              "cutoff": args.cutoff}
     if report.status == "found":
         lines = [f"{report.mode} circularity threshold: D = {report.threshold}"]
-        if report.witness_word is not None:
-            lines.append(f"witness (not weakly synchronized): "
-                         f"{_word_text(report.witness_word)}")
-        if report.witness_pair is not None:
-            a, b = report.witness_pair
-            lines.append(f"witness pair (admissible, not strongly synchronizing): "
-                         f"({_word_text(a)} | {_word_text(b)})")
+        if witness is not None:
+            lines.append(f"{_WITNESS_LABEL[report.mode]}: {show(witness, True)}")
     elif report.status == "not_strongly_circular":
-        rep = report.repetition
         lines = ["not strongly circular: unboundedly repetitive with witness "
                  f"{_word_text(rep.witness)} (letter {rep.letter}, power {rep.power}, "
                  f"exponent {rep.exponent})"]
     else:
         lines = [f"cutoff {report.last_level} exceeded; sample survivors:"]
-        for item in report.survivors:
-            if report.mode == "weak":
-                lines.append("  " + _word_text(item))
-            else:
-                lines.append(f"  ({_word_text(item[0])} | {_word_text(item[1])})")
+        lines += ["  " + show(item, True) for item in survivors]
     return result, lines
 
 
+@_command("power", "k-th power of the system",
+          _arg("-k", type=int, required=True), _arg("-o", "--output"))
 def _cmd_power(args, system):
     powered = power_system(system, args.k)
     text = render_system(powered)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InvalidSystemError(f"cannot write {args.output}: {exc}") from exc
     result = {"k": args.k, "axioms": [format_word(w) for w in powered.axioms],
               "rendered": text, "output": args.output}
     lines = [text.rstrip("\n")] if not args.output else [f"wrote {args.output}"]
     return result, lines
 
 
+@_command("letters", "bounded/unbounded letters and invariant subalphabets")
 def _cmd_letters(args, system):
-    system.require_pdf0l()
     growth = classify_letters(system.morphism)
     result = {"bounded": list(growth.bounded), "unbounded": list(growth.unbounded),
               "invariant_exponent": growth.invariant_exponent,
@@ -177,6 +222,8 @@ def _repetition_result(verdict):
             "power_bound": verdict.power_bound}
 
 
+@_command("repetitive", "unbounded-repetitiveness detector",
+          _arg("--period-bound", type=int, default=None, dest="period_bound"))
 def _cmd_repetitive(args, system):
     verdict = repetitiveness.detect_unbounded_repetitive(system, args.period_bound)
     result = _repetition_result(verdict)
@@ -190,6 +237,7 @@ def _cmd_repetitive(args, system):
     return result, lines
 
 
+@_command("delta", "injectivity collisions up to a length", _max_len(required=True))
 def _cmd_delta(args, system):
     pairs = injectivity.collisions_upto(system, args.max_len)
     bound, count = injectivity._delta_bound(system, pairs), len(pairs)
@@ -202,6 +250,9 @@ def _cmd_delta(args, system):
     return result, lines
 
 
+@_command("twined", "verify a twined pair of morphisms", _arg("file2"),
+          _arg("--alpha", required=True, help='rules like "a -> x; b -> x y"'),
+          _arg("--beta", required=True), _max_len(default=4))
 def _cmd_twined(args, system):
     other = _load(args.file2)
     alpha = parse_letter_map(args.alpha, system.alphabet, other.alphabet)
@@ -230,106 +281,23 @@ def _cmd_twined(args, system):
     return result, lines
 
 
-_HANDLERS = {
-    "language": _cmd_language,
-    "interpretations": _cmd_interpretations,
-    "sync": _cmd_sync,
-    "threshold": _cmd_threshold,
-    "power": _cmd_power,
-    "letters": _cmd_letters,
-    "repetitive": _cmd_repetitive,
-    "delta": _cmd_delta,
-    "twined": _cmd_twined,
-}
-
-
-def build_parser():
-    # --json is accepted both before and after the subcommand; the subparser
-    # copy must not clobber a value parsed at the top level
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                        help="emit a JSON report")
-
-    parser = argparse.ArgumentParser(
-        prog="df0l", description="Decision procedures for DF0L systems.")
-    parser.add_argument("--json", action="store_true", default=False,
-                        help="emit a JSON report")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("language", parents=[common],
-                       help="enumerate language factors up to a length")
-    p.add_argument("file")
-    p.add_argument("-L", "--max-len", type=int, required=True, dest="max_len")
-
-    p = sub.add_parser("interpretations", parents=[common],
-                       help="minimal interpretations of a word")
-    p.add_argument("file")
-    p.add_argument("word", help="space-separated letter tokens, quoted")
-
-    p = sub.add_parser("sync", parents=[common],
-                       help="synchronization test for a pair")
-    p.add_argument("file")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--mode", choices=["weak", "strong"], default="weak")
-
-    p = sub.add_parser("threshold", parents=[common],
-                       help="weak or strong circularity threshold search")
-    p.add_argument("file")
-    p.add_argument("--mode", choices=["weak", "strong"], required=True)
-    p.add_argument("--cutoff", type=int, default=30)
-
-    p = sub.add_parser("power", parents=[common], help="k-th power of the system")
-    p.add_argument("file")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-o", "--output")
-
-    p = sub.add_parser("letters", parents=[common],
-                       help="bounded/unbounded letters and invariant subalphabets")
-    p.add_argument("file")
-
-    p = sub.add_parser("repetitive", parents=[common],
-                       help="unbounded-repetitiveness detector")
-    p.add_argument("file")
-    p.add_argument("--period-bound", type=int, default=None, dest="period_bound")
-
-    p = sub.add_parser("delta", parents=[common],
-                       help="injectivity collisions up to a length")
-    p.add_argument("file")
-    p.add_argument("-L", "--max-len", type=int, required=True, dest="max_len")
-
-    p = sub.add_parser("twined", parents=[common],
-                       help="verify a twined pair of morphisms")
-    p.add_argument("file")
-    p.add_argument("file2")
-    p.add_argument("--alpha", required=True, help='rules like "a -> x; b -> x y"')
-    p.add_argument("--beta", required=True)
-    p.add_argument("-L", "--max-len", type=int, default=4, dest="max_len")
-
-    return parser
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.monotonic()
     try:
         system = _load(args.file)
-        result, lines = _HANDLERS[args.command](args, system)
+        result, lines = args.handler(args, system)
     except InvalidSystemError as exc:
-        _emit_error(args, str(exc), 2)
-        return 2
+        return _emit_error(args, str(exc), 2)
     except PreconditionError as exc:
-        _emit_error(args, str(exc), 3)
-        return 3
+        return _emit_error(args, str(exc), 3)
     elapsed_ms = round((time.monotonic() - started) * 1000, 3)
     if args.json:
-        payload = {"command": args.command, "system": _system_info(system),
-                   "result": result, "elapsed_ms": elapsed_ms}
-        print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
-    else:
-        for line in lines:
-            print(line)
+        lines = [json.dumps({"command": args.command, "system": _system_info(system),
+                             "result": result, "elapsed_ms": elapsed_ms},
+                            sort_keys=True, ensure_ascii=False)]
+    for line in lines:
+        print(line)
     return 0
 
 
@@ -350,12 +318,13 @@ def console_main() -> int:
 
 
 def _emit_error(args, message, code):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps({"command": args.command,
                           "error": {"message": message, "exit_code": code}},
                          sort_keys=True, ensure_ascii=False))
     else:
         print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

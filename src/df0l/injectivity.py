@@ -29,13 +29,13 @@ def collisions_upto(system: DF0LSystem, max_len: int) -> list[CollisionPair]:
     phi = system.morphism
     key = system.alphabet.word_key
     by_image = {}
+    # all_words() is in canonical order, and so is every group
     for w in factor_language(system, max_len).all_words():
         by_image.setdefault(phi.apply(w), []).append(w)
     pairs = []
     for group in by_image.values():
         if len(group) < 2:
             continue
-        group.sort(key=key)
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 pairs.append(CollisionPair(group[i], group[j]))
@@ -58,8 +58,7 @@ def _delta_bound(system: DF0LSystem, pairs) -> int:
     return max((len(system.morphism.apply(p.u)) for p in pairs), default=0)
 
 
-def collision_family_check(system: DF0LSystem, n: int,
-                           seed_u=("a", "c", "a"), seed_v=("a", "b", "a")) -> bool:
+def collision_family_check(system: DF0LSystem, n: int, seed_u, seed_v) -> bool:
     """Verify the recurrence u1 = seed_u, u_{k+1} = u1·image(u_k) (same for v)
     yields genuine collisions up to n: distinct members, equal images, both
     in the language."""

@@ -24,14 +24,13 @@ from .words import Word
 class FactorSet:
     """Immutable length-bounded slice of a system's factor language."""
 
-    __slots__ = ("system", "max_len", "words", "_by_len", "_sorted")
+    __slots__ = ("system", "max_len", "words", "_by_len")
 
     def __init__(self, system: DF0LSystem, max_len: int, words: frozenset):
         self.system = system
         self.max_len = max_len
         self.words = words
         self._by_len = None
-        self._sorted = None
 
     def __contains__(self, word) -> bool:
         return tuple(word) in self.words
@@ -40,9 +39,8 @@ class FactorSet:
         return len(self.words)
 
     def all_words(self) -> list[Word]:
-        if self._sorted is None:
-            self._sorted = self.system.alphabet.sort_words(self.words)
-        return list(self._sorted)
+        """Every word in canonical order, which is length first."""
+        return [w for n in range(self.max_len + 1) for w in self.words_of_length(n)]
 
     def words_of_length(self, n: int) -> tuple[Word, ...]:
         if self._by_len is None:

@@ -99,7 +99,7 @@ def test_criterion_3_unbounded_collapse():
     assert report.threshold == 9
 
     for n in (1, 2, 3):
-        assert collision_family_check(system, n)
+        assert collision_family_check(system, n, w("aca"), w("aba"))
 
     took = elapsed(t0)
     assert took < 120.0

@@ -160,6 +160,15 @@ def test_exit_code_3_on_precondition(capsys, tmp_path):
     assert main(["interpretations", sample("thue_morse.sys"), "a a a"]) == 3
 
 
+def test_letters_rejects_an_erasing_morphism(capsys, tmp_path):
+    erasing = tmp_path / "erasing.sys"
+    erasing.write_text("alphabet: a b\nmap a -> a b\nmap b ->\naxiom: a\n")
+    code, out = run(capsys, "letters", str(erasing), "--json")
+    assert code == 3
+    assert json.loads(out)["error"] == {"message": "morphism erases letters: b",
+                                        "exit_code": 3}
+
+
 def test_exit_code_0_on_negative_verdicts(capsys, tmp_path):
     code, payload = run_json(capsys, "repetitive", sample("thue_morse.sys"))
     assert code == 0
@@ -242,3 +251,40 @@ def test_closed_pipe_ends_quietly():
         os.close(write_end)
     assert done.returncode == 1
     assert done.stderr == b""
+
+
+def run_module(*argv):
+    """`python -m df0l argv` in a fresh interpreter, with captured output."""
+    env = {**os.environ,
+           "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
+    return subprocess.run([sys.executable, "-m", "df0l", *argv],
+                          capture_output=True, env=env, timeout=60)
+
+
+def assert_input_error(argv, message):
+    done = run_module(*argv)
+    assert done.returncode == 2
+    assert b"Traceback" not in done.stderr
+    assert message.encode() in done.stderr
+    done = run_module("--json", *argv)
+    assert done.returncode == 2
+    assert b"Traceback" not in done.stderr
+    error = json.loads(done.stdout)["error"]
+    assert error["exit_code"] == 2 and error["message"].startswith(message)
+
+
+def test_undecodable_system_file_is_an_input_error(tmp_path):
+    latin1 = tmp_path / "latin1.sys"
+    latin1.write_bytes("# caf\xe9\nalphabet: a b\nmap a -> a b\nmap b -> b a\n"
+                       "axiom: a\n".encode("latin-1"))
+    assert_input_error(["letters", str(latin1)], f"cannot read {latin1}")
+    # the second file of `twined` goes through the same loader
+    assert_input_error(["twined", sample("thue_morse.sys"), str(latin1),
+                        "--alpha", "a -> a; b -> b", "--beta", "a -> a; b -> b"],
+                       f"cannot read {latin1}")
+
+
+def test_unwritable_power_output_is_an_input_error(tmp_path):
+    for target in (tmp_path / "missing" / "squared.sys", tmp_path):
+        assert_input_error(["power", sample("two_fixed_letters.sys"), "-k", "2",
+                            "-o", str(target)], f"cannot write {target}")

@@ -53,10 +53,11 @@ def test_delta_grows_for_unbounded_family(collapse_unbounded):
 
 
 def test_collision_family(collapse_unbounded, collapse_bounded):
-    assert collision_family_check(collapse_unbounded, 1)
-    assert collision_family_check(collapse_unbounded, 3)
+    seeds = w("aca"), w("aba")
+    assert collision_family_check(collapse_unbounded, 1, *seeds)
+    assert collision_family_check(collapse_unbounded, 3, *seeds)
     # in the bounded-delta system the seed word aca is not in the language
-    assert not collision_family_check(collapse_bounded, 1)
+    assert not collision_family_check(collapse_bounded, 1, *seeds)
     assert not contains(collapse_bounded, w("aca"))
 
 
