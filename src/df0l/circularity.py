@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .interpretations import _admissible, _split_ends, _strong_letter, _word_sync
-from .language import _language_at_least
+from .language import _levels
 from .repetitiveness import RepetitivenessVerdict, detect_unbounded_repetitive
 from .system import DF0LSystem
 from .words import Word
@@ -56,7 +56,8 @@ def _level_search(system: DF0LSystem, cutoff: int, mode: str, width: int,
     prev_bad: list[Word] | None = None
     bad: list[Word] = []
     for level in range(1, cutoff + 1):
-        words = _language_at_least(system, width * level).words_of_length(width * level)
+        n = width * level
+        words = sorted(_levels(system, n)[n], key=system.alphabet.word_key)
         if prev_bad is None:
             candidates = words
         else:

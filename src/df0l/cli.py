@@ -3,9 +3,9 @@
 One system file per invocation; verdicts go to stdout as text or, with
 --json, as a schema-stable JSON report whose lists are in canonical order.
 Exit codes: 0 for any computed verdict (including cutoff exhaustion and
-no-witness results), 2 for input or parse errors (including a file that is
-not UTF-8 and an output path that cannot be written), 3 for precondition
-violations such as an erasing morphism.
+no-witness results), 2 for usage, input or parse errors (including a non-UTF-8
+file and an unwritable output path), 3 for precondition violations such as
+an erasing morphism; under --json each error also prints a JSON error report.
 
 The commands form one static table, built once at import: each handler
 declares its subcommand with the `_command` decorator, which adds the
@@ -26,8 +26,17 @@ from .fileformat import parse_letter_map, parse_system, render_system
 from .system import classify_letters, power_system, validate
 from .words import format_word, parse_word
 
-_PARSER = argparse.ArgumentParser(
-    prog="df0l", description="Decision procedures for DF0L systems.")
+
+class _UsageError(Exception):
+    """An argparse usage error: the parser that found it and its message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
+_PARSER = _Parser(prog="df0l", description="Decision procedures for DF0L systems.")
 _PARSER.add_argument("--json", action="store_true", default=False,
                      help="emit a JSON report")
 _COMMANDS = _PARSER.add_subparsers(dest="command", required=True)
@@ -36,6 +45,9 @@ _COMMANDS = _PARSER.add_subparsers(dest="command", required=True)
 _JSON_AFTER = argparse.ArgumentParser(add_help=False)
 _JSON_AFTER.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                          help="emit a JSON report")
+# --json anywhere, with or without a value, for the report of a usage error
+_JSON_ANYWHERE = argparse.ArgumentParser(add_help=False)
+_JSON_ANYWHERE.add_argument("--json", nargs="?", default=argparse.SUPPRESS)
 
 
 def _arg(*flags, **options):
@@ -50,7 +62,7 @@ def _command(name, help, *arguments):
         parser.add_argument("file")
         for flags, options in arguments:
             parser.add_argument(*flags, **options)
-        parser.set_defaults(handler=handler)
+        parser.set_defaults(command=name, handler=handler)
         return handler
     return declare
 
@@ -282,15 +294,21 @@ def _cmd_twined(args, system):
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except _UsageError as exc:
+        parser, message = exc.args
+        if "json" in vars(_JSON_ANYWHERE.parse_known_args(argv)[0]):
+            _emit_error(True, parser.get_default("command"), message, 2)   # None at top level
+        argparse.ArgumentParser.error(parser, message)      # usage, SystemExit(2)
     started = time.monotonic()
     try:
         system = _load(args.file)
         result, lines = args.handler(args, system)
     except InvalidSystemError as exc:
-        return _emit_error(args, str(exc), 2)
+        return _emit_error(args.json, args.command, str(exc), 2)
     except PreconditionError as exc:
-        return _emit_error(args, str(exc), 3)
+        return _emit_error(args.json, args.command, str(exc), 3)
     elapsed_ms = round((time.monotonic() - started) * 1000, 3)
     if args.json:
         lines = [json.dumps({"command": args.command, "system": _system_info(system),
@@ -317,9 +335,9 @@ def console_main() -> int:
     return code
 
 
-def _emit_error(args, message, code):
-    if args.json:
-        print(json.dumps({"command": args.command,
+def _emit_error(as_json, command, message, code):
+    if as_json:
+        print(json.dumps({"command": command,
                           "error": {"message": message, "exit_code": code}},
                          sort_keys=True, ensure_ascii=False))
     else:

@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import PreconditionError
-from .language import _language_at_least, require_member
+from .language import _levels, require_member
 from .system import DF0LSystem
 from .words import Word
 
@@ -93,13 +93,13 @@ def _parses(system: DF0LSystem, u: Word) -> tuple[tuple[Interpretation, tuple[in
     phi = system.morphism
     images = phi.images
     _, hi = interpretation_length_bounds(system, u)
-    words = _language_at_least(system, hi).words
+    levels = _levels(system, hi)
     letters = system.alphabet.letters
     n = len(u)
     found = []
     partial = []    # (w, letters of u that image(w) covers, s)
     for a in letters:
-        if (a,) not in words:
+        if (a,) not in levels[1]:
             continue
         image = images[a]
         for start in range(len(image)):
@@ -118,7 +118,7 @@ def _parses(system: DF0LSystem, u: Word) -> tuple[tuple[Interpretation, tuple[in
             if image[:len(chunk)] != chunk:
                 continue
             v = w + (b,)
-            if v not in words:
+            if v not in levels[len(v)]:
                 continue
             if p + len(image) < n:
                 partial.append((v, p + len(image), s))

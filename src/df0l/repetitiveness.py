@@ -70,8 +70,10 @@ def fixed_point_prefix(system: DF0LSystem, letter: str, power: int, n: int) -> W
 def detect_unbounded_repetitive(system: DF0LSystem,
                                 period_bound: int | None = None) -> RepetitivenessVerdict:
     """Scan every unbounded language letter a and every power l up to the
-    alphabet size with image^l(a) starting with a, testing each primitive
-    prefix u of the fixed point for image^l(u) = u^n, n >= 2."""
+    alphabet size with image^l(a) starting with a, testing the prefixes u of
+    the fixed point, shortest first, for image^l(u) = u^n, n >= 2.  The first
+    u that passes is primitive: if u = r^j, j >= 2, then image^l(r)^j = u^n =
+    r^(jn), so image^l(r) = r^n and the shorter prefix r passes first."""
     system.require_pdf0l()
     if period_bound is None:
         period_bound = default_period_bound(system)
@@ -79,8 +81,6 @@ def detect_unbounded_repetitive(system: DF0LSystem,
         raise PreconditionError("period_bound must be >= 1")
     phi = system.morphism
     power_bound = len(system.alphabet)
-    negative = RepetitivenessVerdict(False, None, None, None, None,
-                                     period_bound, power_bound)
     images_by_power = {}
     for a in system.alphabet:
         if not contains(system, (a,)):
@@ -100,8 +100,6 @@ def detect_unbounded_repetitive(system: DF0LSystem,
                 if total % m or total // m < 2:
                     continue
                 u = prefix[:m]
-                if not is_primitive(u):
-                    continue
                 pos = 0
                 for c in u:
                     for token in images[c]:
@@ -114,7 +112,7 @@ def detect_unbounded_repetitive(system: DF0LSystem,
                 if pos == total:
                     return RepetitivenessVerdict(True, a, ell, u, total // m,
                                                  period_bound, power_bound)
-    return negative
+    return RepetitivenessVerdict(False, None, None, None, None, period_bound, power_bound)
 
 
 def omega_candidates(system: DF0LSystem, max_len: int, power: int) -> list[OmegaCandidate]:

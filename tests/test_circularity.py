@@ -4,10 +4,10 @@ import random
 import pytest
 
 from df0l import (Alphabet, DF0LSystem, Morphism, check_threshold_bounds, contains,
-                  detect_unbounded_repetitive, factor_language, is_admissible,
-                  is_strongly_synchronizing, is_weakly_synchronized,
-                  power_system, strong_threshold, weak_power_transfer_bound,
-                  weak_threshold)
+                  detect_unbounded_repetitive, factor_language, fixed_point_prefix,
+                  is_admissible, is_primitive, is_strongly_synchronizing,
+                  is_weakly_synchronized, power_system, strong_threshold,
+                  weak_power_transfer_bound, weak_threshold)
 
 from conftest import random_pdf0l, w
 
@@ -217,10 +217,12 @@ def _binary_census():
 def test_exhaustive_binary_census():
     """Both searches equal the unpruned oracles on every census system, every
     witness and survivor re-validates, D_weak <= 2·D_strong + max|φ(a)|, and
-    a certified repetition never comes with a strong threshold."""
+    a certified repetition never comes with a strong threshold and
+    re-validates: a primitive prefix u of the fixed point with
+    φ^power(u) = u^exponent and u, u², u³, u⁴ in the language."""
     systems = list(_binary_census())
     assert len(systems) == 392
-    weak_exhausted = 0
+    weak_exhausted = certificates = 0
     for system in systems:
         weak = weak_threshold(system, 14)
         mine = ("found", weak.threshold) if weak.found else ("cutoff", None)
@@ -248,9 +250,17 @@ def test_exhaustive_binary_census():
         if weak.found and strong.found:
             max_len = system.morphism.max_image_len
             assert weak.threshold <= 2 * strong.threshold + max_len, system
-        if detect_unbounded_repetitive(system).repetitive:
+        rep = detect_unbounded_repetitive(system)
+        if rep.repetitive:
             assert not strong.found, system
+            u = rep.witness
+            assert is_primitive(u), system
+            assert system.morphism.apply_power(u, rep.power) == u * rep.exponent
+            assert fixed_point_prefix(system, rep.letter, rep.power, len(u)) == u
+            assert all(contains(system, u * k) for k in range(1, 5)), system
+            certificates += 1
     assert weak_exhausted == 126
+    assert certificates == 142
 
 
 def test_power_transfer_property_random():

@@ -288,3 +288,34 @@ def test_unwritable_power_output_is_an_input_error(tmp_path):
     for target in (tmp_path / "missing" / "squared.sys", tmp_path):
         assert_input_error(["power", sample("two_fixed_letters.sys"), "-k", "2",
                             "-o", str(target)], f"cannot write {target}")
+
+
+def test_usage_errors_give_a_json_report(capsys):
+    """Under --json an argparse usage error also prints the error report,
+    with argparse's message; stderr and the exit are those of text mode."""
+    tm = sample("thue_morse.sys")
+    cases = [(["threshold", tm], "threshold",
+              "the following arguments are required: --mode"),
+             (["sync", tm, "a", "b", "--mode", "medium"], "sync",
+              "argument --mode: invalid choice: 'medium'"),
+             (["no-such-command", tm], None,
+              "argument command: invalid choice: 'no-such-command'")]
+    for argv, command, message in cases:
+        outputs = []
+        for flags in ([], ["--json"]):
+            try:
+                main(flags + argv)
+            except SystemExit as stop:
+                assert stop.code == 2
+            else:
+                raise AssertionError(f"{argv} did not exit")
+            outputs.append(capsys.readouterr())
+        text, as_json = outputs
+        assert text.out == ""
+        assert as_json.err == text.err
+        assert f"error: {message}" in text.err
+        report = json.loads(as_json.out)
+        assert report["command"] == command
+        assert report["error"]["exit_code"] == 2
+        assert report["error"]["message"].startswith(message)
+        assert f"error: {report['error']['message']}\n" in text.err

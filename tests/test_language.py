@@ -1,11 +1,18 @@
+import itertools
+import os
 import random
+import sys
+import threading
 
 import pytest
 
-from df0l import (DF0LSystem, ErasingMorphismError, contains, factor_language,
-                  factors, format_word, power_system)
+from df0l import (Alphabet, DF0LSystem, ErasingMorphismError, Morphism,
+                  clear_language_cache, contains, factor_language, factors,
+                  format_word, parse_system, power_system)
 
 from conftest import random_pdf0l, sys1, w
+
+SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
 
 
 def unrolled_language(system, max_len, quiet_rounds=None, length_cap=300_000):
@@ -150,3 +157,85 @@ def test_language_matches_unrolling_oracle_random():
         system = random_pdf0l(rng, max_letters=3, max_image_len=3)
         complete_cases += assert_matches_unrolling(system, 5)
     assert complete_cases >= 40
+
+
+def _growth_systems():
+    """The six samples, then every binary system with images of length 1-2
+    and axiom a or b (72 systems)."""
+    for name in sorted(os.listdir(SAMPLES)):
+        with open(os.path.join(SAMPLES, name), encoding="utf-8") as handle:
+            yield parse_system(handle.read())
+    images = [image for n in (1, 2) for image in itertools.product("ab", repeat=n)]
+    for image_a, image_b in itertools.product(images, repeat=2):
+        morphism = Morphism(Alphabet(("a", "b")), {"a": image_a, "b": image_b})
+        for axiom in ("a", "b"):
+            yield DF0LSystem(morphism, [(axiom,)])
+
+
+def _snapshot(fs):
+    return fs.words, len(fs), fs.all_words()
+
+
+def _cold(system, max_len):
+    clear_language_cache()
+    return _snapshot(factor_language(system, max_len))
+
+
+def test_growth_order_does_not_change_the_language():
+    """Growing to shuffled bounds, or building large and then asking for
+    smaller bounds, gives every bound the slice a cold build gives; views
+    taken early do not change while the language grows."""
+    rng = random.Random(5)
+    systems = list(_growth_systems())
+    assert len(systems) == 6 + 72
+    top = 9
+    for system in systems:
+        cold = [_cold(system, n) for n in range(top + 1)]
+        clear_language_cache()
+        bounds = list(range(top + 1))
+        rng.shuffle(bounds)
+        views = {n: factor_language(system, n) for n in bounds}
+        for n in bounds:
+            assert _snapshot(views[n]) == cold[n], (system, n)
+        clear_language_cache()
+        factor_language(system, top)
+        for n in reversed(range(top + 1)):
+            assert _snapshot(factor_language(system, n)) == cold[n], (system, n)
+
+
+def test_concurrent_growth_matches_a_cold_build(thue_morse):
+    """Four threads grow one language to shuffled bounds, switching threads
+    as often as the interpreter allows; every view equals a cold build."""
+    top = 40
+    cold = _cold(thue_morse, top)
+    clear_language_cache()
+    start = threading.Barrier(4)
+    results = [None] * 4
+    errors = []
+
+    def grow(index):
+        bounds = list(range(1, top + 1))
+        random.Random(index).shuffle(bounds)
+        try:
+            start.wait(timeout=60)
+            results[index] = [factor_language(thue_morse, n) for n in bounds]
+        except Exception as exc:       # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    words = cold[0]
+    for views in results:
+        for fs in views:
+            assert fs.words == {v for v in words if len(v) <= fs.max_len}
+    assert _snapshot(factor_language(thue_morse, top)) == cold
