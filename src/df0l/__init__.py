@@ -20,12 +20,12 @@ from .injectivity import (CollisionPair, TwinedData, collision_family_check,
                           simplification_language_check,
                           twined_commutation_check, verify_twined)
 from .interpretations import (Interpretation, PairSplit, WordSyncReport,
-                              clear_interpretation_cache, compatible_split,
-                              interpretation_length_bounds,
+                              compatible_split, interpretation_length_bounds,
                               is_admissible, is_strongly_synchronizing,
                               is_weakly_synchronized, is_weakly_synchronizing,
                               minimal_interpretations, strong_sync_letter)
-from .language import FactorSet, clear_language_cache, contains, factor_language
+from .language import (FactorSet, clear_interpretation_cache,
+                       clear_language_cache, contains, factor_language)
 from .repetitiveness import (OmegaCandidate, RepetitivenessVerdict,
                              default_period_bound, detect_unbounded_repetitive,
                              find_power_in_preimage, fixed_point_prefix,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .interpretations import _admissible, _split_ends, _strong_letter, _word_sync
-from .language import _levels
+from .language import _record
 from .repetitiveness import RepetitivenessVerdict, detect_unbounded_repetitive
 from .system import DF0LSystem
 from .words import Word
@@ -57,7 +57,7 @@ def _level_search(system: DF0LSystem, cutoff: int, mode: str, width: int,
     bad: list[Word] = []
     for level in range(1, cutoff + 1):
         n = width * level
-        words = sorted(_levels(system, n)[n], key=system.alphabet.word_key)
+        words = sorted(_record(system, n).levels[n], key=system.alphabet.word_key)
         if prev_bad is None:
             candidates = words
         else:

@@ -28,12 +28,12 @@ from .words import format_word, parse_word
 
 
 class _UsageError(Exception):
-    """An argparse usage error: the parser that found it and its message."""
+    """An argparse usage error: its parser, message and command (or None)."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(self, message)
+        raise _UsageError(self, message, self.get_default("command"))
 
 
 _PARSER = _Parser(prog="df0l", description="Decision procedures for DF0L systems.")
@@ -295,11 +295,14 @@ def _cmd_twined(args, system):
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args, extra = _PARSER.parse_known_args(argv)
+        if extra:       # parse_args's own error, here with the parsed command
+            raise _UsageError(_PARSER, f"unrecognized arguments: {' '.join(extra)}",
+                              args.command)
     except _UsageError as exc:
-        parser, message = exc.args
+        parser, message, command = exc.args
         if "json" in vars(_JSON_ANYWHERE.parse_known_args(argv)[0]):
-            _emit_error(True, parser.get_default("command"), message, 2)   # None at top level
+            _emit_error(True, command, message, 2)
         argparse.ArgumentParser.error(parser, message)      # usage, SystemExit(2)
     started = time.monotonic()
     try:

@@ -14,7 +14,8 @@ w one letter b at a time while image(b) equals the next chunk of u, and
 closes when image(b) reaches or overhangs the end of u.  A branch is pruned
 as soon as w leaves the language, which is factorial, so every partial
 parse is a language word, and the work follows the number of partial
-parses, not the size of the language.
+parses, not the size of the language.  Each word's parses are memoized in
+the system's record in `language`.
 
 Each parse carries its cut tuple: cuts[i] = |image(w[:i])| - |s| for
 i = 0..|w|, the offset in u at which the image of each prefix of w ends.
@@ -30,11 +31,10 @@ threshold searches call the cores directly on language words.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 
 from .errors import PreconditionError
-from .language import _levels, require_member
+from .language import _record, require_member
 from .system import DF0LSystem
 from .words import Word
 
@@ -87,13 +87,16 @@ def _cut(cuts: tuple[int, ...], k: int) -> int | None:
     return i if i < len(cuts) and cuts[i] == k else None
 
 
-@lru_cache(maxsize=1 << 17)
 def _parses(system: DF0LSystem, u: Word) -> tuple[tuple[Interpretation, tuple[int, ...]], ...]:
     """Every minimal interpretation of u with its cuts, in canonical order."""
+    record = _record(system, 0)     # a memoized word's levels are grown already
+    known = record.parses.get(u)
+    if known is not None:
+        return known
     phi = system.morphism
     images = phi.images
     _, hi = interpretation_length_bounds(system, u)
-    levels = _levels(system, hi)
+    levels = _record(system, hi).levels
     letters = system.alphabet.letters
     n = len(u)
     found = []
@@ -126,7 +129,7 @@ def _parses(system: DF0LSystem, u: Word) -> tuple[tuple[Interpretation, tuple[in
                 found.append(Interpretation(s, v, image[len(chunk):]))
     key = system.alphabet.word_key
     found.sort(key=lambda i: (key(i.s), key(i.w), key(i.t)))
-    return tuple((i, _cuts(phi, len(i.s), i.w)) for i in found)
+    return record.remember_parses(u, tuple((i, _cuts(phi, len(i.s), i.w)) for i in found))
 
 
 # a letter token is never empty, so this marks a split with an empty left part
@@ -243,7 +246,3 @@ def strong_sync_letter(system: DF0LSystem, left, right) -> str | None:
 
 def is_strongly_synchronizing(system: DF0LSystem, left, right) -> bool:
     return strong_sync_letter(system, left, right) is not None
-
-
-def clear_interpretation_cache():
-    _parses.cache_clear()

@@ -1,16 +1,18 @@
-"""Factor languages, grown one length at a time.
+"""Factor languages, grown one length at a time, and all that df0l remembers.
 
 A language word x of length n is a factor of an axiom or a tight factor of
 image(v), where v, the cover of x in the previous iterate, is a language
 word: x starts inside the image of v's first letter and ends inside the
 image of its last.  Images are non-empty, so |v| <= n, and level n (the
 words of length n) follows from the shorter levels and from its own words.
-Each system has one store, a frozenset per length, that only grows: a word
-joining its level is registered, by reference, under the longer lengths its
-tight factors reach, so raising the bound computes only the new levels.
-Growth holds one lock and appends whole levels, which never change, so
-readers need no lock.  FactorSet values are immutable views of the first
-max_len + 1 levels.
+Each system has one record, the only memoized state in df0l.  Its levels, a
+frozenset per length, only grow: a word joining its level is registered, by
+reference, under the longer lengths its tight factors reach, so raising the
+bound computes only the new levels.  Growth holds one lock and appends whole
+levels, which never change, so readers need no lock.  The record also keeps
+the minimal interpretations of queried words, all forgotten at once when
+_PARSE_MEMO_SIZE are held, and the repetitiveness verdict per period bound.
+FactorSet values are immutable views of the first max_len + 1 levels.
 """
 
 import threading
@@ -54,13 +56,38 @@ class FactorSet:
         return f"FactorSet(max_len={self.max_len}, words={len(self)})"
 
 
-# system -> (levels, {length: the words whose images have tight factors of it})
-_CACHE: dict[DF0LSystem, tuple[list[frozenset], dict[int, list[Word]]]] = {}
+class _Record:
+    """What df0l remembers about one system; see the module docstring."""
+
+    __slots__ = ("levels", "registered", "parses", "verdicts")
+
+    def __init__(self):
+        self.levels = [frozenset({()})]
+        self.registered = {}    # length -> words whose images have tight factors of it
+        self.parses = {}        # word -> its minimal interpretations with their cuts
+        self.verdicts = {}      # period bound -> RepetitivenessVerdict
+
+    def remember_parses(self, u: Word, parses: tuple) -> tuple:
+        if len(self.parses) >= _PARSE_MEMO_SIZE:
+            self.parses.clear()
+        self.parses[u] = parses
+        return parses
+
+
+_PARSE_MEMO_SIZE = 1 << 17
+_RECORDS: dict[DF0LSystem, _Record] = {}
 _GROWTH = threading.Lock()
 
 
 def clear_language_cache():
-    _CACHE.clear()
+    """Forget everything remembered about every system."""
+    _RECORDS.clear()
+
+
+def clear_interpretation_cache():
+    """Forget the minimal interpretations; levels and verdicts stay."""
+    for record in list(_RECORDS.values()):
+        record.parses.clear()
 
 
 def _next_level(system: DF0LSystem, n: int, registered: dict) -> frozenset:
@@ -90,33 +117,34 @@ def _next_level(system: DF0LSystem, n: int, registered: dict) -> frozenset:
     return frozenset(level)
 
 
-def _levels(system: DF0LSystem, max_len: int) -> list[frozenset]:
-    """The system's levels, grown to cover max_len: levels[n] holds length n."""
+def _record(system: DF0LSystem, max_len: int) -> _Record:
+    """The system's record, its levels (the words by length) grown to cover max_len."""
     system.require_pdf0l()
-    store = _CACHE.get(system)
-    if store is None or len(store[0]) <= max_len:
+    record = _RECORDS.get(system)
+    if record is None or len(record.levels) <= max_len:
         with _GROWTH:
-            levels, registered = store = _CACHE.setdefault(system, ([frozenset({()})], {}))
+            record = _RECORDS.setdefault(system, _Record())
+            levels = record.levels
             while len(levels) <= max_len:
-                levels.append(_next_level(system, len(levels), registered))
-    return store[0]
+                levels.append(_next_level(system, len(levels), record.registered))
+    return record
 
 
 def factor_language(system: DF0LSystem, max_len: int) -> FactorSet:
     """Exactly the language factors of length <= max_len, as a FactorSet."""
     if max_len < 0:
         raise PreconditionError("max_len must be >= 0")
-    return FactorSet(system, max_len, _levels(system, max_len))
+    return FactorSet(system, max_len, _record(system, max_len).levels)
 
 
 def contains(system: DF0LSystem, word) -> bool:
     """Membership of a word in the factor language."""
     word = system.alphabet.check_word(word)
-    return word in _levels(system, len(word))[len(word)]
+    return word in _record(system, len(word)).levels[len(word)]
 
 
 def require_member(system: DF0LSystem, word) -> Word:
     word = system.alphabet.check_word(word)
-    if word not in _levels(system, len(word))[len(word)]:
+    if word not in _record(system, len(word)).levels[len(word)]:
         raise NotInLanguageError(f"word {' '.join(word) or 'ε'!r} is not in the language")
     return word

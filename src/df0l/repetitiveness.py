@@ -10,7 +10,7 @@ period and power bounds and must be read as "no certificate found".
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .language import contains, factor_language
+from .language import _record, contains, factor_language
 from .system import DF0LSystem, LetterMap, unbounded_letters
 from .words import Word, factors, is_conjugate, is_primitive, occurrences, primitive_root
 
@@ -73,12 +73,20 @@ def detect_unbounded_repetitive(system: DF0LSystem,
     alphabet size with image^l(a) starting with a, testing the prefixes u of
     the fixed point, shortest first, for image^l(u) = u^n, n >= 2.  The first
     u that passes is primitive: if u = r^j, j >= 2, then image^l(r)^j = u^n =
-    r^(jn), so image^l(r) = r^n and the shorter prefix r passes first."""
+    r^(jn), so image^l(r) = r^n and the shorter prefix r passes first.
+    The verdict is computed once per system and period bound."""
     system.require_pdf0l()
     if period_bound is None:
         period_bound = default_period_bound(system)
     if period_bound < 1:
         raise PreconditionError("period_bound must be >= 1")
+    verdicts = _record(system, 1).verdicts
+    if period_bound not in verdicts:
+        verdicts[period_bound] = _scan(system, period_bound)
+    return verdicts[period_bound]
+
+
+def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
     phi = system.morphism
     power_bound = len(system.alphabet)
     images_by_power = {}

@@ -225,7 +225,8 @@ def test_json_is_deterministic(capsys):
 def test_witnesses_revalidate(capsys):
     code, payload = run_json(capsys, "threshold", sample("thue_morse.sys"),
                              "--mode", "weak")
-    system = parse_system(open(sample("thue_morse.sys")).read())
+    with open(sample("thue_morse.sys"), encoding="utf-8") as handle:
+        system = parse_system(handle.read())
     witness = parse_word(payload["result"]["witness"])
     assert not is_weakly_synchronized(system, witness).synchronized
 
@@ -299,7 +300,8 @@ def test_usage_errors_give_a_json_report(capsys):
              (["sync", tm, "a", "b", "--mode", "medium"], "sync",
               "argument --mode: invalid choice: 'medium'"),
              (["no-such-command", tm], None,
-              "argument command: invalid choice: 'no-such-command'")]
+              "argument command: invalid choice: 'no-such-command'"),
+             (["letters", tm, "--bogus"], "letters", "unrecognized arguments: --bogus")]
     for argv, command, message in cases:
         outputs = []
         for flags in ([], ["--json"]):

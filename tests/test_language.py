@@ -1,14 +1,18 @@
+import gc
 import itertools
 import os
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 
 from df0l import (Alphabet, DF0LSystem, ErasingMorphismError, Morphism,
-                  clear_language_cache, contains, factor_language, factors,
-                  format_word, parse_system, power_system)
+                  clear_interpretation_cache, clear_language_cache, contains,
+                  factor_language, factors, format_word,
+                  minimal_interpretations, parse_system, power_system,
+                  strong_threshold, weak_threshold)
 
 from conftest import random_pdf0l, sys1, w
 
@@ -239,3 +243,25 @@ def test_concurrent_growth_matches_a_cold_build(thue_morse):
         for fs in views:
             assert fs.words == {v for v in words if len(v) <= fs.max_len}
     assert _snapshot(factor_language(thue_morse, top)) == cold
+
+
+class _WeakSystem(DF0LSystem):
+    __slots__ = ("__weakref__",)
+
+
+def test_clearing_the_cache_lets_go_of_the_system(repetitive_square):
+    """Once clear_language_cache() has run, df0l holds no reference to a
+    system it has answered queries about: its levels, interpretations and
+    repetitiveness verdicts go with it."""
+    clear_language_cache()
+    clear_interpretation_cache()
+    system = _WeakSystem(repetitive_square.morphism, repetitive_square.axioms)
+    assert contains(system, w("bcbc"))
+    assert minimal_interpretations(system, w("cbc"))
+    assert weak_threshold(system, 4).found
+    assert strong_threshold(system, 4).repetition.repetitive
+    alive = weakref.ref(system)
+    clear_language_cache()
+    del system
+    gc.collect()
+    assert alive() is None

@@ -1,12 +1,17 @@
+import os
+
 import pytest
 
-from df0l import (PreconditionError, contains, detect_unbounded_repetitive,
-                  default_period_bound, factor_language, find_power_in_preimage,
-                  fixed_point_prefix, is_conjugate, is_primitive,
-                  lift_repetition, occurrences, omega_candidates,
-                  primitive_root)
+from df0l import (PreconditionError, clear_language_cache, contains,
+                  detect_unbounded_repetitive, default_period_bound,
+                  factor_language, find_power_in_preimage, fixed_point_prefix,
+                  is_conjugate, is_primitive, lift_repetition, occurrences,
+                  omega_candidates, parse_system, primitive_root,
+                  render_system, strong_threshold)
 
 from conftest import sys1, w
+
+SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
 
 
 def test_detect_repetitive_square(repetitive_square):
@@ -159,6 +164,37 @@ def test_detect_needs_second_power():
     assert verdict.power == 2
     assert verdict.witness == w("a")
     assert verdict.exponent == 4
+
+
+def test_one_verdict_per_system_and_period_bound(repetitive_square):
+    """The repetitive command and the strong search share one verdict per
+    system and period bound, also across equal copies of the system; another
+    bound gets its own verdict, and clearing the cache drops them."""
+    clear_language_cache()
+    verdict = detect_unbounded_repetitive(repetitive_square)
+    assert strong_threshold(repetitive_square, 4).repetition is verdict
+    copy = parse_system(render_system(repetitive_square))
+    bound = default_period_bound(repetitive_square)
+    assert detect_unbounded_repetitive(copy, bound) is verdict
+    other = detect_unbounded_repetitive(repetitive_square, 8)
+    assert other is not verdict and other.period_bound == 8 and other.repetitive
+    assert strong_threshold(copy, 4, period_bound=8).repetition is other
+    clear_language_cache()
+    again = detect_unbounded_repetitive(repetitive_square)
+    assert again is not verdict and again == verdict
+
+
+def test_repetitions_of_bounded_letters_do_not_count():
+    """Unbounded repetitiveness means repetitions u^k, for every k, where u
+    contains an unbounded letter.  In two_fixed_letters c -> c is bounded:
+    c^k is in the language for every k tried, yet the detector finds no
+    witness and the strong threshold is 1."""
+    with open(os.path.join(SAMPLES, "two_fixed_letters.sys"), encoding="utf-8") as handle:
+        system = parse_system(handle.read())
+    assert all(contains(system, ("c",) * k) for k in range(1, 25))
+    assert not detect_unbounded_repetitive(system).repetitive
+    report = strong_threshold(system, 10)
+    assert report.found and report.threshold == 1
 
 
 def test_erasing_refused():
