@@ -57,13 +57,15 @@ def _level_search(system: DF0LSystem, cutoff: int, mode: str, width: int,
     bad: list[Word] = []
     for level in range(1, cutoff + 1):
         n = width * level
-        words = sorted(_record(system, n).levels[n], key=system.alphabet.word_key)
+        words = _record(system, n).levels[n]
         if prev_bad is None:
             candidates = words
         else:
             failed = set(prev_bad)
             candidates = [w for w in words if failed.issuperset(trims(w))]
-        bad = [w for w in candidates if fails(system, w, level)]
+        # only the failing words reach the report, in canonical order
+        bad = sorted((w for w in candidates if fails(system, w, level)),
+                     key=system.alphabet.word_key)
         if not bad:
             for w in words:
                 if fails(system, w, level):

@@ -1,13 +1,17 @@
 """Unbounded-repetitiveness detection through periodic morphic fixed points.
 
-If some power of the morphism maps a letter a to a word starting with a and
-a short prefix u of the resulting one-sided fixed point satisfies
-image^l(u) = u^n with n >= 2, then every power of u is a language factor: a
+If some power image^l of the morphism maps a letter a to a word starting
+with a, then x = image^l(x) is a one-sided fixed point.  For a prefix
+u = x[:m], image^l(u) is the prefix x[:total] of x, total = |image^l(u)|,
+so image^l(u) = u^n, n = total / m >= 2, holds exactly when m divides total
+and x[:total] has period m.  Then every power of u is a language factor: a
 certified positive.  A negative answer is complete only up to the searched
 period and power bounds and must be read as "no certificate found".
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 from .errors import PreconditionError
 from .language import _record, contains, factor_language
@@ -39,18 +43,15 @@ def default_period_bound(system: DF0LSystem) -> int:
 
 
 def _fixed_prefix(images, letter, n):
-    # prefix of the one-sided fixed point at `letter`, truncated to n letters
-    word = (letter,)
+    # first n letters of the fixed point x at `letter`, whose image starts with
+    # `letter` and is longer: x = image(x[0]) image(x[1]) ..., so x grows by
+    # appending the image of each of its own letters after the first
+    word = list(images[letter])
+    i = 1
     while len(word) < n:
-        out = []
-        for c in word:
-            out.extend(images[c])
-            if len(out) >= n:
-                break
-        if len(out) <= len(word):
-            raise PreconditionError(f"fixed point at {letter!r} does not grow")
-        word = tuple(out[:n])
-    return word
+        word.extend(images[word[i]])
+        i += 1
+    return tuple(word[:n])
 
 
 def fixed_point_prefix(system: DF0LSystem, letter: str, power: int, n: int) -> Word:
@@ -69,12 +70,22 @@ def fixed_point_prefix(system: DF0LSystem, letter: str, power: int, n: int) -> W
 
 def detect_unbounded_repetitive(system: DF0LSystem,
                                 period_bound: int | None = None) -> RepetitivenessVerdict:
-    """Scan every unbounded language letter a and every power l up to the
-    alphabet size with image^l(a) starting with a, testing the prefixes u of
-    the fixed point, shortest first, for image^l(u) = u^n, n >= 2.  The first
-    u that passes is primitive: if u = r^j, j >= 2, then image^l(r)^j = u^n =
-    r^(jn), so image^l(r) = r^n and the shorter prefix r passes first.
-    The verdict is computed once per system and period bound."""
+    """Scan every language letter a and every power l up to the alphabet
+    size with image^l(a) starting with a, testing the prefixes u = x[:m],
+    m <= period_bound, of the fixed point x, shortest first, for
+    image^l(u) = u^n, n >= 2.
+
+    The test is a period test: image^l(u) is x[:total], total = |image^l(u)|,
+    so image^l(u) = u^n iff m divides total and x[:total] has period m.  It
+    is exact, not a sampled check.  The prefix x[:period_bound] is built
+    once per (a, l), linearly, and each m is filtered by one comparison of
+    x[m:seen] with x[:seen-m], seen = min(total, period_bound).  When total
+    exceeds period_bound, a survivor is confirmed one letter image of u at a
+    time against u repeated, so memory stays O(period_bound + max image).
+    The first u that passes is primitive: if u = r^j, j >= 2, then
+    image^l(r)^j = u^n = r^(jn), so image^l(r) = r^n and the shorter prefix
+    r passes first.  The verdict is computed once per system and period
+    bound."""
     system.require_pdf0l()
     if period_bound is None:
         period_bound = default_period_bound(system)
@@ -87,40 +98,51 @@ def detect_unbounded_repetitive(system: DF0LSystem,
 
 
 def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
-    phi = system.morphism
+    base = system.morphism.images
     power_bound = len(system.alphabet)
-    images_by_power = {}
+    powers = [base]     # powers[l - 1]: the images of image^l, built on demand
     for a in system.alphabet:
         if not contains(system, (a,)):
             continue
         for ell in range(1, power_bound + 1):
-            if ell not in images_by_power:
-                images_by_power[ell] = phi.power(ell).images
-            images = images_by_power[ell]
+            while len(powers) < ell:
+                powers.append({c: tuple(chain.from_iterable(map(base.__getitem__, w)))
+                               for c, w in powers[-1].items()})
+            images = powers[ell - 1]
             start = images[a]
             if len(start) < 2 or start[0] != a:
                 continue
             prefix = _fixed_prefix(images, a, period_bound)
-            lengths = {c: len(w) for c, w in images.items()}
-            total = 0
-            for m in range(1, len(prefix) + 1):
-                total += lengths[prefix[m - 1]]
-                if total % m or total // m < 2:
+            # ends[m - 1] = |image^l(prefix[:m])|
+            ends = list(accumulate(len(images[c]) for c in prefix))
+            for m, total in enumerate(ends, 1):
+                if total % m or total < 2 * m:
                     continue
-                u = prefix[:m]
-                pos = 0
-                for c in u:
-                    for token in images[c]:
-                        if token != u[pos % m]:
-                            pos = -1
-                            break
-                        pos += 1
-                    if pos < 0:
-                        break
-                if pos == total:
-                    return RepetitivenessVerdict(True, a, ell, u, total // m,
-                                                 period_bound, power_bound)
+                seen = min(total, period_bound)
+                if prefix[m:seen] != prefix[:seen - m]:
+                    continue
+                if total > period_bound and not _tiles(images, prefix, ends, m):
+                    continue
+                return RepetitivenessVerdict(True, a, ell, prefix[:m], total // m,
+                                             period_bound, power_bound)
     return RepetitivenessVerdict(False, None, None, None, None, period_bound, power_bound)
+
+
+def _tiles(images, prefix, ends, m) -> bool:
+    """Whether image^l(u), u = prefix[:m], continues u repeated past the end
+    of the prefix, which already has period m.  Its letter images are read
+    one at a time from the first that reaches past the prefix, each against
+    a window of u repeated just long enough for any image."""
+    u = prefix[:m]
+    ring = u * (2 + max(map(len, images.values())) // m)
+    j = bisect_right(ends, len(prefix), 0, m)
+    pos = ends[j - 1] if j else 0
+    for c in u[j:]:
+        image = images[c]
+        if image != ring[pos % m:pos % m + len(image)]:
+            return False
+        pos += len(image)
+    return True
 
 
 def omega_candidates(system: DF0LSystem, max_len: int, power: int) -> list[OmegaCandidate]:

@@ -66,7 +66,7 @@ class Alphabet:
 
     def word_key(self, word: Word):
         """Canonical order: length first, then lexicographic by declaration order."""
-        return len(word), tuple(self._index[t] for t in word)
+        return len(word), tuple(map(self._index.__getitem__, word))
 
     def sort_words(self, words) -> list[Word]:
         return sorted(words, key=self.word_key)
@@ -120,7 +120,9 @@ class LetterMap:
 class Morphism(LetterMap):
     """Endomorphism of a fixed alphabet; images may be empty (erasing)."""
 
-    __slots__ = ("alphabet", "is_nonerasing", "_hash")
+    # the image-length slots shadow LetterMap's properties, which scan every
+    # image on each read
+    __slots__ = ("alphabet", "is_nonerasing", "max_image_len", "min_image_len", "_hash")
 
     def __init__(self, alphabet, images):
         if not isinstance(alphabet, Alphabet):
@@ -136,6 +138,8 @@ class Morphism(LetterMap):
             alphabet.check_word(self.images[letter])
         self.alphabet = alphabet
         self.is_nonerasing = all(self.images[a] for a in alphabet)
+        self.max_image_len = max(map(len, self.images.values()))
+        self.min_image_len = min(map(len, self.images.values()))
         self._hash = hash((alphabet.letters, tuple(self.images[a] for a in alphabet)))
 
     def erasing_letters(self) -> tuple[str, ...]:

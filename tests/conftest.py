@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -63,3 +64,13 @@ def random_pdf0l(rng: random.Random, max_letters=4, max_image_len=4,
         length = rng.randint(1, max_axiom_len)
         axioms.append(tuple(rng.choice(letters) for _ in range(length)))
     return DF0LSystem(Morphism(Alphabet(tuple(letters)), images), axioms)
+
+
+def binary_census():
+    """Every binary system with images of length 1-3 and axiom a or b:
+    14 images per letter, 2 axioms, 392 systems."""
+    images = [image for n in (1, 2, 3) for image in itertools.product("ab", repeat=n)]
+    for image_a, image_b in itertools.product(images, repeat=2):
+        morphism = Morphism(Alphabet(("a", "b")), {"a": image_a, "b": image_b})
+        for axiom in ("a", "b"):
+            yield DF0LSystem(morphism, [(axiom,)])

@@ -1,15 +1,13 @@
-import itertools
 import random
 
 import pytest
 
-from df0l import (Alphabet, DF0LSystem, Morphism, check_threshold_bounds, contains,
-                  detect_unbounded_repetitive, factor_language, fixed_point_prefix,
-                  is_admissible, is_primitive, is_strongly_synchronizing,
-                  is_weakly_synchronized, power_system, strong_threshold,
-                  weak_power_transfer_bound, weak_threshold)
+from df0l import (check_threshold_bounds, contains, detect_unbounded_repetitive,
+                  factor_language, fixed_point_prefix, is_admissible, is_primitive,
+                  is_strongly_synchronizing, is_weakly_synchronized, power_system,
+                  strong_threshold, weak_power_transfer_bound, weak_threshold)
 
-from conftest import random_pdf0l, w
+from conftest import binary_census, random_pdf0l, w
 
 
 def test_weak_threshold_thue_morse(thue_morse):
@@ -163,24 +161,31 @@ def test_powers_of_strongly_circular_systems_stay_weakly_circular(
 
 
 def _oracle_weak(system, cutoff):
-    last_bad = 0
+    """The unpruned weak search: ("found", D) or ("cutoff", None), and the
+    failing words of level D, or of the cutoff level, in canonical order."""
+    failing = []
     for level in range(1, cutoff + 1):
         words = factor_language(system, level).words_of_length(level)
-        if all(is_weakly_synchronized(system, v).synchronized for v in words):
-            return ("found", last_bad)
-        last_bad = level
-    return ("cutoff", None)
+        bad = [v for v in words if not is_weakly_synchronized(system, v).synchronized]
+        if not bad:
+            return ("found", level - 1), failing
+        failing = bad
+    return ("cutoff", None), failing
 
 
 def _oracle_strong(system, cutoff):
-    last_bad = 0
+    """The unpruned strong search, as _oracle_weak, with the failing pairs."""
+    failing = []
     for size in range(1, cutoff + 1):
         words = factor_language(system, 2 * size).words_of_length(2 * size)
-        if all(is_strongly_synchronizing(system, v[:size], v[size:])
-               for v in words if is_admissible(system, v[:size], v[size:])):
-            return ("found", last_bad)
-        last_bad = size
-    return ("cutoff", None)
+        pairs = [(v[:size], v[size:]) for v in words]
+        bad = [(left, right) for left, right in pairs
+               if is_admissible(system, left, right)
+               and not is_strongly_synchronizing(system, left, right)]
+        if not bad:
+            return ("found", size - 1), failing
+        failing = bad
+    return ("cutoff", None), failing
 
 
 def test_threshold_searches_match_unpruned_oracles():
@@ -191,11 +196,11 @@ def test_threshold_searches_match_unpruned_oracles():
         system = random_pdf0l(rng, max_letters=3, max_image_len=3)
         report = weak_threshold(system, 5)
         mine = ("found", report.threshold) if report.found else ("cutoff", None)
-        assert mine == _oracle_weak(system, 5)
+        assert mine == _oracle_weak(system, 5)[0]
 
         report = strong_threshold(system, 4, repetitive_check=False)
         mine = ("found", report.threshold) if report.found else ("cutoff", None)
-        assert mine == _oracle_strong(system, 4)
+        assert mine == _oracle_strong(system, 4)[0]
 
         if detect_unbounded_repetitive(system, 24).repetitive:
             # a certified repetition forbids any strong threshold
@@ -204,29 +209,24 @@ def test_threshold_searches_match_unpruned_oracles():
     assert repetitive_cases > 20
 
 
-def _binary_census():
-    """Every binary system with images of length 1-3 and axiom a or b:
-    14 images per letter, 2 axioms, 392 systems."""
-    images = [image for n in (1, 2, 3) for image in itertools.product("ab", repeat=n)]
-    for image_a, image_b in itertools.product(images, repeat=2):
-        morphism = Morphism(Alphabet(("a", "b")), {"a": image_a, "b": image_b})
-        for axiom in ("a", "b"):
-            yield DF0LSystem(morphism, [(axiom,)])
-
-
 def test_exhaustive_binary_census():
     """Both searches equal the unpruned oracles on every census system, every
-    witness and survivor re-validates, D_weak <= 2·D_strong + max|φ(a)|, and
+    witness and survivor re-validates and is the canonically first failing
+    word or pair of its level (the survivors the first eight of the cutoff
+    level), D_weak <= 2·D_strong + max|φ(a)|, and
     a certified repetition never comes with a strong threshold and
     re-validates: a primitive prefix u of the fixed point with
     φ^power(u) = u^exponent and u, u², u³, u⁴ in the language."""
-    systems = list(_binary_census())
+    systems = list(binary_census())
     assert len(systems) == 392
     weak_exhausted = certificates = 0
     for system in systems:
         weak = weak_threshold(system, 14)
         mine = ("found", weak.threshold) if weak.found else ("cutoff", None)
-        assert mine == _oracle_weak(system, 14), system
+        verdict, failing = _oracle_weak(system, 14)
+        assert mine == verdict, system
+        assert weak.witness_word == (failing[0] if weak.threshold else None), system
+        assert list(weak.survivors or ()) == ([] if weak.found else failing[:8]), system
         if weak.witness_word is not None:
             assert len(weak.witness_word) == weak.threshold
             assert not is_weakly_synchronized(system, weak.witness_word).synchronized
@@ -237,7 +237,10 @@ def test_exhaustive_binary_census():
 
         strong = strong_threshold(system, 10, repetitive_check=False)
         mine = ("found", strong.threshold) if strong.found else ("cutoff", None)
-        assert mine == _oracle_strong(system, 10), system
+        verdict, failing = _oracle_strong(system, 10)
+        assert mine == verdict, system
+        assert strong.witness_pair == (failing[0] if strong.threshold else None), system
+        assert list(strong.survivors or ()) == ([] if strong.found else failing[:8]), system
         pairs = list(strong.survivors or ())
         if strong.witness_pair is not None:
             assert len(strong.witness_pair[0]) == strong.threshold

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from df0l import (Alphabet, DF0LSystem, ErasingMorphismError,
-                  InvalidSystemError, Morphism, classify_letters,
+                  InvalidSystemError, LetterMap, Morphism, classify_letters,
                   factor_language, invariant_exponent,
                   minimal_invariant_subalphabets, power_system,
                   unbounded_letters, validate)
@@ -75,6 +75,12 @@ def test_image_length_bounds(thue_morse, collapse_bounded):
             collapse_bounded.morphism.max_image_len) == (3, 5)
     ident = Morphism(Alphabet(("a",)), {"a": ("a",)})
     assert (ident.min_image_len, ident.max_image_len) == (1, 1)
+    erasing = Morphism(Alphabet(("a", "b")), {"a": ("a", "b"), "b": ()})
+    assert (erasing.min_image_len, erasing.max_image_len) == (0, 2)
+    # plain letter maps, such as twined data, work too, also with no entries
+    alpha = LetterMap({"A": ("a", "b", "a"), "B": ("b",)})
+    assert (alpha.min_image_len, alpha.max_image_len) == (1, 3)
+    assert LetterMap({}).apply(()) == ()
 
 
 def test_power_system(thue_morse, two_fixed):
