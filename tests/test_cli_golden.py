@@ -1,7 +1,9 @@
 """Golden `--json` reports of the CLI on every sample, with `elapsed_ms` removed.
 
 The reports in cli_golden.json pin interpretations, weak and strong pair
-synchronization and both threshold searches byte for byte.  Regenerate the
+synchronization, both threshold searches, letter growth, the repetitiveness
+detector, the second and third power systems, injectivity collisions and the
+factor language byte for byte.  Regenerate the
 file with `PYTHONPATH=src python tests/test_cli_golden.py`, and only when a
 report is meant to change.
 """
@@ -53,6 +55,12 @@ def _cases():
                ["threshold", path, "--mode", "weak", "--cutoff", "20"])
         yield (f"{name} threshold strong 12",
                ["threshold", path, "--mode", "strong", "--cutoff", "12"])
+        yield f"{name} letters", ["letters", path]
+        yield f"{name} repetitive", ["repetitive", path]
+        for k in ("2", "3"):
+            yield f"{name} power -k {k}", ["power", path, "-k", k]
+        yield f"{name} delta -L 6", ["delta", path, "-L", "6"]
+        yield f"{name} language -L 5", ["language", path, "-L", "5"]
 
 
 CASES = dict(_cases())
