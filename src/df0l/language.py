@@ -16,7 +16,6 @@ FactorSet values are immutable views of the first max_len + 1 levels.
 """
 
 import threading
-from itertools import chain
 
 from .errors import NotInLanguageError, PreconditionError
 from .system import DF0LSystem
@@ -92,11 +91,11 @@ def clear_interpretation_cache():
 
 def _next_level(system: DF0LSystem, n: int, registered: dict) -> frozenset:
     """Level n from the axioms, the words registered under n and its own words."""
-    images = system.morphism.images
-    lengths = {a: len(image) for a, image in images.items()}
+    phi = system.morphism
+    lengths = {a: len(image) for a, image in phi.images.items()}
 
     def tight(v):
-        image = tuple(chain.from_iterable(map(images.__getitem__, v)))
+        image = phi.apply(v)
         total = len(image)
         return [image[start:start + n] for start in range(
             max(0, total - lengths[v[-1]] + 1 - n), min(lengths[v[0]], total - n + 1))]

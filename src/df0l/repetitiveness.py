@@ -11,7 +11,7 @@ period and power bounds and must be read as "no certificate found".
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 
 from .errors import PreconditionError
 from .language import _record, contains, factor_language
@@ -42,15 +42,17 @@ def default_period_bound(system: DF0LSystem) -> int:
     return max(64, system.morphism.max_image_len ** (len(system.alphabet) + 1))
 
 
-def _fixed_prefix(images, letter, n):
+def _fixed_prefix(phi, letter, n):
     # first n letters of the fixed point x at `letter`, whose image starts with
-    # `letter` and is longer: x = image(x[0]) image(x[1]) ..., so x grows by
-    # appending the image of each of its own letters after the first
-    word = list(images[letter])
+    # `letter` and is longer: x = image(x[0]) image(x[1]) ..., so x grows by the
+    # images of its own letters after the first, at most as many at a time as
+    # letters are missing, since no image is empty
+    word = list(phi.images[letter])
     i = 1
     while len(word) < n:
-        word.extend(images[word[i]])
-        i += 1
+        batch = word[i:i + n - len(word)]
+        word += phi.apply(batch)
+        i += len(batch)
     return tuple(word[:n])
 
 
@@ -60,12 +62,12 @@ def fixed_point_prefix(system: DF0LSystem, letter: str, power: int, n: int) -> W
     if power < 1 or n < 1:
         raise PreconditionError("power and n must be >= 1")
     letter = system.alphabet.check_word((letter,))[0]
-    phi = system.morphism
-    start = phi.apply_power((letter,), power)
+    phi = system.morphism.power(power)
+    start = phi.images[letter]
     if len(start) < 2 or start[0] != letter:
         raise PreconditionError(
             f"image^{power}({letter}) must start with {letter} and be longer")
-    return _fixed_prefix(phi.power(power).images, letter, n)
+    return _fixed_prefix(phi, letter, n)
 
 
 def detect_unbounded_repetitive(system: DF0LSystem,
@@ -98,21 +100,21 @@ def detect_unbounded_repetitive(system: DF0LSystem,
 
 
 def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
-    base = system.morphism.images
+    phi = system.morphism
     power_bound = len(system.alphabet)
-    powers = [base]     # powers[l - 1]: the images of image^l, built on demand
+    powers = []     # powers[l - 1] = image^l, built when first needed
     for a in system.alphabet:
         if not contains(system, (a,)):
             continue
         for ell in range(1, power_bound + 1):
-            while len(powers) < ell:
-                powers.append({c: tuple(chain.from_iterable(map(base.__getitem__, w)))
-                               for c, w in powers[-1].items()})
-            images = powers[ell - 1]
+            if len(powers) < ell:
+                powers.append(phi.power(ell))
+            power = powers[ell - 1]
+            images = power.images
             start = images[a]
             if len(start) < 2 or start[0] != a:
                 continue
-            prefix = _fixed_prefix(images, a, period_bound)
+            prefix = _fixed_prefix(power, a, period_bound)
             # ends[m - 1] = |image^l(prefix[:m])|
             ends = list(accumulate(len(images[c]) for c in prefix))
             for m, total in enumerate(ends, 1):
@@ -121,24 +123,24 @@ def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
                 seen = min(total, period_bound)
                 if prefix[m:seen] != prefix[:seen - m]:
                     continue
-                if total > period_bound and not _tiles(images, prefix, ends, m):
+                if total > period_bound and not _tiles(power, prefix, ends, m):
                     continue
                 return RepetitivenessVerdict(True, a, ell, prefix[:m], total // m,
                                              period_bound, power_bound)
     return RepetitivenessVerdict(False, None, None, None, None, period_bound, power_bound)
 
 
-def _tiles(images, prefix, ends, m) -> bool:
+def _tiles(power, prefix, ends, m) -> bool:
     """Whether image^l(u), u = prefix[:m], continues u repeated past the end
     of the prefix, which already has period m.  Its letter images are read
     one at a time from the first that reaches past the prefix, each against
     a window of u repeated just long enough for any image."""
     u = prefix[:m]
-    ring = u * (2 + max(map(len, images.values())) // m)
+    ring = u * (2 + power.max_image_len // m)
     j = bisect_right(ends, len(prefix), 0, m)
     pos = ends[j - 1] if j else 0
     for c in u[j:]:
-        image = images[c]
+        image = power.images[c]
         if image != ring[pos % m:pos % m + len(image)]:
             return False
         pos += len(image)

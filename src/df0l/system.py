@@ -1,7 +1,9 @@
 """Alphabets, morphisms, DF0L systems, and letter-growth analysis.
 
-All objects here are immutable after construction and safe to share between
-threads; every analysis is a pure function of its arguments.
+LetterMap.apply builds every word image, Morphism.power every power, and
+each map holds its image-length bounds.  All objects here are immutable
+after construction and safe to share between threads; every analysis is a
+pure function of its arguments.
 """
 
 from dataclasses import dataclass
@@ -73,19 +75,24 @@ class Alphabet:
 
 
 class LetterMap:
-    """Letter-to-word map applied homomorphically; source and target may differ."""
+    """Letter-to-word map applied homomorphically; source and target may differ.
+    Its image-length bounds are 0 when it has no entries."""
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "max_image_len", "min_image_len")
 
     def __init__(self, images):
         out = {}
         for letter, image in images.items():
             _check_token(letter)
-            image = tuple(image)
+            out[letter] = image = tuple(image)
             for token in image:
                 _check_token(token)
-            out[letter] = image
-        self.images = out
+        self._own(out)
+
+    def _own(self, images):
+        self.images = images
+        self.max_image_len = max(map(len, images.values()), default=0)
+        self.min_image_len = min(map(len, images.values()), default=0)
 
     def image(self, letter: str) -> Word:
         try:
@@ -94,18 +101,14 @@ class LetterMap:
             raise InvalidSystemError(f"no image for letter {letter!r}") from None
 
     def apply(self, word: Word) -> Word:
+        images = self.images
         out = []
-        for letter in word:
-            out.extend(self.image(letter))
+        try:
+            for letter in word:
+                out += images[letter]
+        except KeyError:
+            raise InvalidSystemError(f"no image for letter {letter!r}") from None
         return tuple(out)
-
-    @property
-    def max_image_len(self) -> int:
-        return max(len(w) for w in self.images.values())
-
-    @property
-    def min_image_len(self) -> int:
-        return min(len(w) for w in self.images.values())
 
     def _key(self):
         return tuple(sorted(self.images.items()))
@@ -120,9 +123,7 @@ class LetterMap:
 class Morphism(LetterMap):
     """Endomorphism of a fixed alphabet; images may be empty (erasing)."""
 
-    # the image-length slots shadow LetterMap's properties, which scan every
-    # image on each read
-    __slots__ = ("alphabet", "is_nonerasing", "max_image_len", "min_image_len", "_hash")
+    __slots__ = ("alphabet", "is_nonerasing", "_hash")
 
     def __init__(self, alphabet, images):
         if not isinstance(alphabet, Alphabet):
@@ -133,13 +134,10 @@ class Morphism(LetterMap):
         extra = set(images) - set(alphabet.letters)
         if extra:
             raise InvalidSystemError(f"image given for unknown letter {sorted(extra)[0]!r}")
-        super().__init__({letter: images[letter] for letter in alphabet})
-        for letter in alphabet:
-            alphabet.check_word(self.images[letter])
+        # alphabet letters are checked tokens, so membership checks the images
+        self._own({letter: alphabet.check_word(images[letter]) for letter in alphabet})
         self.alphabet = alphabet
-        self.is_nonerasing = all(self.images[a] for a in alphabet)
-        self.max_image_len = max(map(len, self.images.values()))
-        self.min_image_len = min(map(len, self.images.values()))
+        self.is_nonerasing = self.min_image_len > 0
         self._hash = hash((alphabet.letters, tuple(self.images[a] for a in alphabet)))
 
     def erasing_letters(self) -> tuple[str, ...]:
@@ -161,7 +159,7 @@ class Morphism(LetterMap):
     def power(self, k: int) -> "Morphism":
         if k < 1:
             raise PreconditionError("power must be >= 1")
-        images = {a: self.images[a] for a in self.alphabet}
+        images = self.images
         for _ in range(k - 1):
             images = {a: self.apply(w) for a, w in images.items()}
         return Morphism(self.alphabet, images)
@@ -213,9 +211,6 @@ class DF0LSystem:
     def require_pdf0l(self):
         self.morphism.require_nonerasing()
 
-    def power(self, k: int) -> "DF0LSystem":
-        return power_system(self, k)
-
     def __eq__(self, other):
         return (isinstance(other, DF0LSystem)
                 and self.morphism == other.morphism
@@ -231,12 +226,13 @@ class DF0LSystem:
 
 def power_system(system: DF0LSystem, k: int) -> DF0LSystem:
     """The k-th power: morphism taken to the k-th power, axioms closed under
-    the first k-1 images so the factor language is preserved."""
+    the first k-1 images so the factor language is preserved; empty iterates
+    add no factor and are left out."""
     if k < 1:
         raise PreconditionError("power must be >= 1")
     phi = system.morphism
     axioms = [phi.apply_power(w, i) for w in system.axioms for i in range(k)]
-    return DF0LSystem(phi.power(k), axioms)
+    return DF0LSystem(phi.power(k), [w for w in axioms if w])
 
 
 @dataclass(frozen=True)

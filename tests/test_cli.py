@@ -92,6 +92,17 @@ def test_power_command(capsys, tmp_path):
     assert contains(powered, parse_word("a d"))
 
 
+def test_power_command_on_an_erasing_system(capsys, tmp_path):
+    # image(c) is empty: the power keeps the language, so that iterate is no axiom
+    erasing = tmp_path / "erasing.sys"
+    erasing.write_text("alphabet: a c\nmap a -> a c\nmap c ->\naxiom: c\naxiom: a\n")
+    code, payload = run_json(capsys, "power", str(erasing), "-k", "2")
+    assert code == 0
+    assert payload["result"]["axioms"] == ["a", "c", "a c"]
+    assert payload["result"]["rendered"] == (
+        "alphabet: a c\nmap a -> a c\nmap c ->\naxiom: a\naxiom: c\naxiom: a c\n")
+
+
 def test_letters_command(capsys):
     code, payload = run_json(capsys, "letters", sample("two_fixed_letters.sys"))
     assert code == 0

@@ -35,6 +35,10 @@ def test_morphism_validation():
         Morphism(alpha, {"a": ("a",), "b": ("c",)})  # unknown letter in image
     with pytest.raises(InvalidSystemError):
         Morphism(alpha, {"a": ("a",), "b": ("b",), "c": ("a",)})  # extra map
+    # image tokens are checked against the alphabet, which holds only good tokens
+    for token in ("c", "a b", "", " a"):
+        with pytest.raises(InvalidSystemError, match=f"unknown letter {token!r}"):
+            Morphism(alpha, {"a": ("a", token), "b": ("b",)})
 
 
 def test_system_validation():
@@ -68,6 +72,35 @@ def test_apply_and_power(thue_morse, two_fixed):
     assert two_fixed.morphism.apply_power(w("b"), 0) == w("b")
 
 
+def test_apply_names_a_letter_without_image(thue_morse):
+    plain = LetterMap({"A": ("a", "b"), "B": ()})
+    assert plain.apply(("A", "B", "A")) == w("abab")
+    with pytest.raises(InvalidSystemError, match="no image for letter 'C'"):
+        plain.apply(("A", "C", "B"))
+    with pytest.raises(InvalidSystemError, match="no image for letter 'z'"):
+        thue_morse.morphism.apply(w("abz"))
+    with pytest.raises(InvalidSystemError, match="no image for letter 'z'"):
+        thue_morse.morphism.apply_power(w("z"), 2)
+
+
+def test_power_is_the_iterated_image_of_each_letter():
+    rng = random.Random(8)
+    morphisms = [random_pdf0l(rng).morphism for _ in range(50)]
+    morphisms.append(Morphism(Alphabet(("a", "b", "c")),
+                              {"a": ("a", "c"), "b": ("c", "b", "a"), "c": ()}))
+    for phi in morphisms:
+        for k in (1, 2, 3):
+            power = phi.power(k)
+            expected = Morphism(phi.alphabet,
+                                {a: phi.apply_power((a,), k) for a in phi.alphabet})
+            assert power == expected
+            assert hash(power) == hash(expected)
+            lengths = [len(power.image(a)) for a in phi.alphabet]
+            assert (power.min_image_len, power.max_image_len) == (min(lengths),
+                                                                  max(lengths))
+            assert power.is_nonerasing == phi.is_nonerasing
+
+
 def test_image_length_bounds(thue_morse, collapse_bounded):
     assert (thue_morse.morphism.min_image_len,
             thue_morse.morphism.max_image_len) == (2, 2)
@@ -80,7 +113,9 @@ def test_image_length_bounds(thue_morse, collapse_bounded):
     # plain letter maps, such as twined data, work too, also with no entries
     alpha = LetterMap({"A": ("a", "b", "a"), "B": ("b",)})
     assert (alpha.min_image_len, alpha.max_image_len) == (1, 3)
-    assert LetterMap({}).apply(()) == ()
+    empty = LetterMap({})
+    assert empty.apply(()) == ()
+    assert (empty.min_image_len, empty.max_image_len) == (0, 0)
 
 
 def test_power_system(thue_morse, two_fixed):
@@ -92,6 +127,14 @@ def test_power_system(thue_morse, two_fixed):
     p2 = power_system(two_fixed, 2)
     assert p2.axioms == (w("b"), w("ad"))
     assert power_system(thue_morse, 1) == thue_morse
+
+    # an erasing morphism can map an axiom to the empty word, which is dropped
+    erasing = sys1("ac", {"a": "ac", "c": ""}, ["c", "a"])
+    for k in (2, 3):
+        powered = power_system(erasing, k)
+        assert powered.axioms == (w("a"), w("c"), w("ac"))
+        assert powered.morphism.image("a") == w("ac")
+        assert powered.morphism.image("c") == ()
 
 
 def test_power_preserves_language(thue_morse, two_fixed, repetitive_square):
