@@ -45,16 +45,19 @@ def _level_search(system: DF0LSystem, cutoff: int, mode: str, width: int,
                   trims, fails) -> ThresholdReport:
     """The level loop shared by both searches.
 
-    Level L tests the language words of length width·L; fails(system, w, L)
-    is the mode's failure test and trims(w) the previous-level words that
-    must all have failed for w to be a candidate.
+    Level L tests the language words of length width·L, as code strings;
+    fails(system, w, L) is the mode's failure test and trims(w) the
+    previous-level words that must all have failed for w to be a candidate.
     """
+    decode = system.alphabet.decode
+
     def item(w):
         # a strong-mode word stands for the pair of its two halves
-        return w if mode == "weak" else (w[:len(w) // 2], w[len(w) // 2:])
+        return decode(w) if mode == "weak" else (
+            decode(w[:len(w) // 2]), decode(w[len(w) // 2:]))
 
-    prev_bad: list[Word] | None = None
-    bad: list[Word] = []
+    prev_bad: list[str] | None = None
+    bad: list[str] = []
     for level in range(1, cutoff + 1):
         n = width * level
         words = _record(system, n).levels[n]
@@ -63,14 +66,14 @@ def _level_search(system: DF0LSystem, cutoff: int, mode: str, width: int,
         else:
             failed = set(prev_bad)
             candidates = [w for w in words if failed.issuperset(trims(w))]
-        # only the failing words reach the report, in canonical order
-        bad = sorted((w for w in candidates if fails(system, w, level)),
-                     key=system.alphabet.word_key)
+        # only the failing words reach the report, in canonical order, which
+        # within one length is the order of the code strings
+        bad = sorted(w for w in candidates if fails(system, w, level))
         if not bad:
             for w in words:
                 if fails(system, w, level):
                     raise AssertionError(
-                        f"level {level} verification failed on {' '.join(w)}")
+                        f"level {level} verification failed on {' '.join(decode(w))}")
             witness = item(prev_bad[0]) if prev_bad else None
             return ThresholdReport(mode, "found", threshold=level - 1,
                                    witness_word=witness if mode == "weak" else None,
@@ -80,12 +83,12 @@ def _level_search(system: DF0LSystem, cutoff: int, mode: str, width: int,
                            survivors=tuple(map(item, bad[:_SURVIVOR_SAMPLE])))
 
 
-def _weak_fails(system: DF0LSystem, w: Word, level: int) -> bool:
+def _weak_fails(system: DF0LSystem, w: str, level: int) -> bool:
     """No split of w is weakly synchronizing."""
     return not _word_sync(system, w).synchronized
 
 
-def _strong_fails(system: DF0LSystem, w: Word, size: int) -> bool:
+def _strong_fails(system: DF0LSystem, w: str, size: int) -> bool:
     """The middle split of w is admissible and not strongly synchronizing."""
     ends = _split_ends(system, w, size)
     return _admissible(ends) and _strong_letter(system, ends) is None

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .language import contains, factor_language
-from .system import DF0LSystem, LetterMap, Morphism
+from .system import DF0LSystem, LetterMap, Morphism, code_key
 from .words import Word
 
 
@@ -26,21 +26,19 @@ def collisions_upto(system: DF0LSystem, max_len: int) -> list[CollisionPair]:
     system.require_pdf0l()
     if max_len < 1:
         raise PreconditionError("max_len must be >= 1")
-    phi = system.morphism
-    key = system.alphabet.word_key
+    table = system.morphism.table
     by_image = {}
-    # all_words() is in canonical order, and so is every group
-    for w in factor_language(system, max_len).all_words():
-        by_image.setdefault(phi.apply(w), []).append(w)
+    # the codes come in canonical order, and so does every group
+    for w in factor_language(system, max_len)._codes():
+        by_image.setdefault(w.translate(table), []).append(w)
     pairs = []
     for group in by_image.values():
-        if len(group) < 2:
-            continue
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
-                pairs.append(CollisionPair(group[i], group[j]))
-    pairs.sort(key=lambda p: (key(p.u), key(p.v)))
-    return pairs
+                pairs.append((group[i], group[j]))
+    pairs.sort(key=lambda p: (code_key(p[0]), code_key(p[1])))
+    decode = system.alphabet.decode
+    return [CollisionPair(decode(u), decode(v)) for u, v in pairs]
 
 
 def delta_estimate(system: DF0LSystem, max_len: int) -> tuple[int, int]:

@@ -26,7 +26,9 @@ reads one primitive, `_split_ends(system, u, k)`: per interpretation, None
 A pair is admissible when some entry is not None, weakly synchronizing when
 none is None, strongly synchronizing when all are one letter.  Public
 predicates check the caller's input and then call these cores; the
-threshold searches call the cores directly on language words.
+threshold searches call the cores directly on language words.  All of
+this runs on code strings (see `Alphabet`): the public functions encode the
+caller's words and decode their answers.
 """
 
 from bisect import bisect_left
@@ -35,7 +37,7 @@ from itertools import accumulate
 
 from .errors import PreconditionError
 from .language import _record, require_member
-from .system import DF0LSystem
+from .system import DF0LSystem, code_key
 from .words import Word
 
 
@@ -71,9 +73,9 @@ def interpretation_length_bounds(system: DF0LSystem, u) -> tuple[int, int]:
     return lo, hi
 
 
-def _cuts(phi, s_len: int, w: Word) -> tuple[int, ...]:
+def _cuts(phi, s_len: int, w: str) -> tuple[int, ...]:
     """|image(w[:i])| - s_len for i = 0..|w|: where in u each prefix image ends."""
-    images = phi.images
+    images = phi.image_codes
     return tuple(accumulate((len(images[b]) for b in w), initial=-s_len))
 
 
@@ -87,62 +89,60 @@ def _cut(cuts: tuple[int, ...], k: int) -> int | None:
     return i if i < len(cuts) and cuts[i] == k else None
 
 
-def _parses(system: DF0LSystem, u: Word) -> tuple[tuple[Interpretation, tuple[int, ...]], ...]:
-    """Every minimal interpretation of u with its cuts, in canonical order."""
+def _parses(system: DF0LSystem, u: str) -> tuple[tuple[str, str, str, tuple[int, ...]], ...]:
+    """Every minimal interpretation (s, w, t) of the code string u, with its
+    cuts, in canonical order."""
     record = _record(system, 0)     # a memoized word's levels are grown already
     known = record.parses.get(u)
     if known is not None:
         return known
     phi = system.morphism
-    images = phi.images
+    images = phi.image_codes
     _, hi = interpretation_length_bounds(system, u)
     levels = _record(system, hi).levels
-    letters = system.alphabet.letters
     n = len(u)
     found = []
     partial = []    # (w, letters of u that image(w) covers, s)
-    for a in letters:
-        if (a,) not in levels[1]:
+    for a, image in images.items():
+        if a not in levels[1]:
             continue
-        image = images[a]
         for start in range(len(image)):
             chunk = image[start:start + n]
-            if chunk != u[:len(chunk)]:
+            if not u.startswith(chunk):
                 continue
             if start + n <= len(image):
-                found.append(Interpretation(image[:start], (a,), image[start + n:]))
+                found.append((image[:start], a, image[start + n:]))
             else:
-                partial.append(((a,), len(chunk), image[:start]))
+                partial.append((a, len(chunk), image[:start]))
     while partial:
         w, p, s = partial.pop()
-        for b in letters:
-            image = images[b]
+        for b, image in images.items():
             chunk = u[p:p + len(image)]
-            if image[:len(chunk)] != chunk:
+            if not image.startswith(chunk):
                 continue
-            v = w + (b,)
+            v = w + b
             if v not in levels[len(v)]:
                 continue
             if p + len(image) < n:
                 partial.append((v, p + len(image), s))
             else:
-                found.append(Interpretation(s, v, image[len(chunk):]))
-    key = system.alphabet.word_key
-    found.sort(key=lambda i: (key(i.s), key(i.w), key(i.t)))
-    return record.remember_parses(u, tuple((i, _cuts(phi, len(i.s), i.w)) for i in found))
+                found.append((s, v, image[len(chunk):]))
+    found.sort(key=lambda i: (code_key(i[0]), code_key(i[1]), code_key(i[2])))
+    return record.remember_parses(
+        u, tuple((s, w, t, _cuts(phi, len(s), w)) for s, w, t in found))
 
 
-# a letter token is never empty, so this marks a split with an empty left part
+# a letter code is one character, so this marks a split with an empty left part
 _LEFT_EMPTY = ""
 
 
-def _split_ends(system: DF0LSystem, u: Word, k: int) -> list[str | None]:
+def _split_ends(system: DF0LSystem, u: str, k: int) -> list[str | None]:
     """Per minimal interpretation (s, w, t) of u, in canonical order, what a
     split of u after k letters leaves at the end of the left part of w."""
     ends = []
-    for interp, cuts in _parses(system, u):
+    for _, w, _, cuts in _parses(system, u):
         i = _cut(cuts, k)
-        ends.append(None if i is None else interp.w[i - 1] if i else _LEFT_EMPTY)
+        ends.append(None if i is None else w[i - 1] if i else _LEFT_EMPTY)
     return ends
 
 
@@ -151,27 +151,28 @@ def _admissible(ends: list[str | None]) -> bool:
 
 
 def _strong_letter(system: DF0LSystem, ends: list[str | None]) -> str | None:
-    """The common non-empty end letter; the first alphabet letter when the
-    pair is vacuously synchronizing (no interpretation at all)."""
+    """The code of the common non-empty end letter; the first letter's code
+    when the pair is vacuously synchronizing (no interpretation at all)."""
     if not ends:
-        return system.alphabet.letters[0]
+        return system.alphabet.codes[0]
     first = ends[0]
     return first if first and ends.count(first) == len(ends) else None
 
 
-def _word_sync(system: DF0LSystem, u: Word) -> WordSyncReport:
+def _word_sync(system: DF0LSystem, u: str) -> WordSyncReport:
     parses = _parses(system, u)
     if not parses:
         return WordSyncReport(True, 0, True)
     # the first parse's cuts are increasing: the first one shared by every
     # parse is the smallest offset in the intersection of the cut sets
-    split = next((k for k in parses[0][1] if 0 <= k <= len(u)
-                  and all(_cut(cuts, k) is not None for _, cuts in parses[1:])), None)
+    split = next((k for k in parses[0][3] if 0 <= k <= len(u)
+                  and all(_cut(cuts, k) is not None for *_, cuts in parses[1:])), None)
     return WordSyncReport(split is not None, split, False)
 
 
-def _require_word(system: DF0LSystem, u, message: str) -> Word:
-    """The caller's word, required to be a non-empty language word."""
+def _require_word(system: DF0LSystem, u, message: str) -> str:
+    """The code string of the caller's word, required to be a non-empty
+    language word."""
     u = require_member(system, u)
     if not u:
         raise PreconditionError(message)
@@ -189,7 +190,9 @@ def _pair_ends(system: DF0LSystem, left, right) -> list[str | None]:
 def minimal_interpretations(system: DF0LSystem, u) -> list[Interpretation]:
     """All minimal interpretations of u, deduplicated, in canonical order."""
     u = _require_word(system, u, "interpretations are defined for non-empty words")
-    return [i for i, _ in _parses(system, u)]
+    decode = system.alphabet.decode
+    return [Interpretation(decode(s), decode(w), decode(t))
+            for s, w, t, _ in _parses(system, u)]
 
 
 def compatible_split(system: DF0LSystem, interp: Interpretation,
@@ -197,17 +200,19 @@ def compatible_split(system: DF0LSystem, interp: Interpretation,
     """The unique split (w', w'') of interp.w with image(w') = s·left and
     image(w'') = right·t, if it exists."""
     system.require_pdf0l()
-    left = system.alphabet.check_word(left)
-    right = system.alphabet.check_word(right)
+    alphabet = system.alphabet
+    left = alphabet.encode(left)
+    right = alphabet.encode(right)
     phi = system.morphism
-    image = phi.apply(interp.w)
+    w = alphabet.encode(interp.w)
+    image = w.translate(phi.table)
     u = image[len(interp.s):len(image) - len(interp.t)]
     if left + right != u:
         raise PreconditionError("left·right must equal the interpreted word")
-    index = _cut(_cuts(phi, len(interp.s), interp.w), len(left))
+    index = _cut(_cuts(phi, len(interp.s), w), len(left))
     if index is None:
         return None
-    return PairSplit(interp.w[:index], interp.w[index:])
+    return PairSplit(alphabet.decode(w[:index]), alphabet.decode(w[index:]))
 
 
 def is_admissible(system: DF0LSystem, left, right) -> bool:
@@ -241,7 +246,8 @@ def strong_sync_letter(system: DF0LSystem, left, right) -> str | None:
     left = tuple(left)
     if not left:
         raise PreconditionError("the left part of a strong pair must be non-empty")
-    return _strong_letter(system, _pair_ends(system, left, right))
+    letter = _strong_letter(system, _pair_ends(system, left, right))
+    return None if letter is None else system.alphabet.letters[ord(letter)]
 
 
 def is_strongly_synchronizing(system: DF0LSystem, left, right) -> bool:

@@ -12,12 +12,18 @@ bound computes only the new levels.  Growth holds one lock and appends whole
 levels, which never change, so readers need no lock.  The record also keeps
 the minimal interpretations of queried words, all forgotten at once when
 _PARSE_MEMO_SIZE are held, and the repetitiveness verdict per period bound.
-FactorSet values are immutable views of the first max_len + 1 levels.
+Every word held here is a code string, one character per letter (see
+Alphabet), so a stored word of length n over at most 128 letters costs
+49 + n bytes, where a tuple of tokens costs 56 + 8n with its GC header.
+Queries are encoded on the way in, and words are decoded only on the way
+out.  FactorSet values are immutable views of the first max_len + 1 levels;
+their words property decodes one word at a time.
 """
 
 import threading
+from collections.abc import Set
 
-from .errors import NotInLanguageError, PreconditionError
+from .errors import InvalidSystemError, NotInLanguageError, PreconditionError
 from .system import DF0LSystem
 from .words import Word
 
@@ -33,26 +39,60 @@ class FactorSet:
         self._levels = tuple(levels[:max_len + 1])
 
     @property
-    def words(self) -> frozenset:
-        return frozenset().union(*self._levels)
+    def words(self) -> Set:
+        """The words as a read-only set of tuples, decoded one at a time."""
+        return _Words(self)
 
     def __contains__(self, word) -> bool:
-        word = tuple(word)
-        return len(word) <= self.max_len and word in self._levels[len(word)]
+        try:
+            code = self.system.alphabet.encode(word)
+        except InvalidSystemError:
+            return False
+        return len(code) <= self.max_len and code in self._levels[len(code)]
 
     def __len__(self):
         return sum(map(len, self._levels))
 
+    def _codes(self):
+        """Every code string in canonical order, which is length first."""
+        for level in self._levels:
+            yield from sorted(level)
+
     def all_words(self) -> list[Word]:
         """Every word in canonical order, which is length first."""
-        return [w for n in range(self.max_len + 1) for w in self.words_of_length(n)]
+        return list(map(self.system.alphabet.decode, self._codes()))
 
     def words_of_length(self, n: int) -> tuple[Word, ...]:
         level = self._levels[n] if 0 <= n <= self.max_len else ()
-        return tuple(sorted(level, key=self.system.alphabet.word_key))
+        return tuple(map(self.system.alphabet.decode, sorted(level)))
 
     def __repr__(self):
         return f"FactorSet(max_len={self.max_len}, words={len(self)})"
+
+
+class _Words(Set):
+    """FactorSet.words: a view of the factor set that holds no word of its own."""
+
+    __slots__ = ("_factors",)
+
+    def __init__(self, factors: FactorSet):
+        self._factors = factors
+
+    def __contains__(self, word) -> bool:
+        return word in self._factors
+
+    def __len__(self):
+        return len(self._factors)
+
+    def __iter__(self):
+        decode = self._factors.system.alphabet.decode
+        for level in self._factors._levels:
+            yield from map(decode, level)
+
+    @classmethod
+    def _from_iterable(cls, words):
+        # the results of the set operators are plain frozensets
+        return frozenset(words)
 
 
 class _Record:
@@ -61,12 +101,12 @@ class _Record:
     __slots__ = ("levels", "registered", "parses", "verdicts")
 
     def __init__(self):
-        self.levels = [frozenset({()})]
+        self.levels = [frozenset({""})]
         self.registered = {}    # length -> words whose images have tight factors of it
         self.parses = {}        # word -> its minimal interpretations with their cuts
         self.verdicts = {}      # period bound -> RepetitivenessVerdict
 
-    def remember_parses(self, u: Word, parses: tuple) -> tuple:
+    def remember_parses(self, u: str, parses: tuple) -> tuple:
         if len(self.parses) >= _PARSE_MEMO_SIZE:
             self.parses.clear()
         self.parses[u] = parses
@@ -92,15 +132,16 @@ def clear_interpretation_cache():
 def _next_level(system: DF0LSystem, n: int, registered: dict) -> frozenset:
     """Level n from the axioms, the words registered under n and its own words."""
     phi = system.morphism
-    lengths = {a: len(image) for a, image in phi.images.items()}
+    table = phi.table
+    lengths = {a: len(image) for a, image in phi.image_codes.items()}
 
     def tight(v):
-        image = phi.apply(v)
+        image = v.translate(table)
         total = len(image)
         return [image[start:start + n] for start in range(
             max(0, total - lengths[v[-1]] + 1 - n), min(lengths[v[0]], total - n + 1))]
 
-    level = {a[i:i + n] for a in system.axioms for i in range(len(a) - n + 1)}
+    level = {a[i:i + n] for a in system.axiom_codes for i in range(len(a) - n + 1)}
     for v in registered.pop(n, ()):
         level.update(tight(v))
     todo = list(level)
@@ -136,14 +177,19 @@ def factor_language(system: DF0LSystem, max_len: int) -> FactorSet:
     return FactorSet(system, max_len, _record(system, max_len).levels)
 
 
+def _member(system: DF0LSystem, code: str) -> bool:
+    return code in _record(system, len(code)).levels[len(code)]
+
+
 def contains(system: DF0LSystem, word) -> bool:
     """Membership of a word in the factor language."""
-    word = system.alphabet.check_word(word)
-    return word in _record(system, len(word)).levels[len(word)]
+    return _member(system, system.alphabet.encode(word))
 
 
-def require_member(system: DF0LSystem, word) -> Word:
-    word = system.alphabet.check_word(word)
-    if word not in _record(system, len(word)).levels[len(word)]:
+def require_member(system: DF0LSystem, word) -> str:
+    """The code string of a language word; NotInLanguageError otherwise."""
+    code = system.alphabet.encode(word)
+    if not _member(system, code):
+        word = system.alphabet.decode(code)
         raise NotInLanguageError(f"word {' '.join(word) or 'ε'!r} is not in the language")
-    return word
+    return code

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import PreconditionError
-from .language import _record, contains, factor_language
+from .language import _member, _record, factor_language
 from .system import DF0LSystem, LetterMap, unbounded_letters
 from .words import Word, factors, is_conjugate, is_primitive, occurrences, primitive_root
 
@@ -42,18 +42,20 @@ def default_period_bound(system: DF0LSystem) -> int:
     return max(64, system.morphism.max_image_len ** (len(system.alphabet) + 1))
 
 
-def _fixed_prefix(phi, letter, n):
-    # first n letters of the fixed point x at `letter`, whose image starts with
-    # `letter` and is longer: x = image(x[0]) image(x[1]) ..., so x grows by the
-    # images of its own letters after the first, at most as many at a time as
-    # letters are missing, since no image is empty
-    word = list(phi.images[letter])
+def _fixed_prefix(phi, letter: str, n: int) -> str:
+    # first n letters, as a code string, of the fixed point x at the code
+    # `letter`, whose image starts with `letter` and is longer: x = image(x[0])
+    # image(x[1]) ..., so x grows by the images of its own letters after the
+    # first, at most as many at a time as letters are missing, since no image
+    # is empty; a list, since appending to a str may copy it every time
+    word = list(phi.image_codes[letter])
+    table = phi.table
     i = 1
     while len(word) < n:
         batch = word[i:i + n - len(word)]
-        word += phi.apply(batch)
+        word += "".join(batch).translate(table)
         i += len(batch)
-    return tuple(word[:n])
+    return "".join(word[:n])
 
 
 def fixed_point_prefix(system: DF0LSystem, letter: str, power: int, n: int) -> Word:
@@ -61,13 +63,14 @@ def fixed_point_prefix(system: DF0LSystem, letter: str, power: int, n: int) -> W
     system.require_pdf0l()
     if power < 1 or n < 1:
         raise PreconditionError("power and n must be >= 1")
-    letter = system.alphabet.check_word((letter,))[0]
+    alphabet = system.alphabet
+    code = alphabet.encode((letter,))
     phi = system.morphism.power(power)
-    start = phi.images[letter]
-    if len(start) < 2 or start[0] != letter:
+    start = phi.image_codes[code]
+    if len(start) < 2 or start[0] != code:
         raise PreconditionError(
             f"image^{power}({letter}) must start with {letter} and be longer")
-    return _fixed_prefix(phi, letter, n)
+    return alphabet.decode(_fixed_prefix(phi, code, n))
 
 
 def detect_unbounded_repetitive(system: DF0LSystem,
@@ -101,22 +104,24 @@ def detect_unbounded_repetitive(system: DF0LSystem,
 
 def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
     phi = system.morphism
-    power_bound = len(system.alphabet)
+    alphabet = system.alphabet
+    power_bound = len(alphabet)
+    letters = _record(system, 1).levels[1]
     powers = []     # powers[l - 1] = image^l, built when first needed
-    for a in system.alphabet:
-        if not contains(system, (a,)):
+    for a in alphabet.codes:
+        if a not in letters:
             continue
         for ell in range(1, power_bound + 1):
             if len(powers) < ell:
                 powers.append(phi.power(ell))
             power = powers[ell - 1]
-            images = power.images
+            images = power.image_codes
             start = images[a]
             if len(start) < 2 or start[0] != a:
                 continue
             prefix = _fixed_prefix(power, a, period_bound)
             # ends[m - 1] = |image^l(prefix[:m])|
-            ends = list(accumulate(len(images[c]) for c in prefix))
+            ends = list(accumulate(map(len, map(images.__getitem__, prefix))))
             for m, total in enumerate(ends, 1):
                 if total % m or total < 2 * m:
                     continue
@@ -125,12 +130,13 @@ def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
                     continue
                 if total > period_bound and not _tiles(power, prefix, ends, m):
                     continue
-                return RepetitivenessVerdict(True, a, ell, prefix[:m], total // m,
-                                             period_bound, power_bound)
+                return RepetitivenessVerdict(
+                    True, alphabet.letters[ord(a)], ell, alphabet.decode(prefix[:m]),
+                    total // m, period_bound, power_bound)
     return RepetitivenessVerdict(False, None, None, None, None, period_bound, power_bound)
 
 
-def _tiles(power, prefix, ends, m) -> bool:
+def _tiles(power, prefix: str, ends, m) -> bool:
     """Whether image^l(u), u = prefix[:m], continues u repeated past the end
     of the prefix, which already has period m.  Its letter images are read
     one at a time from the first that reaches past the prefix, each against
@@ -139,9 +145,10 @@ def _tiles(power, prefix, ends, m) -> bool:
     ring = u * (2 + power.max_image_len // m)
     j = bisect_right(ends, len(prefix), 0, m)
     pos = ends[j - 1] if j else 0
+    images = power.image_codes
     for c in u[j:]:
-        image = power.images[c]
-        if image != ring[pos % m:pos % m + len(image)]:
+        image = images[c]
+        if not ring.startswith(image, pos % m):
             return False
         pos += len(image)
     return True
@@ -154,13 +161,15 @@ def omega_candidates(system: DF0LSystem, max_len: int, power: int) -> list[Omega
     system.require_pdf0l()
     if max_len < 1 or power < 1:
         raise PreconditionError("max_len and power must be >= 1")
-    unbounded = unbounded_letters(system.morphism)
+    alphabet = system.alphabet
+    unbounded = set(alphabet.encode(unbounded_letters(system.morphism)))
     out = []
-    for v in factor_language(system, max_len).all_words():
+    for v in factor_language(system, max_len)._codes():
         if not v or not is_primitive(v):
             continue
-        if contains(system, v * power):
-            out.append(OmegaCandidate(v, power, bool(set(v) & unbounded)))
+        if _member(system, v * power):
+            out.append(OmegaCandidate(alphabet.decode(v), power,
+                                      not unbounded.isdisjoint(v)))
     return out
 
 
@@ -230,18 +239,18 @@ def lift_repetition(system: DF0LSystem, v, search_len: int,
     alone are too weak a filter (they occur in many non-repetitive systems),
     so the default demands cubes."""
     system.require_pdf0l()
-    v = system.alphabet.check_word(v)
+    v = system.alphabet.encode(v)
     if not v or not is_primitive(v):
         raise PreconditionError("v must be a non-empty primitive word")
     if search_len < 1:
         raise PreconditionError("search_len must be >= 1")
-    phi = system.morphism
-    for u in factor_language(system, search_len).all_words():
+    table = system.morphism.table
+    for u in factor_language(system, search_len)._codes():
         if not u or not is_primitive(u):
             continue
-        image = phi.apply(u)
+        image = u.translate(table)
         if not image or not is_conjugate(primitive_root(image)[0], v):
             continue
-        if contains(system, u * min_power):
-            return u
+        if _member(system, u * min_power):
+            return system.alphabet.decode(u)
     return None

@@ -1,12 +1,15 @@
 """Alphabets, morphisms, DF0L systems, and letter-growth analysis.
 
-LetterMap.apply builds every word image, Morphism.power every power, and
-each map holds its image-length bounds.  All objects here are immutable
-after construction and safe to share between threads; every analysis is a
-pure function of its arguments.
+LetterMap.apply builds every image of a word of tokens, Morphism.power every
+power, and each map holds its image-length bounds.  Inside df0l words are
+code strings (see Alphabet), and a Morphism's table maps them to their
+images.  All objects here are immutable after construction and safe to
+share between threads; every analysis is a pure function of its arguments.
 """
 
+import sys
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ErasingMorphismError, InvalidSystemError, PreconditionError
 from .words import Word
@@ -18,22 +21,30 @@ def _check_token(token):
 
 
 class Alphabet:
-    """Ordered set of letter tokens; declaration order is the canonical order."""
+    """Ordered set of letter tokens; declaration order is the canonical order.
 
-    __slots__ = ("letters", "_index")
+    Inside df0l a word is a code string: letter i, in declaration order, is
+    chr(i).  encode and decode convert at the library boundary, and code
+    points follow declaration order, so (len(c), c) is the canonical order."""
+
+    __slots__ = ("letters", "codes", "_encode", "_decode")
 
     def __init__(self, letters):
         letters = tuple(letters)
         if not letters:
             raise InvalidSystemError("alphabet is empty")
-        index = {}
+        if len(letters) > sys.maxunicode + 1:
+            raise InvalidSystemError(f"alphabet has more than {sys.maxunicode + 1} letters")
+        encode = {}
         for token in letters:
             _check_token(token)
-            if token in index:
+            if token in encode:
                 raise InvalidSystemError(f"duplicate letter {token!r}")
-            index[token] = len(index)
+            encode[token] = chr(len(encode))
         self.letters = letters
-        self._index = index
+        self.codes = "".join(encode.values())
+        self._encode = encode
+        self._decode = dict(zip(self.codes, letters))
 
     def __len__(self):
         return len(self.letters)
@@ -42,7 +53,7 @@ class Alphabet:
         return iter(self.letters)
 
     def __contains__(self, token):
-        return token in self._index
+        return token in self._encode
 
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.letters == other.letters
@@ -54,24 +65,41 @@ class Alphabet:
         return f"Alphabet({' '.join(self.letters)})"
 
     def index(self, token: str) -> int:
+        return ord(self.encode((token,)))
+
+    def encode(self, word) -> str:
+        """The code string of a word of letter tokens."""
+        word = tuple(word)
+        if not word:
+            return ""
         try:
-            return self._index[token]
-        except KeyError:
-            raise InvalidSystemError(f"unknown letter {token!r}") from None
+            # one item fetches a 1-character str, which join takes as well
+            return "".join(itemgetter(*word)(self._encode))
+        except KeyError as exc:
+            raise InvalidSystemError(f"unknown letter {exc.args[0]!r}") from None
+
+    def decode(self, code: str) -> Word:
+        """The word of letter tokens of a code string."""
+        if len(code) < 2:   # itemgetter fetches one item bare, and none raises
+            return tuple(map(self._decode.__getitem__, code))
+        return itemgetter(*code)(self._decode)
 
     def check_word(self, word: Word) -> Word:
         word = tuple(word)
-        for token in word:
-            if token not in self._index:
-                raise InvalidSystemError(f"unknown letter {token!r}")
+        self.encode(word)
         return word
 
     def word_key(self, word: Word):
         """Canonical order: length first, then lexicographic by declaration order."""
-        return len(word), tuple(map(self._index.__getitem__, word))
+        return code_key(self.encode(word))
 
     def sort_words(self, words) -> list[Word]:
         return sorted(words, key=self.word_key)
+
+
+def code_key(code: str):
+    """The canonical order of code strings: length first, then code points."""
+    return len(code), code
 
 
 class LetterMap:
@@ -121,9 +149,12 @@ class LetterMap:
 
 
 class Morphism(LetterMap):
-    """Endomorphism of a fixed alphabet; images may be empty (erasing)."""
+    """Endomorphism of a fixed alphabet; images may be empty (erasing).
 
-    __slots__ = ("alphabet", "is_nonerasing", "_hash")
+    image_codes maps each letter code to the code string of its image, and
+    code.translate(table) is the image of a code string."""
+
+    __slots__ = ("alphabet", "is_nonerasing", "image_codes", "table", "_identity", "_hash")
 
     def __init__(self, alphabet, images):
         if not isinstance(alphabet, Alphabet):
@@ -134,11 +165,16 @@ class Morphism(LetterMap):
         extra = set(images) - set(alphabet.letters)
         if extra:
             raise InvalidSystemError(f"image given for unknown letter {sorted(extra)[0]!r}")
-        # alphabet letters are checked tokens, so membership checks the images
-        self._own({letter: alphabet.check_word(images[letter]) for letter in alphabet})
+        # alphabet letters are checked tokens, so encoding checks the images
+        codes = [alphabet.encode(images[letter]) for letter in alphabet]
+        self._own(dict(zip(alphabet, map(alphabet.decode, codes))))
         self.alphabet = alphabet
         self.is_nonerasing = self.min_image_len > 0
-        self._hash = hash((alphabet.letters, tuple(self.images[a] for a in alphabet)))
+        self.image_codes = dict(zip(alphabet.codes, codes))
+        self.table = str.maketrans(self.image_codes)
+        # equal morphisms, and only they, have equal identities
+        self._identity = (alphabet.letters, tuple(codes))
+        self._hash = hash(self._identity)
 
     def erasing_letters(self) -> tuple[str, ...]:
         return tuple(a for a in self.alphabet if not self.images[a])
@@ -165,9 +201,7 @@ class Morphism(LetterMap):
         return Morphism(self.alphabet, images)
 
     def __eq__(self, other):
-        return (isinstance(other, Morphism)
-                and self.alphabet == other.alphabet
-                and self.images == other.images)
+        return isinstance(other, Morphism) and self._identity == other._identity
 
     def __hash__(self):
         return self._hash
@@ -180,25 +214,27 @@ class Morphism(LetterMap):
 class DF0LSystem:
     """A morphism together with a non-empty finite set of non-empty axiom words."""
 
-    __slots__ = ("morphism", "axioms", "_hash")
+    __slots__ = ("morphism", "axioms", "axiom_codes", "_identity", "_hash")
 
     def __init__(self, morphism: Morphism, axioms):
         if not isinstance(morphism, Morphism):
             raise InvalidSystemError("morphism must be a Morphism")
-        seen = set()
-        canonical = []
+        alphabet = morphism.alphabet
+        codes = set()
         for axiom in axioms:
-            axiom = morphism.alphabet.check_word(axiom)
-            if not axiom:
+            code = alphabet.encode(axiom)
+            if not code:
                 raise InvalidSystemError("axioms must be non-empty words")
-            if axiom not in seen:
-                seen.add(axiom)
-                canonical.append(axiom)
-        if not canonical:
+            codes.add(code)
+        if not codes:
             raise InvalidSystemError("axiom set is empty")
         self.morphism = morphism
-        self.axioms = tuple(morphism.alphabet.sort_words(canonical))
-        self._hash = hash((morphism, self.axioms))
+        self.axiom_codes = tuple(sorted(codes, key=code_key))
+        self.axioms = tuple(map(alphabet.decode, self.axiom_codes))
+        # equal systems, and only they, have equal identities; built once,
+        # since every lookup of a system's record compares them
+        self._identity = (morphism._identity, self.axiom_codes)
+        self._hash = hash(self._identity)
 
     @property
     def alphabet(self) -> Alphabet:
@@ -212,9 +248,7 @@ class DF0LSystem:
         self.morphism.require_nonerasing()
 
     def __eq__(self, other):
-        return (isinstance(other, DF0LSystem)
-                and self.morphism == other.morphism
-                and self.axioms == other.axioms)
+        return isinstance(other, DF0LSystem) and self._identity == other._identity
 
     def __hash__(self):
         return self._hash

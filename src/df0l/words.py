@@ -2,7 +2,10 @@
 
 A word is a tuple of letter tokens.  Tokens are arbitrary non-empty strings
 without whitespace, so alphabets are not limited to single characters; in
-textual form the tokens of a word are separated by spaces.
+textual form the tokens of a word are separated by spaces.  Inside df0l a
+word is held as a code string instead, one character per letter (see
+`Alphabet`); primitive_root, is_primitive, occurrences and is_conjugate
+read any sequence, so they take both.
 """
 
 Word = tuple[str, ...]

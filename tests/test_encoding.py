@@ -1,0 +1,149 @@
+"""Inside df0l every word is a code string, letter i of the alphabet being
+chr(i).  The answers must not depend on how the letter tokens are spelled:
+each system here is checked, through a renaming of its letters, against a
+copy whose language letters are the plain tokens a, b, c.  The renaming keeps
+the declaration order of the language letters, so canonical orders agree.
+"""
+
+import dataclasses
+import tracemalloc
+
+import pytest
+
+from df0l import (Alphabet, DF0LSystem, InvalidSystemError, Morphism,
+                  clear_language_cache, contains, detect_unbounded_repetitive,
+                  factor_language, minimal_interpretations, strong_threshold,
+                  weak_threshold)
+
+from conftest import sys1
+
+MAX_LEN = 7
+CUTOFF = 6
+PERIOD_BOUND = 64
+
+
+def _renamed(system, names, alphabet):
+    """The system with each letter a written names.get(a, a), over
+    `alphabet`, whose letters that are not renamed letters map to themselves."""
+    images = {a: (a,) for a in alphabet}
+    for a in system.alphabet:
+        images[names.get(a, a)] = _rename(system.morphism.image(a), names)
+    axioms = [_rename(axiom, names) for axiom in system.axioms]
+    return DF0LSystem(Morphism(Alphabet(alphabet), images), axioms)
+
+
+def _rename(value, names):
+    """A df0l answer with every letter token t written names[t]."""
+    if dataclasses.is_dataclass(value):
+        return type(value)(**{field.name: _rename(getattr(value, field.name), names)
+                              for field in dataclasses.fields(value)})
+    if isinstance(value, (tuple, list)):
+        return type(value)(_rename(item, names) for item in value)
+    if isinstance(value, str):
+        return names.get(value, value)
+    return value
+
+
+# the plain systems, over a, b, c
+FIBONACCI = sys1("ab", {"a": "ab", "b": "a"}, ["a"])
+COLLAPSE = sys1("abc", {"a": "abacc", "b": "aba", "c": "aba"}, ["a"])
+# certified repetitive through its first letter at power 1, so the detector
+# stops before it raises the morphism to a high power
+SQUARE = sys1("abc", {"a": "ab", "b": "ab", "c": "ccb"}, ["c"])
+
+FILLERS = tuple(f"x{i}" for i in range(297))
+
+CASES = {
+    # the token b names a different letter than in the plain copy
+    "multi-character tokens": (COLLAPSE, {"a": "a1", "b": "a2", "c": "b"},
+                               ("a1", "a2", "b")),
+    # token \x01 has code \x00 and token \x00 has code \x01
+    "control-character tokens": (FIBONACCI, {"a": "\x01", "b": "\x00"},
+                                 ("\x01", "\x00")),
+    # the language letters have codes 297-299, beyond Latin-1; the plain
+    # copy has the same 300 letters with a, b, c first
+    "300 letters": (SQUARE, {"a": "α", "b": "β", "c": "γ"},
+                    FILLERS + ("α", "β", "γ")),
+}
+
+
+def _pair(name):
+    plain, names, alphabet = CASES[name]
+    if len(alphabet) > len(plain.alphabet):
+        plain = _renamed(plain, {}, plain.alphabet.letters + FILLERS)
+    coded = _renamed(plain, names, alphabet)
+    back = {token: plain_token for plain_token, token in names.items()}
+    return plain, coded, back
+
+
+@pytest.fixture(params=sorted(CASES))
+def pair(request):
+    return _pair(request.param)
+
+
+def test_language_and_membership_agree_up_to_renaming(pair):
+    plain, coded, back = pair
+    fs = factor_language(coded, MAX_LEN)
+    assert _rename(fs.all_words(), back) == factor_language(plain, MAX_LEN).all_words()
+    forward = {b: a for a, b in back.items()}
+    words = [()]
+    for n in range(4):      # every word over the language letters up to length 4
+        words += [word + (a,) for word in words if len(word) == n for a in forward]
+    for word in words:
+        coded_word = tuple(forward[a] for a in word)
+        assert contains(coded, coded_word) == contains(plain, word)
+        assert (coded_word in fs) == (word in factor_language(plain, MAX_LEN))
+
+
+def test_interpretations_agree_up_to_renaming(pair):
+    plain, coded, back = pair
+    for word in factor_language(coded, 6).all_words()[1:]:
+        assert _rename(minimal_interpretations(coded, word), back) == \
+            minimal_interpretations(plain, _rename(word, back))
+
+
+def test_searches_and_detector_agree_up_to_renaming(pair):
+    plain, coded, back = pair
+    assert _rename(weak_threshold(coded, CUTOFF), back) == weak_threshold(plain, CUTOFF)
+    for check in (True, False):
+        assert _rename(strong_threshold(coded, CUTOFF, repetitive_check=check,
+                                        period_bound=PERIOD_BOUND), back) == \
+            strong_threshold(plain, CUTOFF, repetitive_check=check,
+                             period_bound=PERIOD_BOUND)
+    verdict = detect_unbounded_repetitive(coded, PERIOD_BOUND)
+    assert _rename(verdict, back) == detect_unbounded_repetitive(plain, PERIOD_BOUND)
+
+
+def test_unknown_tokens_are_not_members(pair):
+    _, coded, _ = pair
+    fs = factor_language(coded, MAX_LEN)
+    for word in [("zz",), ("a1", "zz"), ("",), (chr(0),) * 2, ("\x02",), (chr(299),)]:
+        if all(a in coded.alphabet for a in word):
+            continue
+        assert word not in fs
+        assert word not in fs.words
+        with pytest.raises(InvalidSystemError, match="unknown letter"):
+            contains(coded, word)
+
+
+def test_factor_set_words_is_a_view(thue_morse):
+    """A cold Thue-Morse language at L = 150 holds under 12 MiB, and going
+    over its words decodes one at a time instead of copying the language."""
+    clear_language_cache()
+    tracemalloc.start()
+    try:
+        fs = factor_language(thue_morse, 150)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        count = sum(1 for _ in fs.words)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == len(fs) == 35_125
+    assert held < 12 * 2**20
+    assert peak - held < 2 * 2**20
+    small = factor_language(thue_morse, 5)
+    assert small.words == frozenset(small.all_words())
+    assert frozenset(small.all_words()) == small.words
+    assert small.words <= fs.words and not fs.words <= small.words
+    assert fs.words - small.words == frozenset(w for w in fs.all_words() if len(w) > 5)
