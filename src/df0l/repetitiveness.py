@@ -1,15 +1,40 @@
 """Unbounded-repetitiveness detection through periodic morphic fixed points.
 
-If some power image^l of the morphism maps a letter a to a word starting
-with a, then x = image^l(x) is a one-sided fixed point.  For a prefix
-u = x[:m], image^l(u) is the prefix x[:total] of x, total = |image^l(u)|,
-so image^l(u) = u^n, n = total / m >= 2, holds exactly when m divides total
-and x[:total] has period m.  Then every power of u is a language factor: a
-certified positive.  A negative answer is complete only up to the searched
-period and power bounds and must be read as "no certificate found".
+Let f(b) be the first letter of image(b).  A language letter a whose walk
+a, f(a), f(f(a)), ... returns to a after c steps, and some letter of whose
+cycle has an image longer than one letter, starts the one-sided fixed point
+x = image^c(x) = lim image^(ck)(a).  For a prefix u = x[:m], image^c(u) is
+the prefix x[:total] of x, total = |image^c(u)|, so image^c(u) = u^n,
+n >= 2, holds exactly when m divides total and x[:total] has period m.
+Then every power of u is a language factor: a certified positive.
+
+Two facts make one power per letter enough.
+
+1. Every power l with image^l(a) starting with a and longer than a fixes
+   the same x, and the l that qualify are the multiples of c.  The morphism
+   is non-erasing, so the first letter of image^l(a) is f^l(a), which is a
+   iff c divides l.  image^c(a) is longer than a iff some image on the
+   cycle is: if every image on it is one letter, image^c(a) = a; if
+   image(f^i(a)) is longer, with i < c, so is image^(i+1)(a), and no
+   later power is shorter.  image^(ck)(a) is a prefix of
+   image^(c(k+1))(a), so all these powers fix the same limit x.
+
+2. For any such l, image^l(u) = u^n with n >= 2 iff x = u^w (u repeated
+   forever).  (=>) image^(lk)(u) = u^(n^k) is a prefix of x for every k.
+   (<=) Let p be the least period of x and r = x[:p].  Periods of a purely
+   periodic word are multiples of its least period (Fine and Wilf), so
+   u = r^j, and x = image^l(x) = image^l(r)^w, so |image^l(r)| is a period
+   of x and a multiple of p.  Hence t = |image^l(u)| = j|image^l(r)| is a
+   multiple of m = jp, and t > m, since image^l(a) is longer than a and no
+   image is empty; image^l(u) = x[:t] is then u^(t/m), t/m >= 2.
+
+So whether a prefix length m passes, and the first m that does, do not
+depend on the power, and a test that m divides total already implies
+total >= 2m.  The first u that passes is primitive: it is r, by (<=).
+A negative answer is complete in the power and bounded only by the searched
+period, and must be read as "no certificate found".
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -75,22 +100,25 @@ def fixed_point_prefix(system: DF0LSystem, letter: str, power: int, n: int) -> W
 
 def detect_unbounded_repetitive(system: DF0LSystem,
                                 period_bound: int | None = None) -> RepetitivenessVerdict:
-    """Scan every language letter a and every power l up to the alphabet
-    size with image^l(a) starting with a, testing the prefixes u = x[:m],
-    m <= period_bound, of the fixed point x, shortest first, for
-    image^l(u) = u^n, n >= 2.
+    """Scan every language letter a, in declaration order, whose first-letter
+    walk a, f(a), ... (f(b) the first letter of image(b)) returns to a after
+    c <= |A| steps through some image longer than one letter, testing the
+    prefixes u = x[:m], m <= period_bound, of the fixed point x of image^c
+    at a, shortest first, for image^c(u) = u^n, n >= 2.
 
-    The test is a period test: image^l(u) is x[:total], total = |image^l(u)|,
-    so image^l(u) = u^n iff m divides total and x[:total] has period m.  It
+    By the module docstring's two facts, no other power can find a witness
+    that image^c misses, and the first u that passes is primitive: the
+    answer is complete in the power and bounded only by the period.
+    power_bound = |A| is reported as the cycle lengths' upper bound.
+
+    The test is a period test: image^c(u) is x[:total], total = |image^c(u)|,
+    so image^c(u) = u^n iff m divides total and x[:total] has period m.  It
     is exact, not a sampled check.  The prefix x[:period_bound] is built
-    once per (a, l), linearly, and each m is filtered by one comparison of
+    once per letter, linearly, and each m is filtered by one comparison of
     x[m:seen] with x[:seen-m], seen = min(total, period_bound).  When total
     exceeds period_bound, a survivor is confirmed one letter image of u at a
     time against u repeated, so memory stays O(period_bound + max image).
-    The first u that passes is primitive: if u = r^j, j >= 2, then
-    image^l(r)^j = u^n = r^(jn), so image^l(r) = r^n and the shorter prefix
-    r passes first.  The verdict is computed once per system and period
-    bound."""
+    The verdict is computed once per system and period bound."""
     system.require_pdf0l()
     if period_bound is None:
         period_bound = default_period_bound(system)
@@ -103,54 +131,58 @@ def detect_unbounded_repetitive(system: DF0LSystem,
 
 
 def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
+    """One fixed point per language letter on a growing first-letter cycle:
+    that of image^c, c the cycle length, the least power whose image of the
+    letter starts with it (fact 1); image^c is built once per distinct c.
+    Since image^c(a) is longer than a, total > m, so m dividing total
+    already gives n = total / m >= 2 (fact 2)."""
     phi = system.morphism
     alphabet = system.alphabet
+    images = phi.image_codes
     power_bound = len(alphabet)
     letters = _record(system, 1).levels[1]
-    powers = []     # powers[l - 1] = image^l, built when first needed
+    powers = {}     # powers[c] = image^c, built when first needed
     for a in alphabet.codes:
         if a not in letters:
             continue
-        for ell in range(1, power_bound + 1):
-            if len(powers) < ell:
-                powers.append(phi.power(ell))
-            power = powers[ell - 1]
-            images = power.image_codes
-            start = images[a]
-            if len(start) < 2 or start[0] != a:
-                continue
-            prefix = _fixed_prefix(power, a, period_bound)
-            # ends[m - 1] = |image^l(prefix[:m])|
-            ends = list(accumulate(map(len, map(images.__getitem__, prefix))))
-            for m, total in enumerate(ends, 1):
-                if total % m or total < 2 * m:
-                    continue
-                seen = min(total, period_bound)
-                if prefix[m:seen] != prefix[:seen - m]:
-                    continue
-                if total > period_bound and not _tiles(power, prefix, ends, m):
-                    continue
+        b, grows = a, False
+        for cycle in range(1, power_bound + 1):
+            grows = grows or len(images[b]) > 1
+            b = images[b][0]
+            if b == a:
+                break
+        if b != a or not grows:
+            continue
+        if cycle not in powers:
+            powers[cycle] = phi.power(cycle)
+        power = powers[cycle]
+        prefix = _fixed_prefix(power, a, period_bound)
+        # the running sums are |image^c(prefix[:m])|, m = 1, 2, ...
+        ends = accumulate(map(len, map(power.image_codes.__getitem__, prefix)))
+        for m, total in enumerate(ends, 1):
+            # prefix[m:total] is x[m:seen], seen = min(total, period_bound),
+            # so the prefix starts with it iff x[:seen] has period m
+            if (total % m == 0 and prefix.startswith(prefix[m:total])
+                    and (total <= period_bound or _tiles(power, prefix[:m]))):
                 return RepetitivenessVerdict(
-                    True, alphabet.letters[ord(a)], ell, alphabet.decode(prefix[:m]),
+                    True, alphabet.letters[ord(a)], cycle, alphabet.decode(prefix[:m]),
                     total // m, period_bound, power_bound)
     return RepetitivenessVerdict(False, None, None, None, None, period_bound, power_bound)
 
 
-def _tiles(power, prefix: str, ends, m) -> bool:
-    """Whether image^l(u), u = prefix[:m], continues u repeated past the end
-    of the prefix, which already has period m.  Its letter images are read
-    one at a time from the first that reaches past the prefix, each against
-    a window of u repeated just long enough for any image."""
-    u = prefix[:m]
+def _tiles(power, u: str) -> bool:
+    """Whether image^c(u) is u repeated.  Its letter images are read in one
+    pass, each against a window of u repeated just long enough for any
+    image, so no copy of image^c(u) is made."""
+    m = len(u)
     ring = u * (2 + power.max_image_len // m)
-    j = bisect_right(ends, len(prefix), 0, m)
-    pos = ends[j - 1] if j else 0
     images = power.image_codes
-    for c in u[j:]:
+    pos = 0
+    for c in u:
         image = images[c]
-        if not ring.startswith(image, pos % m):
+        if not ring.startswith(image, pos):
             return False
-        pos += len(image)
+        pos = (pos + len(image)) % m
     return True
 
 

@@ -1,10 +1,12 @@
 import os
 import random
+import time
 
 import pytest
 
-from df0l import (PreconditionError, RepetitivenessVerdict, clear_language_cache,
-                  contains, detect_unbounded_repetitive, default_period_bound,
+from df0l import (Alphabet, DF0LSystem, Morphism, PreconditionError,
+                  RepetitivenessVerdict, clear_language_cache, contains,
+                  detect_unbounded_repetitive, default_period_bound,
                   factor_language, find_power_in_preimage, fixed_point_prefix,
                   is_conjugate, is_primitive, lift_repetition, occurrences,
                   omega_candidates, parse_system, primitive_root,
@@ -260,3 +262,66 @@ def test_detector_on_a_slowly_growing_fixed_point():
     system = sys1("ac", {"a": "ac", "c": "c"}, ["a"])
     assert not detect_unbounded_repetitive(system, 4096).repetitive
     assert fixed_point_prefix(system, "a", 2, 4096) == w("a") + w("c") * 4095
+
+
+def _cycle_length(system, letter):
+    """The least l >= 1 with image^l(letter) starting with letter, or None."""
+    phi = system.morphism
+    for ell in range(1, len(system.alphabet) + 1):
+        if phi.apply_power((letter,), ell)[0] == letter:
+            return ell
+    return None
+
+
+def test_detector_matches_naive_reference_on_longer_cycles():
+    """Five-letter systems with a language letter on a first-letter cycle
+    of length >= 3: every verdict field equals the naive reference, which
+    tries every power up to the alphabet size, and a certificate's power is
+    the cycle length of its letter."""
+    rng = random.Random(10)
+    systems = []
+    while len(systems) < 100:
+        images = {a: "".join(rng.choice("abcde") for _ in range(rng.randint(1, 3)))
+                  for a in "abcde"}
+        axiom = "".join(rng.choice("abcde") for _ in range(rng.randint(1, 2)))
+        system = sys1("abcde", images, [axiom])
+        if any((_cycle_length(system, a) or 0) >= 3 and contains(system, (a,))
+               for a in "abcde"):
+            systems.append(system)
+    powers = []
+    for system in systems:
+        for bound in (7, 30):
+            verdict = detect_unbounded_repetitive(system, bound)
+            assert verdict == _naive_detect(system, bound), (system, bound)
+            if verdict.repetitive:
+                assert verdict.power == _cycle_length(system, verdict.letter)
+                powers.append(verdict.power)
+    assert sorted(powers) == [1] * 6 + [3] * 10 + [4] * 2
+
+
+def _chain(n, images):
+    letters = tuple(f"x{i}" for i in range(n))
+    return DF0LSystem(Morphism(Alphabet(letters), images(letters)), [(letters[0],)])
+
+
+def test_detector_on_a_long_cyclic_permutation():
+    """x_i -> x_(i+1 mod 400): every letter is on one cycle of length 400,
+    but no image is longer than one letter, so no power of the morphism
+    grows and there is no witness.  The detector must not build the
+    morphism's powers one by one up to the alphabet size to say so."""
+    system = _chain(400, lambda xs: {a: (xs[(i + 1) % len(xs)],)
+                                     for i, a in enumerate(xs)})
+    start = time.perf_counter()
+    verdict = detect_unbounded_repetitive(system, 64)
+    assert time.perf_counter() - start < 2.0
+    assert verdict == RepetitivenessVerdict(False, None, None, None, None, 64, 400)
+
+
+def test_detector_on_one_growing_letter_among_fixed_ones():
+    """x0 -> x0 x1, every other letter fixed, at the default period bound
+    2^19: the fixed point x0 x1 x1 ... has no periodic prefix, and the
+    fixed letters are bounded."""
+    system = _chain(18, lambda xs: {a: (a, "x1") if a == "x0" else (a,) for a in xs})
+    assert default_period_bound(system) == 2 ** 19
+    assert detect_unbounded_repetitive(system) == RepetitivenessVerdict(
+        False, None, None, None, None, 2 ** 19, 18)
