@@ -26,10 +26,8 @@ from .interpretations import (Interpretation, PairSplit, WordSyncReport,
                               minimal_interpretations, strong_sync_letter)
 from .language import (FactorSet, clear_interpretation_cache,
                        clear_language_cache, contains, factor_language)
-from .repetitiveness import (OmegaCandidate, RepetitivenessVerdict,
-                             default_period_bound, detect_unbounded_repetitive,
-                             find_power_in_preimage, fixed_point_prefix,
-                             lift_repetition, omega_candidates)
+from .repetitiveness import (RepetitivenessVerdict, default_period_bound,
+                             detect_unbounded_repetitive, fixed_point_prefix)
 from .system import (Alphabet, DF0LSystem, GrowthReport, LetterMap, Morphism,
                      ValidationReport, classify_letters, invariant_exponent,
                      minimal_invariant_subalphabets, power_system,
@@ -41,22 +39,21 @@ __all__ = [
     "Alphabet", "BoundsCheck", "CollisionPair", "DF0LSystem",
     "ErasingMorphismError", "FactorSet", "GrowthReport", "Interpretation",
     "InvalidSystemError", "LetterMap", "Morphism", "NotInLanguageError",
-    "OmegaCandidate", "PairSplit", "ParseError", "PreconditionError",
-    "RepetitivenessVerdict", "ThresholdReport", "TwinedData",
-    "ValidationReport", "Word", "WordSyncReport", "check_threshold_bounds",
-    "classify_letters", "clear_interpretation_cache", "clear_language_cache",
-    "collision_family_check",
-    "collisions_upto", "compatible_split", "contains", "default_period_bound",
-    "delta_estimate", "detect_unbounded_repetitive", "factor_language",
-    "factors", "find_power_in_preimage", "find_twined_failure",
-    "fixed_point_prefix", "format_word", "interpretation_length_bounds",
-    "invariant_exponent", "is_admissible", "is_conjugate", "is_primitive",
-    "is_strongly_synchronizing", "is_weakly_synchronized",
-    "is_weakly_synchronizing", "lift_repetition", "minimal_interpretations",
-    "minimal_invariant_subalphabets", "occurrences", "omega_candidates",
-    "parse_letter_map", "parse_system", "parse_word", "power_system",
-    "primitive_root", "render_system", "simplification_language_check",
-    "strong_sync_letter", "strong_threshold", "twined_commutation_check",
-    "unbounded_letters", "validate", "verify_twined",
-    "weak_power_transfer_bound", "weak_threshold",
+    "PairSplit", "ParseError", "PreconditionError", "RepetitivenessVerdict",
+    "ThresholdReport", "TwinedData", "ValidationReport", "Word",
+    "WordSyncReport", "check_threshold_bounds", "classify_letters",
+    "clear_interpretation_cache", "clear_language_cache",
+    "collision_family_check", "collisions_upto", "compatible_split",
+    "contains", "default_period_bound", "delta_estimate",
+    "detect_unbounded_repetitive", "factor_language", "factors",
+    "find_twined_failure", "fixed_point_prefix", "format_word",
+    "interpretation_length_bounds", "invariant_exponent", "is_admissible",
+    "is_conjugate", "is_primitive", "is_strongly_synchronizing",
+    "is_weakly_synchronized", "is_weakly_synchronizing",
+    "minimal_interpretations", "minimal_invariant_subalphabets",
+    "occurrences", "parse_letter_map", "parse_system", "parse_word",
+    "power_system", "primitive_root", "render_system",
+    "simplification_language_check", "strong_sync_letter", "strong_threshold",
+    "twined_commutation_check", "unbounded_letters", "validate",
+    "verify_twined", "weak_power_transfer_bound", "weak_threshold",
 ]

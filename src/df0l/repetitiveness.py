@@ -39,9 +39,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import PreconditionError
-from .language import _member, _record, factor_language
-from .system import DF0LSystem, LetterMap, unbounded_letters
-from .words import Word, factors, is_conjugate, is_primitive, occurrences, primitive_root
+from .language import _record
+from .system import DF0LSystem
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,6 @@ class RepetitivenessVerdict:
     exponent: int | None
     period_bound: int
     power_bound: int
-
-
-@dataclass(frozen=True)
-class OmegaCandidate:
-    word: Word
-    verified_power: int
-    unbounded: bool
 
 
 def default_period_bound(system: DF0LSystem) -> int:
@@ -184,105 +177,3 @@ def _tiles(power, u: str) -> bool:
             return False
         pos = (pos + len(image)) % m
     return True
-
-
-def omega_candidates(system: DF0LSystem, max_len: int, power: int) -> list[OmegaCandidate]:
-    """Primitive words v with |v| <= max_len and v^power in the language,
-    tagged with unboundedness: a necessary-condition sample of the words
-    whose every power stays in the language."""
-    system.require_pdf0l()
-    if max_len < 1 or power < 1:
-        raise PreconditionError("max_len and power must be >= 1")
-    alphabet = system.alphabet
-    unbounded = set(alphabet.encode(unbounded_letters(system.morphism)))
-    out = []
-    for v in factor_language(system, max_len)._codes():
-        if not v or not is_primitive(v):
-            continue
-        if _member(system, v * power):
-            out.append(OmegaCandidate(alphabet.decode(v), power,
-                                      not unbounded.isdisjoint(v)))
-    return out
-
-
-def find_power_in_preimage(mapping, z, v, power: int) -> tuple[Word, int]:
-    """Pull a repetition back through an injective letter map.
-
-    Given mapping(z) a factor of some power of the primitive word v, locate
-    by pigeonhole on prefix-image lengths mod |v| a primitive u whose power
-    u^n (n >= power) is a factor of z and whose image has primitive root
-    conjugate to v.  The map must be injective on the factors of z.
-    """
-    if isinstance(mapping, dict):
-        mapping = LetterMap(mapping)
-    z, v = tuple(z), tuple(v)
-    if power < 2:
-        raise PreconditionError("power must be >= 2")
-    if not z or not v:
-        raise PreconditionError("z and v must be non-empty")
-    if not is_primitive(v):
-        raise PreconditionError("v must be primitive")
-    by_image = {}
-    for f in factors(z, len(z)):
-        if f:
-            by_image.setdefault(mapping.apply(f), []).append(f)
-    for image, group in by_image.items():
-        if len(group) > 1:
-            a, b = sorted(group)[:2]
-            raise PreconditionError(
-                f"map is not injective on factors of z: {' '.join(a)} and {' '.join(b)}")
-    image_z = mapping.apply(z)
-    if not image_z:
-        raise PreconditionError("mapping erases z entirely")
-    reps = len(image_z) // len(v) + 2
-    if not occurrences(image_z, v * reps):
-        raise PreconditionError("mapping(z) is not a factor of a power of v")
-
-    classes = {}
-    acc = 0
-    classes.setdefault(0, []).append(0)
-    for j, letter in enumerate(z, 1):
-        acc += len(mapping.image(letter))
-        classes.setdefault(acc % len(v), []).append(j)
-    best = max(classes.values(), key=len)
-    if len(best) < power + 1:
-        raise PreconditionError(
-            f"z is too short to exhibit a {power}-th power through the map")
-    segments = [z[best[i]:best[i + 1]] for i in range(len(best) - 1)]
-    root, _ = primitive_root(segments[0])
-    exponent = 0
-    for seg in segments:
-        seg_root, seg_exp = primitive_root(seg)
-        if seg_root != root:
-            raise PreconditionError("pigeonhole segments disagree; map not injective")
-        exponent += seg_exp
-    if root * exponent != z[best[0]:best[-1]]:
-        raise AssertionError("extracted power does not tile the segment")
-    if not is_conjugate(primitive_root(mapping.apply(root))[0], v):
-        raise AssertionError("extracted root does not project onto v")
-    return root, exponent
-
-
-def lift_repetition(system: DF0LSystem, v, search_len: int,
-                    min_power: int = 3) -> Word | None:
-    """Search for a primitive language word u with primitive_root(image(u))
-    conjugate to v and u^min_power still in the language — bounded evidence
-    that the repetition generated by v lifts through the morphism.  Squares
-    alone are too weak a filter (they occur in many non-repetitive systems),
-    so the default demands cubes."""
-    system.require_pdf0l()
-    v = system.alphabet.encode(v)
-    if not v or not is_primitive(v):
-        raise PreconditionError("v must be a non-empty primitive word")
-    if search_len < 1:
-        raise PreconditionError("search_len must be >= 1")
-    table = system.morphism.table
-    for u in factor_language(system, search_len)._codes():
-        if not u or not is_primitive(u):
-            continue
-        image = u.translate(table)
-        if not image or not is_conjugate(primitive_root(image)[0], v):
-            continue
-        if _member(system, u * min_power):
-            return system.alphabet.decode(u)
-    return None

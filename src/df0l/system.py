@@ -93,9 +93,6 @@ class Alphabet:
         """Canonical order: length first, then lexicographic by declaration order."""
         return code_key(self.encode(word))
 
-    def sort_words(self, words) -> list[Word]:
-        return sorted(words, key=self.word_key)
-
 
 def code_key(code: str):
     """The canonical order of code strings: length first, then code points."""

@@ -15,9 +15,8 @@ from df0l import (ErasingMorphismError, InvalidSystemError, LetterMap,
                   detect_unbounded_repetitive, factor_language,
                   fixed_point_prefix, interpretation_length_bounds,
                   is_admissible, is_weakly_synchronized,
-                  is_weakly_synchronizing, lift_repetition,
-                  minimal_interpretations, minimal_invariant_subalphabets,
-                  omega_candidates, parse_letter_map, power_system,
+                  is_weakly_synchronizing, minimal_interpretations,
+                  minimal_invariant_subalphabets, parse_letter_map, power_system,
                   simplification_language_check, strong_sync_letter,
                   strong_threshold, twined_commutation_check, weak_threshold)
 
@@ -127,10 +126,6 @@ PRECONDITIONS = [
     ("fixed_point_prefix", "power 0", lambda: fixed_point_prefix(TM, "a", 0, 4),
      PreconditionError),
     ("fixed_point_prefix", "n 0", lambda: fixed_point_prefix(TM, "a", 1, 0),
-     PreconditionError),
-    ("omega_candidates", "max_len 0", lambda: omega_candidates(TM, 0, 2), PreconditionError),
-    ("lift_repetition", "empty v", lambda: lift_repetition(TM, (), 4), PreconditionError),
-    ("lift_repetition", "search_len 0", lambda: lift_repetition(TM, w("ab"), 0),
      PreconditionError),
     ("Morphism.apply_power", "k -1", lambda: PHI.apply_power(w("a"), -1), PreconditionError),
     ("Morphism.power", "k 0", lambda: PHI.power(0), PreconditionError),

@@ -7,10 +7,9 @@ import pytest
 from df0l import (Alphabet, DF0LSystem, Morphism, PreconditionError,
                   RepetitivenessVerdict, clear_language_cache, contains,
                   detect_unbounded_repetitive, default_period_bound,
-                  factor_language, find_power_in_preimage, fixed_point_prefix,
-                  is_conjugate, is_primitive, lift_repetition, occurrences,
-                  omega_candidates, parse_system, primitive_root,
-                  render_system, strong_threshold)
+                  factor_language, fixed_point_prefix, is_primitive,
+                  parse_system, render_system, strong_threshold,
+                  unbounded_letters)
 
 from conftest import binary_census, random_pdf0l, sys1, w
 
@@ -38,6 +37,13 @@ def test_verdict_self_checks(repetitive_square):
     assert prefix[:len(u)] == u
     for k in range(1, 5):
         assert contains(system, u * k)
+    # the short primitive words with a fourth power in the language are the
+    # witness and its rotation, and both contain an unbounded letter
+    fourth = [v for v in factor_language(system, 2).all_words()
+              if v and is_primitive(v) and contains(system, v * 4)]
+    assert fourth == [w("bc"), w("cb")]
+    unbounded = set(unbounded_letters(phi))
+    assert all(unbounded.intersection(v) for v in fourth)
 
 
 def test_detect_negative_thue_morse(thue_morse):
@@ -45,6 +51,9 @@ def test_detect_negative_thue_morse(thue_morse):
     assert not verdict.repetitive
     assert verdict.period_bound == 64
     assert verdict.power_bound == 2
+    # the language is cube-free: no v^3 with 1 <= |v| <= 4 is a factor
+    assert not any(contains(thue_morse, v * 3)
+                   for v in factor_language(thue_morse, 4).all_words() if v)
 
 
 def test_detect_negative_collapse(collapse_bounded):
@@ -69,81 +78,6 @@ def test_fixed_point_prefix_grows_consistently(repetitive_square):
     short = fixed_point_prefix(repetitive_square, "a", 1, 10)
     long = fixed_point_prefix(repetitive_square, "a", 1, 30)
     assert long[:10] == short
-
-
-def test_omega_candidates(repetitive_square, thue_morse):
-    found = omega_candidates(repetitive_square, 2, 4)
-    assert [c.word for c in found] == [w("bc"), w("cb")]
-    assert all(c.unbounded for c in found)
-
-    assert omega_candidates(thue_morse, 4, 3) == []  # cube-free language
-    singles = omega_candidates(thue_morse, 1, 1)
-    assert [c.word for c in singles] == [w("a"), w("b")]
-
-
-def test_omega_candidate_powers_are_members(repetitive_square):
-    for cand in omega_candidates(repetitive_square, 3, 3):
-        assert contains(repetitive_square, cand.word * cand.verified_power)
-
-
-def test_omega_candidates_closed_under_rotation(repetitive_square):
-    # a rotation of v satisfies v'^(K-1) inside v^K, so it reappears one
-    # power lower; membership in the limit set is rotation-invariant
-    strong = {c.word for c in omega_candidates(repetitive_square, 2, 4)}
-    weaker = {c.word for c in omega_candidates(repetitive_square, 2, 3)}
-    for v in strong:
-        for cut in range(len(v)):
-            assert v[cut:] + v[:cut] in weaker
-
-
-def test_find_power_identity_case():
-    images = {"a": ("a",), "b": ("b",)}
-    root, exponent = find_power_in_preimage(images, w("ababababab"), w("ab"), 2)
-    assert root == w("ab") and exponent >= 2
-
-
-def test_find_power_noninjective_rejected():
-    images = {"x": ("a", "b"), "y": ("a", "b")}
-    with pytest.raises(PreconditionError):
-        find_power_in_preimage(images, ("x", "y", "x"), w("ab"), 2)
-
-
-def test_find_power_through_letter_map():
-    images = {"x": ("a", "b", "a", "b")}
-    root, exponent = find_power_in_preimage(images, ("x", "x", "x"), w("ab"), 2)
-    assert root == ("x",) and exponent >= 2
-    image_root = primitive_root(("a", "b") * 2)[0]
-    assert is_conjugate(image_root, w("ab"))
-
-
-def test_find_power_postconditions():
-    # x lands off-phase so that the map is injective on factors of z
-    images = {"x": ("a",), "y": ("b", "a")}
-    z = ("x", "y", "y", "y", "y")
-    root, exponent = find_power_in_preimage(images, z, w("ab"), 3)
-    assert root == ("y",) and exponent >= 3
-    assert occurrences(root * exponent, z)
-    mapped = []
-    for letter in root:
-        mapped.extend(images[letter])
-    assert is_conjugate(primitive_root(tuple(mapped))[0], w("ab"))
-
-
-def test_find_power_rejects_bad_inputs():
-    images = {"a": ("a",)}
-    with pytest.raises(PreconditionError):
-        find_power_in_preimage(images, ("a", "a"), w("aa"), 2)  # v not primitive
-    with pytest.raises(PreconditionError):
-        find_power_in_preimage({"a": ("b",)}, ("a",), w("a"), 2)  # not a factor
-
-
-def test_lift_repetition(repetitive_square, thue_morse):
-    assert lift_repetition(repetitive_square, w("bc"), 4) == w("bc")
-    lifted = lift_repetition(repetitive_square, w("cb"), 4)
-    assert lifted is not None
-    root = primitive_root(repetitive_square.morphism.apply(lifted))[0]
-    assert is_conjugate(root, w("cb"))
-    assert lift_repetition(thue_morse, w("ab"), 6) is None
 
 
 def test_fixed_point_period_maps_to_exact_power(repetitive_square):

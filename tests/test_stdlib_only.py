@@ -27,3 +27,41 @@ def test_imports_only_the_standard_library():
     loaded = set(result.stdout.split())
     assert "df0l" in loaded
     assert loaded - sys.stdlib_module_names - {"df0l", "__main__"} == set()
+
+
+PUBLIC = (
+    "Alphabet", "BoundsCheck", "CollisionPair", "DF0LSystem",
+    "ErasingMorphismError", "FactorSet", "GrowthReport", "Interpretation",
+    "InvalidSystemError", "LetterMap", "Morphism", "NotInLanguageError",
+    "PairSplit", "ParseError", "PreconditionError", "RepetitivenessVerdict",
+    "ThresholdReport", "TwinedData", "ValidationReport", "Word",
+    "WordSyncReport", "check_threshold_bounds", "classify_letters",
+    "clear_interpretation_cache", "clear_language_cache",
+    "collision_family_check", "collisions_upto", "compatible_split",
+    "contains", "default_period_bound", "delta_estimate",
+    "detect_unbounded_repetitive", "factor_language", "factors",
+    "find_twined_failure", "fixed_point_prefix", "format_word",
+    "interpretation_length_bounds", "invariant_exponent", "is_admissible",
+    "is_conjugate", "is_primitive", "is_strongly_synchronizing",
+    "is_weakly_synchronized", "is_weakly_synchronizing",
+    "minimal_interpretations", "minimal_invariant_subalphabets",
+    "occurrences", "parse_letter_map", "parse_system", "parse_word",
+    "power_system", "primitive_root", "render_system",
+    "simplification_language_check", "strong_sync_letter", "strong_threshold",
+    "twined_commutation_check", "unbounded_letters", "validate",
+    "verify_twined", "weak_power_transfer_bound", "weak_threshold",
+)
+
+
+def test_public_surface_is_pinned():
+    """df0l.__all__ is exactly the pinned names, each resolves, and a star
+    import binds exactly them: a change to the public API shows here."""
+    import df0l
+    assert PUBLIC == tuple(sorted(PUBLIC))
+    assert tuple(df0l.__all__) == PUBLIC
+    assert len(set(df0l.__all__)) == len(df0l.__all__)
+    for name in PUBLIC:
+        getattr(df0l, name)
+    namespace = {}
+    exec("from df0l import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC)
