@@ -134,13 +134,17 @@ def strong_threshold(system: DF0LSystem, cutoff: int, *,
 
 def weak_power_transfer_bound(system: DF0LSystem, k: int) -> int:
     """Length above which weak synchronization in the k-th power system
-    transfers back to the base system."""
+    transfers back to the base system; |phi^(k-2)(w)| is summed from
+    per-letter lengths, so no image word is built."""
     system.require_pdf0l()
     if k < 2:
         raise PreconditionError("power must be >= 2")
     phi = system.morphism
+    lengths = dict.fromkeys(phi.alphabet.codes, 1)   # |phi^j(a)| for each letter a
+    for _ in range(k - 2):
+        lengths = {a: sum(map(lengths.__getitem__, u)) for a, u in phi.image_codes.items()}
     return phi.max_image_len * max(
-        len(phi.apply_power(w, k - 2)) for w in system.axioms)
+        sum(map(lengths.__getitem__, w)) for w in system.axiom_codes)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 LetterMap.apply builds every image of a word of tokens, Morphism.power every
 power, and each map holds its image-length bounds.  Inside df0l words are
 code strings (see Alphabet), and a Morphism's table maps them to their
-images.  All objects here are immutable after construction and safe to
-share between threads; every analysis is a pure function of its arguments.
+images.  Letter growth is read off one walk of alph vectors, the letter sets
+of the iterated images, so it builds no power.  All objects here are immutable
+after construction and safe to share between threads; every analysis is a
+pure function of its arguments.
 """
 
 import sys
@@ -63,9 +65,6 @@ class Alphabet:
 
     def __repr__(self):
         return f"Alphabet({' '.join(self.letters)})"
-
-    def index(self, token: str) -> int:
-        return ord(self.encode((token,)))
 
     def encode(self, word) -> str:
         """The code string of a word of letter tokens."""
@@ -294,21 +293,41 @@ def validate(system: DF0LSystem) -> ValidationReport:
     )
 
 
-def _reachability(morphism):
-    # reach[a] = letters reachable from a in >= 1 step of the occurrence graph
-    succ = {a: set(morphism.image(a)) for a in morphism.alphabet}
-    reach = {a: set(s) for a, s in succ.items()}
-    changed = True
-    while changed:
-        changed = False
-        for a in reach:
-            extra = set()
-            for b in reach[a]:
-                extra |= succ[b]
-            if not extra <= reach[a]:
-                reach[a] |= extra
-                changed = True
-    return reach
+def _alph_walk(morphism):
+    """The alph vectors walk[k] = (alph(phi^k(a)) for a in the alphabet), for
+    k = 0 .. K-1, up to the first repeat walk[K] = walk[s]; returns (walk, s).
+    Each step takes unions of letter sets, so no image word is built."""
+    letters = morphism.alphabet.letters
+    image_alph = {a: frozenset(morphism.image(a)) for a in letters}
+    vec = tuple(frozenset((a,)) for a in letters)
+    seen = {}   # in insertion order, so its keys are the walk
+    while vec not in seen:
+        seen[vec] = len(seen)
+        vec = tuple(frozenset().union(*map(image_alph.__getitem__, v)) for v in vec)
+    return list(seen), seen[vec]
+
+
+def _growth(morphism, p=None):
+    """The unbounded letters, the invariant exponent, and the inclusion-minimal
+    sets alph(phi^p(g)) over unbounded letters g, p defaulting to the
+    exponent: all read off one alph walk."""
+    morphism.require_nonerasing()
+    if p is not None and p < 1:
+        raise PreconditionError("p must be >= 1")
+    letters = morphism.alphabet.letters
+    walk, s = _alph_walk(morphism)
+    period = len(walk) - s
+    exponent = period * max(1, -(-s // period))   # least multiple >= max(s, 1)
+    # the letters reachable in >= 1 step: alph(phi^k(a)) over k = 1 .. K
+    reach = [frozenset().union(*col) for col in zip(*walk[1:], walk[s])]
+    heavy = {c for c, r in zip(letters, reach) if c in r and len(morphism.image(c)) >= 2}
+    unbounded = frozenset(a for a, r in zip(letters, reach) if a in heavy or r & heavy)
+    p = exponent if p is None else p
+    vec = walk[p] if p < len(walk) else walk[s + (p - s) % period]
+    candidates = {b for a, b in zip(letters, vec) if a in unbounded}
+    minimal = [b for b in candidates if not any(c < b for c in candidates)]
+    minimal.sort(key=lambda b: (len(b), [i for i, a in enumerate(letters) if a in b]))
+    return unbounded, exponent, minimal
 
 
 def unbounded_letters(morphism: Morphism) -> frozenset[str]:
@@ -319,58 +338,23 @@ def unbounded_letters(morphism: Morphism) -> frozenset[str]:
     re-occurs in its own iterated images, so lengths grow past any bound;
     conversely, when every reachable cyclic letter has a one-letter image,
     every long walk is trapped in a deterministic loop and lengths stall.
+    Reachability is the union of the alph vectors, so no power is built.
     Valid for non-erasing morphisms only.
     """
-    morphism.require_nonerasing()
-    reach = _reachability(morphism)
-    heavy = {c for c in morphism.alphabet
-             if c in reach[c] and len(morphism.image(c)) >= 2}
-    return frozenset(a for a in morphism.alphabet
-                     if a in heavy or reach[a] & heavy)
+    return _growth(morphism)[0]
 
 
 def invariant_exponent(morphism: Morphism) -> int:
     """Smallest multiple p of the alph-vector period with p >= the preperiod,
-    so that alph(phi^p(a)) = alph(phi^(pk)(a)) for every letter a and k >= 1."""
-    morphism.require_nonerasing()
-    letters = morphism.alphabet.letters
-    image_alph = {a: frozenset(morphism.image(a)) for a in letters}
-
-    def step(vec):
-        return tuple(frozenset().union(*(image_alph[b] for b in vec[i]))
-                     for i, _ in enumerate(letters))
-
-    vec = tuple(frozenset((a,)) for a in letters)
-    seen = {vec: 0}
-    k = 0
-    while True:
-        vec = step(vec)
-        k += 1
-        if vec in seen:
-            preperiod = seen[vec]
-            period = k - preperiod
-            break
-        seen[vec] = k
-    p = period
-    while p < max(preperiod, 1):
-        p += period
-    return p
+    so that alph(phi^p(a)) = alph(phi^(pk)(a)) for every letter a and k >= 1.
+    The period and preperiod are those of the alph walk; no power is built."""
+    return _growth(morphism)[1]
 
 
 def minimal_invariant_subalphabets(morphism: Morphism, p: int) -> list[frozenset[str]]:
-    """Inclusion-minimal sets alph(phi^p(g)) over unbounded letters g."""
-    morphism.require_nonerasing()
-    if p < 1:
-        raise PreconditionError("p must be >= 1")
-    unbounded = unbounded_letters(morphism)
-    if not unbounded:
-        return []
-    power = morphism.power(p)
-    candidates = {frozenset(power.image(g)) for g in unbounded}
-    minimal = [b for b in candidates if not any(c < b for c in candidates)]
-    alphabet = morphism.alphabet
-    minimal.sort(key=lambda b: (len(b), sorted(alphabet.index(t) for t in b)))
-    return minimal
+    """Inclusion-minimal sets alph(phi^p(g)) over unbounded letters g, read
+    off the alph walk modulo its period, so no power is built."""
+    return _growth(morphism, p)[2]
 
 
 @dataclass(frozen=True)
@@ -383,10 +367,8 @@ class GrowthReport:
 
 def classify_letters(morphism: Morphism) -> GrowthReport:
     """Bounded/unbounded split plus the invariant exponent and its minimal
-    invariant subalphabets, in canonical order."""
-    unbounded = unbounded_letters(morphism)
-    p = invariant_exponent(morphism)
-    subalphabets = minimal_invariant_subalphabets(morphism, p)
+    invariant subalphabets, in canonical order, from one alph walk."""
+    unbounded, p, subalphabets = _growth(morphism)
     letters = morphism.alphabet.letters
     return GrowthReport(
         bounded=tuple(a for a in letters if a not in unbounded),

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -119,6 +120,18 @@ def test_weak_power_transfer_bound(thue_morse, repetitive_square):
     assert weak_power_transfer_bound(repetitive_square, 2) == 3
     with pytest.raises(ValueError):
         weak_power_transfer_bound(thue_morse, 1)
+
+
+def test_weak_power_transfer_bound_builds_no_word(thue_morse):
+    """|phi^20(a)| = 2^20 is summed from per-letter lengths in under 1 MiB."""
+    tracemalloc.start()
+    try:
+        bound = weak_power_transfer_bound(thue_morse, 22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bound == 2**21
+    assert peak < 2**20
 
 
 def test_threshold_bounds_on_fixtures(thue_morse, collapse_bounded,

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,6 +8,7 @@ from df0l import (Alphabet, DF0LSystem, ErasingMorphismError,
                   factor_language, invariant_exponent,
                   minimal_invariant_subalphabets, power_system,
                   unbounded_letters, validate)
+from df0l.system import _alph_walk
 
 from conftest import random_pdf0l, sys1, w
 
@@ -235,6 +237,41 @@ def test_minimal_subalphabets_match_subset_enumeration():
         minimal = {b for b in invariant
                    if not any(c < b for c in invariant)}
         assert set(minimal_invariant_subalphabets(phi, p)) == minimal
+
+
+def test_minimal_subalphabets_at_every_power():
+    """alph(phi^p(g)) is read off the alph walk modulo its period: every p
+    up to past twice the walk length agrees with the p-th power itself."""
+    rng = random.Random(12)
+    for _ in range(80):
+        phi = random_pdf0l(rng, max_letters=4, max_image_len=3).morphism
+        unbounded = unbounded_letters(phi)
+        walk, _ = _alph_walk(phi)
+        for p in range(1, 2 * len(walk) + 2):
+            power = phi.power(p)
+            candidates = {frozenset(power.image(g)) for g in unbounded}
+            minimal = {b for b in candidates if not any(c < b for c in candidates)}
+            result = minimal_invariant_subalphabets(phi, p)
+            assert len(result) == len(minimal) and set(result) == minimal, (phi, p)
+
+
+def test_letter_growth_builds_no_power():
+    """a -> a a b, b -> c0 -> ... -> c17 -> b: phi^19(a) has over 2^19
+    letters, but its letter set is read off letter sets in under 4 MiB."""
+    cycle = ["b"] + [f"c{i}" for i in range(18)]
+    images = {x: (y,) for x, y in zip(cycle, cycle[1:] + cycle[:1])}
+    images["a"] = ("a", "a", "b")
+    phi = Morphism(Alphabet(["a"] + cycle), images)
+    tracemalloc.start()
+    try:
+        growth = classify_letters(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert growth.invariant_exponent == 19
+    assert growth.unbounded == ("a",)
+    assert growth.minimal_invariant_subalphabets == (phi.alphabet.letters,)
+    assert peak < 4 * 2**20
 
 
 def _growth_oracle(phi, letter, step_cap=3000, length_cap=500):
