@@ -7,15 +7,30 @@ pairs against minimal interpretations suffices for admissibility and for
 weak/strong synchronization, because any witnessing split survives trimming
 w down to its minimal core.
 
-Minimal interpretations are found by desubstitution: u is parsed from left
-to right into letter images.  A parse starts at each language letter a and
-each offset s < |image(a)| at which image(a)[s:] agrees with u, then extends
-w one letter b at a time while image(b) equals the next chunk of u, and
-closes when image(b) reaches or overhangs the end of u.  A branch is pruned
-as soon as w leaves the language, which is factorial, so every partial
-parse is a language word, and the work follows the number of partial
-parses, not the size of the language.  Each word's parses are memoized in
-the system's record in `language`.
+Minimal interpretations are found by desubstitution, in one pass over u
+from left to right.  The pass keeps a frontier: the minimal interpretations
+of the prefix read so far, each held as (s, w, the image of w's last
+letter, how many letters of that image are matched).  The frontier of u[:1]
+holds every language letter a and offset s < |image(a)| with
+image(a)[s] = u[0].  For each next letter c, a state whose last image still
+has unmatched letters advances if its next letter is c; a state whose last
+image is finished extends w by each letter b whose image starts with c, and
+keeps w·b only if it is a language word.  At the end, the unmatched rest of
+each state's last image is its t.
+
+This is exact because every minimal interpretation (s, w, t) of u[:i+1]
+restricts to one of u[:i]: w is kept and t grows by u[i], or, when the
+image of w's last letter starts at u[i], w drops that letter and t is
+empty; s and the first letter of w stay.  So the frontier after u[:i] is
+exactly the set of minimal interpretations of u[:i], with no duplicates, as
+(s, w) fixes the state.  A minimal interpretation of a prefix of u is no
+longer than the length bound of u, so the pass reads only the levels that
+`interpretation_length_bounds` allows, and since the language is factorial
+its work follows the minimal interpretations of the prefixes, not the size
+of the language.  The same recurrence decides membership: u is in the
+language iff it is a factor of an axiom or has a minimal interpretation,
+so the public predicates grow no level beyond that bound.  Each word's
+parses are memoized in the system's record in `language`.
 
 Each parse carries its cut tuple: cuts[i] = |image(w[:i])| - |s| for
 i = 0..|w|, the offset in u at which the image of each prefix of w ends.
@@ -33,10 +48,10 @@ caller's words and decode their answers.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 
-from .errors import PreconditionError
-from .language import _record, require_member
+from .errors import NotInLanguageError, PreconditionError
+from .language import _record
 from .system import DF0LSystem, code_key
 from .words import Word
 
@@ -91,7 +106,7 @@ def _cut(cuts: tuple[int, ...], k: int) -> int | None:
 
 def _parses(system: DF0LSystem, u: str) -> tuple[tuple[str, str, str, tuple[int, ...]], ...]:
     """Every minimal interpretation (s, w, t) of the code string u, with its
-    cuts, in canonical order."""
+    cuts, in canonical order: one left-to-right frontier pass over u."""
     record = _record(system, 0)     # a memoized word's levels are grown already
     known = record.parses.get(u)
     if known is not None:
@@ -100,34 +115,29 @@ def _parses(system: DF0LSystem, u: str) -> tuple[tuple[str, str, str, tuple[int,
     images = phi.image_codes
     _, hi = interpretation_length_bounds(system, u)
     levels = _record(system, hi).levels
-    n = len(u)
-    found = []
-    partial = []    # (w, letters of u that image(w) covers, s)
-    for a, image in images.items():
-        if a not in levels[1]:
-            continue
-        for start in range(len(image)):
-            chunk = image[start:start + n]
-            if not u.startswith(chunk):
-                continue
-            if start + n <= len(image):
-                found.append((image[:start], a, image[start + n:]))
+    heads = {}      # heads[c]: the letters whose image starts with c, with their images
+    for b, image in images.items():
+        heads.setdefault(image[0], []).append((b, image))
+    # the minimal interpretations of u[:1]: (s, w, image of w's last letter,
+    # how many letters of that image are matched)
+    frontier = [(image[:j], a, image, j + 1) for a, image in images.items()
+                if a in levels[1] for j in range(len(image)) if image[j] == u[0]]
+    for c in islice(u, 1, None):
+        starting = heads.get(c, ())
+        advanced = []
+        for s, w, image, j in frontier:
+            if j < len(image):
+                if image[j] == c:
+                    advanced.append((s, w, image, j + 1))
             else:
-                partial.append((a, len(chunk), image[:start]))
-    while partial:
-        w, p, s = partial.pop()
-        for b, image in images.items():
-            chunk = u[p:p + len(image)]
-            if not image.startswith(chunk):
-                continue
-            v = w + b
-            if v not in levels[len(v)]:
-                continue
-            if p + len(image) < n:
-                partial.append((v, p + len(image), s))
-            else:
-                found.append((s, v, image[len(chunk):]))
-    found.sort(key=lambda i: (code_key(i[0]), code_key(i[1]), code_key(i[2])))
+                level = levels[len(w) + 1]
+                for b, next_image in starting:
+                    v = w + b
+                    if v in level:
+                        advanced.append((s, v, next_image, 1))
+        frontier = advanced
+    found = sorted(((s, w, image[j:]) for s, w, image, j in frontier),
+                   key=lambda i: (code_key(i[0]), code_key(i[1]), code_key(i[2])))
     return record.remember_parses(
         u, tuple((s, w, t, _cuts(phi, len(s), w)) for s, w, t in found))
 
@@ -173,10 +183,16 @@ def _word_sync(system: DF0LSystem, u: str) -> WordSyncReport:
 def _require_word(system: DF0LSystem, u, message: str) -> str:
     """The code string of the caller's word, required to be a non-empty
     language word."""
-    u = require_member(system, u)
-    if not u:
+    code = system.alphabet.encode(u)
+    system.require_pdf0l()
+    if not code:
         raise PreconditionError(message)
-    return u
+    # u is in the language iff it is a factor of an axiom or has a minimal
+    # interpretation: the recurrence of the language module
+    if not (_parses(system, code) or any(code in axiom for axiom in system.axiom_codes)):
+        word = " ".join(system.alphabet.decode(code))
+        raise NotInLanguageError(f"word {word!r} is not in the language")
+    return code
 
 
 def _pair_ends(system: DF0LSystem, left, right) -> list[str | None]:

@@ -23,7 +23,7 @@ their words property decodes one word at a time.
 import threading
 from collections.abc import Set
 
-from .errors import InvalidSystemError, NotInLanguageError, PreconditionError
+from .errors import InvalidSystemError, PreconditionError
 from .system import DF0LSystem
 from .words import Word
 
@@ -185,11 +185,3 @@ def contains(system: DF0LSystem, word) -> bool:
     """Membership of a word in the factor language."""
     return _member(system, system.alphabet.encode(word))
 
-
-def require_member(system: DF0LSystem, word) -> str:
-    """The code string of a language word; NotInLanguageError otherwise."""
-    code = system.alphabet.encode(word)
-    if not _member(system, code):
-        word = system.alphabet.decode(code)
-        raise NotInLanguageError(f"word {' '.join(word) or 'ε'!r} is not in the language")
-    return code

@@ -31,8 +31,21 @@ Two facts make one power per letter enough.
 So whether a prefix length m passes, and the first m that does, do not
 depend on the power, and a test that m divides total already implies
 total >= 2m.  The first u that passes is primitive: it is r, by (<=).
-A negative answer is complete in the power and bounded only by the searched
-period, and must be read as "no certificate found".
+
+A third fact answers some letters without a scan.
+
+3. If a is not reachable from the letters of image^c(a)[1:] in the letter
+   graph of image^c (an edge from b to each letter of image^c(b)), no
+   prefix of x is a witness, whatever the period bound.  Write
+   image^c(a) = a·r, with r non-empty by fact 1.  From x = image^c(x),
+   x[1:] = r·image^c(x[1:]) = r·image^c(r)·image^2c(r)···, so the letters
+   of x[1:] are those reachable from the letters of r in zero or more
+   steps.  A witness u makes x = u^w purely periodic by fact 2, so a = x[0]
+   occurs again at x[|u|], and |u| >= 1.
+
+A negative answer is exact for a letter skipped by fact 3, and otherwise
+complete in the power and bounded only by the searched period, and must be
+read as "no certificate found".
 """
 
 from dataclasses import dataclass
@@ -99,9 +112,11 @@ def detect_unbounded_repetitive(system: DF0LSystem,
     prefixes u = x[:m], m <= period_bound, of the fixed point x of image^c
     at a, shortest first, for image^c(u) = u^n, n >= 2.
 
-    By the module docstring's two facts, no other power can find a witness
-    that image^c misses, and the first u that passes is primitive: the
-    answer is complete in the power and bounded only by the period.
+    By the module docstring's first two facts, no other power can find a
+    witness that image^c misses, and the first u that passes is primitive:
+    the answer is complete in the power and bounded only by the period.  A
+    letter that never occurs again in its x is skipped without a scan, which
+    by fact 3 loses no witness at any period bound.
     power_bound = |A| is reported as the cycle lengths' upper bound.
 
     The test is a period test: image^c(u) is x[:total], total = |image^c(u)|,
@@ -128,7 +143,8 @@ def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
     that of image^c, c the cycle length, the least power whose image of the
     letter starts with it (fact 1); image^c is built once per distinct c.
     Since image^c(a) is longer than a, total > m, so m dividing total
-    already gives n = total / m >= 2 (fact 2)."""
+    already gives n = total / m >= 2 (fact 2).  A letter that does not recur
+    in its fixed point is skipped before its prefix is built (fact 3)."""
     phi = system.morphism
     alphabet = system.alphabet
     images = phi.image_codes
@@ -149,6 +165,8 @@ def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
         if cycle not in powers:
             powers[cycle] = phi.power(cycle)
         power = powers[cycle]
+        if not _recurs(power, a):
+            continue
         prefix = _fixed_prefix(power, a, period_bound)
         # the running sums are |image^c(prefix[:m])|, m = 1, 2, ...
         ends = accumulate(map(len, map(power.image_codes.__getitem__, prefix)))
@@ -161,6 +179,19 @@ def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
                     True, alphabet.letters[ord(a)], cycle, alphabet.decode(prefix[:m]),
                     total // m, period_bound, power_bound)
     return RepetitivenessVerdict(False, None, None, None, None, period_bound, power_bound)
+
+
+def _recurs(power, a: str) -> bool:
+    """Whether a occurs in x[1:], x the fixed point of `power` at a: whether
+    a is reachable from the letters of power(a)[1:] (fact 3)."""
+    images = power.image_codes
+    reached = set(images[a][1:])
+    todo = list(reached)
+    while todo and a not in reached:
+        new = set(images[todo.pop()]) - reached
+        reached |= new
+        todo.extend(new)
+    return a in reached
 
 
 def _tiles(power, u: str) -> bool:

@@ -4,11 +4,12 @@ import random
 import pytest
 
 from df0l import (Alphabet, DF0LSystem, Interpretation, Morphism,
-                  NotInLanguageError, PairSplit, compatible_split, factor_language,
-                  interpretation_length_bounds, is_admissible,
+                  NotInLanguageError, PairSplit, compatible_split, contains,
+                  factor_language, interpretation_length_bounds, is_admissible,
                   is_strongly_synchronizing, is_weakly_synchronized,
                   is_weakly_synchronizing, minimal_interpretations,
                   occurrences, strong_sync_letter)
+from df0l.language import _record
 
 from conftest import random_pdf0l, sys1, w
 
@@ -298,3 +299,82 @@ def test_membership_prunes_letters_with_a_shared_image(collapse_unbounded):
                         pruned += 1
                         assert Interpretation(interp.s, twin, interp.t) not in got
     assert pruned > 0
+
+
+def _sample_words(system, lengths, count, rng):
+    """Up to `count` seeded language words of each length in `lengths`."""
+    lang = factor_language(system, max(lengths))
+    words = []
+    for n in lengths:
+        level = sorted(lang.words_of_length(n))
+        words += rng.sample(level, min(count, len(level)))
+    return words
+
+
+def test_long_words_match_oracle(two_fixed, collapse_unbounded):
+    """The frontier pass reads u one letter at a time; long words make its
+    frontier pass through many image boundaries."""
+    rng = random.Random(41)
+    checked = 0
+    for system in (two_fixed, collapse_unbounded):
+        for u in _sample_words(system, range(20, 41, 5), 3, rng):
+            assert set(minimal_interpretations(system, u)) == \
+                naive_minimal_interpretations(system, u), (system, u)
+            checked += 1
+    assert checked == 30
+
+
+def test_long_words_match_oracle_on_random_systems():
+    """20 random systems with at least three words of length 16."""
+    rng = random.Random(43)
+    systems = checked = 0
+    while systems < 20:
+        system = random_pdf0l(rng, max_letters=3, max_image_len=3)
+        if len(factor_language(system, 16).words_of_length(16)) < 3:
+            continue
+        systems += 1
+        for u in _sample_words(system, (10, 13, 16), 3, rng):
+            assert set(minimal_interpretations(system, u)) == \
+                naive_minimal_interpretations(system, u), (system, u)
+            checked += 1
+    assert checked == 180
+
+
+def test_membership_comes_from_the_parse(thue_morse, collapse_bounded, two_fixed):
+    """A word that is not a factor of an axiom is in the language iff it has
+    a minimal interpretation, so the public predicates refuse exactly the
+    words that `contains` rejects."""
+    rng = random.Random(47)
+    systems = [thue_morse, collapse_bounded, two_fixed]
+    systems += [random_pdf0l(rng, max_letters=3, max_image_len=3) for _ in range(20)]
+    refused = 0
+    for system in systems:
+        for u in _sample_words(system, range(1, 9), 3, rng):
+            k = rng.randrange(len(u))
+            for b in system.alphabet.letters:
+                v = u[:k] + (b,) + u[k + 1:]
+                if contains(system, v):
+                    found = minimal_interpretations(system, v)
+                    assert found or any(occurrences(v, a) for a in system.axioms)
+                    is_admissible(system, v[:k], v[k:])
+                else:
+                    with pytest.raises(NotInLanguageError):
+                        minimal_interpretations(system, v)
+                    with pytest.raises(NotInLanguageError):
+                        is_admissible(system, v[:k], v[k:])
+                    refused += 1
+    assert refused > 100
+
+
+def test_interpretations_grow_levels_only_to_the_length_bound():
+    """A cold query on the 400-letter Thue-Morse prefix reads levels up to
+    hi = 2 + 398 // 2 = 201 only, its membership check included."""
+    system = sys1("pq", {"p": "pq", "q": "qp"}, ["p"])
+    text = "p"
+    while len(text) < 400:
+        text = text.translate(str.maketrans({"p": "pq", "q": "qp"}))
+    u = w(text[:400])
+    assert interpretation_length_bounds(system, u) == (200, 201)
+    # the prefix is the image of the 200-letter prefix, and only of it
+    assert minimal_interpretations(system, u) == [Interpretation((), u[:200], ())]
+    assert len(_record(system, 0).levels) <= 202

@@ -1,6 +1,7 @@
 import os
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -259,3 +260,19 @@ def test_detector_on_one_growing_letter_among_fixed_ones():
     assert default_period_bound(system) == 2 ** 19
     assert detect_unbounded_repetitive(system) == RepetitivenessVerdict(
         False, None, None, None, None, 2 ** 19, 18)
+
+
+def test_detector_skips_a_letter_that_does_not_recur():
+    """x0 -> x0 x1 over 30 letters: the default period bound is 2^31, but
+    x0 is not reachable from x1, so x0 never occurs again in its fixed point
+    x0 x1 x1 ..., which cannot be periodic; the answer is exact without
+    building a prefix."""
+    system = _chain(30, lambda xs: {a: (a, "x1") if a == "x0" else (a,) for a in xs})
+    tracemalloc.start()
+    try:
+        verdict = detect_unbounded_repetitive(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict == RepetitivenessVerdict(False, None, None, None, None, 2 ** 31, 30)
+    assert peak < 2**20
