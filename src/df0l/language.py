@@ -5,13 +5,22 @@ image(v), where v, the cover of x in the previous iterate, is a language
 word: x starts inside the image of v's first letter and ends inside the
 image of its last.  Images are non-empty, so |v| <= n, and level n (the
 words of length n) follows from the shorter levels and from its own words.
+A word x of level n, with T = |image(x)| and l0, l1 the image lengths of
+its first and last letters, has tight factors of exactly the lengths
+max(1, T - l0 - l1 + 2) .. T, and those below n are in earlier levels, so x
+matters from f(x) = max(n, T - l0 - l1 + 2) on.  A word with f(x) > n is
+registered once, by reference, under f(x); one with f(x) = n is cut inside
+the closure of level n.  Cutting x computes image(x) once and every tight
+factor once: those of length f(x) join that level, and each longer one goes
+into the pending set of its length, which seeds that level.  Pending sets
+reach at most 2 max|image(a)| - 2 lengths past the bound.
 Each system has one record, the only memoized state in df0l.  Its levels, a
-frozenset per length, only grow: a word joining its level is registered, by
-reference, under the longer lengths its tight factors reach, so raising the
-bound computes only the new levels.  Growth holds one lock and appends whole
-levels, which never change, so readers need no lock.  The record also keeps
-the minimal interpretations of queried words, all forgotten at once when
-_PARSE_MEMO_SIZE are held, and the repetitiveness verdict per period bound.
+frozenset per length, only grow; registered words and pending sets survive
+a raise of the bound, so raising it computes only the new levels.  Growth
+holds one lock and appends whole levels, which never change, so readers
+need no lock.  The record also keeps the minimal interpretations of queried
+words, all forgotten at once when _PARSE_MEMO_SIZE are held, and the
+repetitiveness verdict per period bound.
 Every word held here is a code string, one character per letter (see
 Alphabet), so a stored word of length n over at most 128 letters costs
 49 + n bytes, where a tuple of tokens costs 56 + 8n with its GC header.
@@ -21,6 +30,7 @@ their words property decodes one word at a time.
 """
 
 import threading
+from collections import defaultdict
 from collections.abc import Set
 
 from .errors import InvalidSystemError, PreconditionError
@@ -98,13 +108,14 @@ class _Words(Set):
 class _Record:
     """What df0l remembers about one system; see the module docstring."""
 
-    __slots__ = ("levels", "registered", "parses", "verdicts")
+    __slots__ = ("levels", "registered", "pending", "parses", "verdicts")
 
     def __init__(self):
         self.levels = [frozenset({""})]
-        self.registered = {}    # length -> words whose images have tight factors of it
-        self.parses = {}        # word -> its minimal interpretations with their cuts
-        self.verdicts = {}      # period bound -> RepetitivenessVerdict
+        self.registered = defaultdict(list)     # f(x) -> the words x cut when its level is built
+        self.pending = defaultdict(set)         # length -> its words cut from shorter levels
+        self.parses = {}                        # word -> its minimal interpretations with their cuts
+        self.verdicts = {}                      # period bound -> RepetitivenessVerdict
 
     def remember_parses(self, u: str, parses: tuple) -> tuple:
         if len(self.parses) >= _PARSE_MEMO_SIZE:
@@ -129,31 +140,45 @@ def clear_interpretation_cache():
         record.parses.clear()
 
 
-def _next_level(system: DF0LSystem, n: int, registered: dict) -> frozenset:
-    """Level n from the axioms, the words registered under n and its own words."""
+def _next_level(system: DF0LSystem, n: int, record: _Record) -> frozenset:
+    """Level n from the axioms, its pending set, the words registered under n
+    and its own words; the record's registered words and pending sets grow."""
     phi = system.morphism
     table = phi.table
     lengths = {a: len(image) for a, image in phi.image_codes.items()}
+    registered, pending = record.registered, record.pending
 
-    def tight(v):
+    def cut(v, own):
+        """Append the tight factors of image(v) of length n to own; longer ones are pending."""
         image = v.translate(table)
         total = len(image)
-        return [image[start:start + n] for start in range(
-            max(0, total - lengths[v[-1]] + 1 - n), min(lengths[v[0]], total - n + 1))]
+        after = total - lengths[v[-1]]      # a tight factor ends past this index
+        for i in range(min(lengths[v[0]], total - n + 1)):     # and starts in image(v[0])
+            j = i + n
+            if j > after:
+                own.append(image[i:j])
+            for j in range(max(j, after) + 1, total + 1):
+                pending[j - i].add(image[i:j])
 
     level = {a[i:i + n] for a in system.axiom_codes for i in range(len(a) - n + 1)}
+    level.update(pending.pop(n, ()))
+    cuts = []
     for v in registered.pop(n, ()):
-        level.update(tight(v))
+        cut(v, cuts)
+    level.update(cuts)
     todo = list(level)
     for x in todo:      # grows while the level closes over its own words
         total = sum(map(lengths.__getitem__, x))
-        shortest = max(n, total - lengths[x[0]] - lengths[x[-1]] + 2)
-        if shortest == n:
-            new = set(tight(x)) - level
-            level |= new
-            todo.extend(new)
-        for k in range(max(shortest, n + 1), total + 1):
-            registered.setdefault(k, []).append(x)
+        shortest = total - lengths[x[0]] - lengths[x[-1]] + 2
+        if shortest > n:
+            registered[shortest].append(x)
+        else:
+            new = []
+            cut(x, new)
+            for y in new:
+                if y not in level:
+                    level.add(y)
+                    todo.append(y)
     return frozenset(level)
 
 
@@ -166,7 +191,7 @@ def _record(system: DF0LSystem, max_len: int) -> _Record:
             record = _RECORDS.setdefault(system, _Record())
             levels = record.levels
             while len(levels) <= max_len:
-                levels.append(_next_level(system, len(levels), record.registered))
+                levels.append(_next_level(system, len(levels), record))
     return record
 
 

@@ -13,6 +13,7 @@ from df0l import (Alphabet, DF0LSystem, ErasingMorphismError, Morphism,
                   factor_language, factors, format_word,
                   minimal_interpretations, parse_system, power_system,
                   strong_threshold, weak_threshold)
+from df0l.language import _record
 
 from conftest import random_pdf0l, sys1, w
 
@@ -265,3 +266,126 @@ def test_clearing_the_cache_lets_go_of_the_system(repetitive_square):
     del system
     gc.collect()
     assert alive() is None
+
+
+def _tight(phi, size, v, n):
+    """The tight factors of length n of image(v)."""
+    image = phi.apply(v)
+    total = len(image)
+    return [image[s:s + n] for s in range(max(0, total - size[v[-1]] + 1 - n),
+                                          min(size[v[0]], total - n + 1))]
+
+
+def registration_levels(system, max_len):
+    """Reference builder, on tuples of tokens: a word joining level n is
+    registered under every longer length its tight factors reach, and its
+    image is built again for each of them."""
+    phi = system.morphism
+    size = {a: len(phi.image(a)) for a in system.alphabet}
+    registered = {}
+    levels = [{()}]
+    for n in range(1, max_len + 1):
+        level = {a[i:i + n] for a in system.axioms for i in range(len(a) - n + 1)}
+        for v in registered.pop(n, ()):
+            level.update(_tight(phi, size, v, n))
+        todo = list(level)
+        for x in todo:
+            total = sum(size[a] for a in x)
+            shortest = max(n, total - size[x[0]] - size[x[-1]] + 2)
+            if shortest == n:
+                new = set(_tight(phi, size, x, n)) - level
+                level |= new
+                todo.extend(new)
+            for k in range(max(shortest, n + 1), total + 1):
+                registered.setdefault(k, []).append(x)
+        levels.append(level)
+    return levels
+
+
+def _assert_levels(fs, reference, lengths):
+    for n in lengths:
+        assert set(fs.words_of_length(n)) == reference[n], (fs.system, n)
+
+
+def _deep_systems():
+    """The five systems of the deep_language benchmark."""
+    for name in ("thue_morse", "collapse_unbounded_delta", "two_fixed_letters"):
+        with open(os.path.join(SAMPLES, name + ".sys"), encoding="utf-8") as handle:
+            yield parse_system(handle.read())
+    yield sys1("ab", {"a": "ab", "b": "a"}, ["a"])      # Fibonacci
+    yield sys1("ab", {"a": "ab", "b": "aa"}, ["a"])     # period doubling
+
+
+def test_levels_match_the_registration_builder():
+    """Every level equals the reference builder's: for 200 random systems
+    built cold to 12, grown to shuffled bounds and grown by raises that land
+    inside the pending window, and for the deep benchmark systems at 60."""
+    rng = random.Random(11)
+    top = 12
+    for _ in range(200):
+        letters = "abcd"[:rng.randint(2, 4)]
+        rules = {a: "".join(rng.choice(letters) for _ in range(rng.randint(1, 5)))
+                 for a in letters}
+        axioms = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 2)))
+                  for _ in range(rng.randint(1, 2))]
+        system = sys1(letters, rules, axioms)
+        reference = registration_levels(system, top)
+        clear_language_cache()
+        _assert_levels(factor_language(system, top), reference, range(top + 1))
+        clear_language_cache()
+        bounds = list(range(top + 1))
+        rng.shuffle(bounds)
+        for bound in bounds:
+            _assert_levels(factor_language(system, bound), reference, [bound])
+        clear_language_cache()
+        window = max(1, 2 * system.morphism.max_image_len - 2)
+        bound = 0
+        while bound < top:
+            bound = min(top, bound + rng.randint(1, window))
+            _assert_levels(factor_language(system, bound), reference, range(bound + 1))
+    for system in _deep_systems():
+        clear_language_cache()
+        _assert_levels(factor_language(system, 60), registration_levels(system, 60),
+                       range(61))
+
+
+def _translations(build):
+    """Run build() and count the str.translate calls per receiver."""
+    counts = {}
+
+    def hook(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) == "translate":
+            receiver = getattr(arg, "__self__", None)
+            if isinstance(receiver, str):
+                counts[receiver] = counts.get(receiver, 0) + 1
+
+    sys.setprofile(hook)
+    try:
+        build()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+@pytest.mark.parametrize("rules, top", [
+    ({"a": "ab", "b": "ba"}, 60),
+    ({"a": "abcda", "b": "cb", "c": "d", "d": "dab"}, 24),
+])
+def test_each_cover_image_is_built_once(rules, top):
+    """Growing a language, in two raises, builds the image of each level
+    word at most once and registers each word at most once; pending sets
+    stay within 2 max|image(a)| - 2 lengths past the bound."""
+    system = sys1("".join(rules), rules, ["a"])
+    clear_language_cache()
+    counts = _translations(lambda: [factor_language(system, top // 2),
+                                    factor_language(system, top)])
+    record = _record(system, top)
+    words = set().union(*record.levels)
+    assert counts and set(counts) <= words
+    assert max(counts.values()) == 1
+    registered = [x for xs in record.registered.values() for x in xs]
+    assert len(registered) == len(set(registered))
+    assert set(registered) <= words and not set(registered) & set(counts)
+    window = 2 * system.morphism.max_image_len - 2
+    assert record.pending
+    assert all(top < k <= top + window and record.pending[k] for k in record.pending)
