@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .interpretations import _admissible, _split_ends, _strong_letter, _word_sync
-from .language import _record
+from .language import _parses, _record
 from .repetitiveness import RepetitivenessVerdict, detect_unbounded_repetitive
 from .system import DF0LSystem
 from .words import Word
@@ -85,12 +85,12 @@ def _level_search(system: DF0LSystem, cutoff: int, mode: str, width: int,
 
 def _weak_fails(system: DF0LSystem, w: str, level: int) -> bool:
     """No split of w is weakly synchronizing."""
-    return not _word_sync(system, w).synchronized
+    return not _word_sync(_parses(system, w), len(w)).synchronized
 
 
 def _strong_fails(system: DF0LSystem, w: str, size: int) -> bool:
     """The middle split of w is admissible and not strongly synchronizing."""
-    ends = _split_ends(system, w, size)
+    ends = _split_ends(_parses(system, w), size)
     return _admissible(ends) and _strong_letter(system, ends) is None
 
 

@@ -27,14 +27,39 @@ Alphabet), so a stored word of length n over at most 128 letters costs
 Queries are encoded on the way in, and words are decoded only on the way
 out.  FactorSet values are immutable views of the first max_len + 1 levels;
 their words property decodes one word at a time.
+Membership reads the same recurrence: u is in the language iff it is a
+factor of an axiom or has a minimal interpretation (s, w, t), a language
+word w with image(w) = s·u·t, s and t shorter than the images of w's first
+and last letters.  `_member` is the only membership rule: one lookup where
+level |u| is built, else the parse of u, which reads the levels up to the
+length bound hi of `interpretation_length_bounds`, about |u| / min|image(a)|.
+Minimal interpretations are found by desubstitution, in one pass over u
+from left to right.  The pass keeps a frontier: the minimal interpretations
+of the prefix read so far, each held as (s, w, the image of w's last
+letter, how many letters of that image are matched).  The frontier of u[:1]
+holds every language letter a and offset s < |image(a)| with
+image(a)[s] = u[0].  For each next letter c, a state whose last image still
+has unmatched letters advances if its next letter is c; a state whose last
+image is finished extends w by each letter b whose image starts with c, and
+keeps w·b only if it is a language word.  At the end, the unmatched rest of
+each state's last image is its t.
+This is exact because every minimal interpretation (s, w, t) of u[:i+1]
+restricts to one of u[:i]: w is kept and t grows by u[i], or, when the
+image of w's last letter starts at u[i], w drops that letter and t is
+empty; s and the first letter of w stay.  So the frontier after u[:i] is
+exactly the set of minimal interpretations of u[:i], with no duplicates, as
+(s, w) fixes the state.  A minimal interpretation of a prefix of u is no
+longer than hi, and since the language is factorial the pass's work follows
+the minimal interpretations of the prefixes, not the size of the language.
 """
 
 import threading
 from collections import defaultdict
 from collections.abc import Set
+from itertools import accumulate, islice
 
 from .errors import InvalidSystemError, PreconditionError
-from .system import DF0LSystem
+from .system import DF0LSystem, code_key
 from .words import Word
 
 
@@ -117,12 +142,6 @@ class _Record:
         self.parses = {}                        # word -> its minimal interpretations with their cuts
         self.verdicts = {}                      # period bound -> RepetitivenessVerdict
 
-    def remember_parses(self, u: str, parses: tuple) -> tuple:
-        if len(self.parses) >= _PARSE_MEMO_SIZE:
-            self.parses.clear()
-        self.parses[u] = parses
-        return parses
-
 
 _PARSE_MEMO_SIZE = 1 << 17
 _RECORDS: dict[DF0LSystem, _Record] = {}
@@ -202,11 +221,73 @@ def factor_language(system: DF0LSystem, max_len: int) -> FactorSet:
     return FactorSet(system, max_len, _record(system, max_len).levels)
 
 
+def interpretation_length_bounds(system: DF0LSystem, u) -> tuple[int, int]:
+    """Possible lengths of w in a minimal interpretation of u: the image of w
+    must cover u, and the interior letters of w map strictly inside u."""
+    system.require_pdf0l()
+    if not u:
+        raise PreconditionError("interpretations are defined for non-empty words")
+    phi = system.morphism
+    lo = -(-len(u) // phi.max_image_len)
+    hi = max(1, 2 + (len(u) - 2) // phi.min_image_len)
+    return lo, hi
+
+
+def _cuts(phi, s_len: int, w: str) -> tuple[int, ...]:
+    """|image(w[:i])| - s_len for i = 0..|w|: where in u each prefix image ends."""
+    images = phi.image_codes
+    return tuple(accumulate((len(images[b]) for b in w), initial=-s_len))
+
+
+def _parses(system: DF0LSystem, u: str) -> tuple[tuple[str, str, str, tuple[int, ...]], ...]:
+    """Every minimal interpretation (s, w, t) of the code string u, with its
+    cuts, in canonical order: one left-to-right frontier pass over u."""
+    record = _record(system, 0)     # a memoized word's levels are grown already
+    known = record.parses.get(u)
+    if known is not None:
+        return known
+    phi = system.morphism
+    images = phi.image_codes
+    _, hi = interpretation_length_bounds(system, u)
+    levels = _record(system, hi).levels
+    heads = {}      # heads[c]: the letters whose image starts with c, with their images
+    for b, image in images.items():
+        heads.setdefault(image[0], []).append((b, image))
+    # the minimal interpretations of u[:1]: (s, w, image of w's last letter,
+    # how many letters of that image are matched)
+    frontier = [(image[:j], a, image, j + 1) for a, image in images.items()
+                if a in levels[1] for j in range(len(image)) if image[j] == u[0]]
+    for c in islice(u, 1, None):
+        starting = heads.get(c, ())
+        advanced = []
+        for s, w, image, j in frontier:
+            if j < len(image):
+                if image[j] == c:
+                    advanced.append((s, w, image, j + 1))
+            else:
+                level = levels[len(w) + 1]
+                for b, next_image in starting:
+                    v = w + b
+                    if v in level:
+                        advanced.append((s, v, next_image, 1))
+        frontier = advanced
+    found = sorted(((s, w, image[j:]) for s, w, image, j in frontier),
+                   key=lambda i: (code_key(i[0]), code_key(i[1]), code_key(i[2])))
+    parses = tuple((s, w, t, _cuts(phi, len(s), w)) for s, w, t in found)
+    if len(record.parses) >= _PARSE_MEMO_SIZE:
+        record.parses.clear()
+    record.parses[u] = parses
+    return parses
+
+
 def _member(system: DF0LSystem, code: str) -> bool:
-    return code in _record(system, len(code)).levels[len(code)]
+    """Whether the code string is a language word; see the module docstring."""
+    levels = _record(system, 0).levels
+    if len(code) < len(levels):
+        return code in levels[len(code)]
+    return bool(_parses(system, code)) or any(code in a for a in system.axiom_codes)
 
 
 def contains(system: DF0LSystem, word) -> bool:
     """Membership of a word in the factor language."""
     return _member(system, system.alphabet.encode(word))
-

@@ -1,4 +1,5 @@
-"""The exception class each public synchronization entry raises on bad input.
+"""The exception class each public membership and synchronization entry
+raises on bad input.
 
 Checks run in a fixed order at every entry: letters against the alphabet,
 then the non-erasing requirement, then language membership, then the
@@ -11,7 +12,7 @@ import pytest
 
 from df0l import (ErasingMorphismError, InvalidSystemError, LetterMap,
                   NotInLanguageError, ParseError, PreconditionError, TwinedData,
-                  collision_family_check, collisions_upto,
+                  collision_family_check, collisions_upto, contains,
                   detect_unbounded_repetitive, factor_language,
                   fixed_point_prefix, interpretation_length_bounds,
                   is_admissible, is_weakly_synchronized,
@@ -85,6 +86,16 @@ CASES += [
      lambda: strong_sync_letter(TM, (), w("x")), PreconditionError),
     ("strong_sync_letter", "empty left part before erasing",
      lambda: strong_sync_letter(ERASING, (), w("a")), PreconditionError),
+]
+CASES += [
+    ("contains", "unknown letter", lambda: contains(TM, w("ax")), InvalidSystemError),
+    ("contains", "erasing", lambda: contains(ERASING, w("a")), ErasingMorphismError),
+    ("contains", "erasing before empty", lambda: contains(ERASING, ()),
+     ErasingMorphismError),
+    ("contains", "erasing before the parse",
+     lambda: contains(ERASING, w("bbbb")), ErasingMorphismError),
+    ("contains", "unknown letter before erasing",
+     lambda: contains(ERASING, w("x")), InvalidSystemError),
 ]
 for name, search in SEARCHES.items():
     CASES += [

@@ -3,9 +3,12 @@ import random
 
 import pytest
 
+import df0l.interpretations
+import df0l.language
 from df0l import (Alphabet, DF0LSystem, Interpretation, Morphism,
-                  NotInLanguageError, PairSplit, compatible_split, contains,
-                  factor_language, interpretation_length_bounds, is_admissible,
+                  NotInLanguageError, PairSplit, clear_interpretation_cache,
+                  compatible_split, contains, factor_language,
+                  interpretation_length_bounds, is_admissible,
                   is_strongly_synchronizing, is_weakly_synchronized,
                   is_weakly_synchronizing, minimal_interpretations,
                   occurrences, strong_sync_letter)
@@ -378,3 +381,43 @@ def test_interpretations_grow_levels_only_to_the_length_bound():
     # the prefix is the image of the 200-letter prefix, and only of it
     assert minimal_interpretations(system, u) == [Interpretation((), u[:200], ())]
     assert len(_record(system, 0).levels) <= 202
+
+
+def test_each_query_parses_its_word_once(thue_morse, monkeypatch):
+    """A public query fetches the parse of its word once, for the membership
+    check and its answer both."""
+    calls = []
+    parses = df0l.interpretations._parses
+
+    def counted(system, u):
+        calls.append(u)
+        return parses(system, u)
+
+    monkeypatch.setattr(df0l.interpretations, "_parses", counted)
+    u = w("abbaab")
+    word, pair = (u,), (u[:2], u[2:])
+    for query, args in ((minimal_interpretations, word), (is_weakly_synchronized, word),
+                        (is_admissible, pair), (is_weakly_synchronizing, pair),
+                        (strong_sync_letter, pair)):
+        calls.clear()
+        query(thue_morse, *args)
+        assert calls == [thue_morse.alphabet.encode(u)], query.__name__
+
+
+def test_a_full_parse_memo_empties_itself(thue_morse, monkeypatch):
+    """With room for 4 parses, 10 words asked twice over empty the memo and
+    refill it, and every answer is the one a cold query gives."""
+    words = sorted(factor_language(thue_morse, 7).words_of_length(7))[:10]
+    assert len(words) == 10
+    cold = []
+    for u in words:
+        clear_interpretation_cache()
+        cold.append(minimal_interpretations(thue_morse, u))
+    monkeypatch.setattr(df0l.language, "_PARSE_MEMO_SIZE", 4)
+    clear_interpretation_cache()
+    memo = _record(thue_morse, 0).parses
+    sizes = []
+    for u, expected in list(zip(words, cold)) * 2:
+        assert minimal_interpretations(thue_morse, u) == expected, u
+        sizes.append(len(memo))
+    assert max(sizes) == 4 and sizes.count(1) > 1, sizes

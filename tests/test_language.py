@@ -106,6 +106,43 @@ def test_erasing_refused():
         contains(erasing, w("a"))
 
 
+def test_contains_matches_the_levels_on_random_systems():
+    """Cold membership of every word up to length 6, asked in a shuffled
+    order, so that some words are looked up in a built level and others are
+    parsed (a word longer than the built levels, over images of length >= 2,
+    reads fewer levels than its own length); every answer agrees with the
+    levels."""
+    rng = random.Random(53)
+    branches = {"lookup": 0, "parse": 0}
+    long_images = 0
+    for _ in range(60):
+        system = random_pdf0l(rng, max_letters=3, max_image_len=3)
+        long_images += system.morphism.min_image_len >= 2
+        letters = system.alphabet.letters
+        words = [v for n in range(7) for v in itertools.product(letters, repeat=n)]
+        rng.shuffle(words)
+        clear_language_cache()
+        got = {}
+        for v in words:
+            built = len(_record(system, 0).levels)
+            branches["lookup" if len(v) < built else "parse"] += 1
+            got[v] = contains(system, v)
+        language = factor_language(system, 6)
+        assert got == {v: v in language for v in words}, system
+    assert long_images >= 10
+    assert min(branches.values()) > 1000, branches
+
+
+def test_cold_contains_grows_levels_only_to_the_length_bound():
+    """Membership of the 400-letter Thue-Morse prefix comes from its parse,
+    which reads levels up to hi = 2 + 398 // 2 = 201 only."""
+    system = sys1("ab", {"a": "ab", "b": "ba"}, ["a"])
+    u = w("".join("ab"[bin(i).count("1") % 2] for i in range(400)))
+    clear_language_cache()
+    assert contains(system, u)
+    assert len(_record(system, 0).levels) <= 202
+
+
 def test_factor_set_is_factor_closed_and_saturated(thue_morse, collapse_bounded,
                                                    repetitive_square):
     for system in (thue_morse, collapse_bounded, repetitive_square):
