@@ -32,8 +32,7 @@ from .system import (Alphabet, DF0LSystem, GrowthReport, LetterMap, Morphism,
                      ValidationReport, classify_letters, invariant_exponent,
                      minimal_invariant_subalphabets, power_system,
                      unbounded_letters, validate)
-from .words import (Word, factors, format_word, is_conjugate, is_primitive,
-                    occurrences, parse_word, primitive_root)
+from .words import Word, format_word, parse_word
 
 __all__ = [
     "Alphabet", "BoundsCheck", "CollisionPair", "DF0LSystem",
@@ -45,15 +44,13 @@ __all__ = [
     "clear_interpretation_cache", "clear_language_cache",
     "collision_family_check", "collisions_upto", "compatible_split",
     "contains", "default_period_bound", "delta_estimate",
-    "detect_unbounded_repetitive", "factor_language", "factors",
-    "find_twined_failure", "fixed_point_prefix", "format_word",
-    "interpretation_length_bounds", "invariant_exponent", "is_admissible",
-    "is_conjugate", "is_primitive", "is_strongly_synchronizing",
+    "detect_unbounded_repetitive", "factor_language", "find_twined_failure",
+    "fixed_point_prefix", "format_word", "interpretation_length_bounds",
+    "invariant_exponent", "is_admissible", "is_strongly_synchronizing",
     "is_weakly_synchronized", "is_weakly_synchronizing",
     "minimal_interpretations", "minimal_invariant_subalphabets",
-    "occurrences", "parse_letter_map", "parse_system", "parse_word",
-    "power_system", "primitive_root", "render_system",
-    "simplification_language_check", "strong_sync_letter", "strong_threshold",
-    "twined_commutation_check", "unbounded_letters", "validate",
-    "verify_twined", "weak_power_transfer_bound", "weak_threshold",
+    "parse_letter_map", "parse_system", "parse_word", "power_system",
+    "render_system", "simplification_language_check", "strong_sync_letter",
+    "strong_threshold", "twined_commutation_check", "unbounded_letters",
+    "validate", "verify_twined", "weak_power_transfer_bound", "weak_threshold",
 ]

@@ -264,7 +264,8 @@ def _cmd_delta(args, system):
 
 @_command("twined", "verify a twined pair of morphisms", _arg("file2"),
           _arg("--alpha", required=True, help='rules like "a -> x; b -> x y"'),
-          _arg("--beta", required=True), _max_len(default=4))
+          _arg("--beta", required=True),
+          _max_len(default=4, help="echoed in the report only: both checks are exact"))
 def _cmd_twined(args, system):
     other = _load(args.file2)
     alpha = parse_letter_map(args.alpha, system.alphabet, other.alphabet)
@@ -272,15 +273,12 @@ def _cmd_twined(args, system):
     data = injectivity.TwinedData(system.morphism, other.morphism, alpha, beta)
     failure = injectivity.find_twined_failure(data)
     twined = failure is None
-    commutation = None
+    # twining implies commutation (fact 3 of the injectivity docstring)
+    commutation = twined or None
     language_ok = None
     if twined:
-        samples = [(a,) for a in system.alphabet] + list(system.axioms)
-        commutation = all(
-            injectivity.twined_commutation_check(data, k, samples)
-            for k in range(1, 4))
         language_ok = injectivity.simplification_language_check(
-            system, other, alpha, beta, args.max_len)
+            system, other, alpha, beta)
     result = {"twined": twined, "failure": failure, "commutation": commutation,
               "language_check": language_ok, "max_len": args.max_len}
     if twined:

@@ -4,6 +4,25 @@ Whether a morphism is eventually injective on its language is not known to
 be decidable, so collision enumeration is bounded by a word length and the
 delta estimate derived from it is a lower bound: exact exactly when no
 longer collisions exist.
+
+The twined checks are exact and need no bound.  Let phi and psi be the
+morphisms of two systems with languages L(phi) and L(psi), and alpha and
+beta letter maps between their alphabets, applied homomorphically.
+
+1. alpha∘phi and psi∘alpha are morphisms, and morphisms that agree on the
+   letters agree on every word.  So alpha∘phi = psi∘alpha iff
+   alpha(phi(a)) = psi(alpha(a)) for each letter a, likewise for
+   phi∘beta = beta∘psi, and then by induction (alpha∘phi^(k+1) =
+   psi^k∘alpha∘phi = psi^(k+1)∘alpha) alpha∘phi^k = psi^k∘alpha and
+   phi^k∘beta = beta∘psi^k for every k.
+2. Under commutation, alpha maps L(phi) into L(psi) iff alpha(w) is in
+   L(psi) for every axiom w of phi's system, and likewise for beta.  The
+   axioms are in L(phi).  Conversely, a word x of L(phi) is a factor of
+   some phi^k(w), so alpha(x) is a factor of alpha(phi^k(w)) =
+   psi^k(alpha(w)); L(psi) is closed under psi and under factors, so with
+   alpha(w) it holds both.
+3. Twining implies commutation: alpha∘phi = alpha∘beta∘alpha = psi∘alpha,
+   and phi∘beta = beta∘alpha∘beta = beta∘psi.
 """
 
 from dataclasses import dataclass
@@ -99,46 +118,26 @@ def verify_twined(data: TwinedData) -> bool:
     return find_twined_failure(data) is None
 
 
-def twined_commutation_check(data: TwinedData, k: int, sample_words,
-                             image_samples=None) -> bool:
-    """Check alpha∘phi^k = psi^k∘alpha on the samples over phi's alphabet and
-    phi^k∘beta = beta∘psi^k on the image samples (derived via alpha when not
-    given)."""
-    if k < 0:
-        raise PreconditionError("k must be >= 0")
-    sample_words = [data.phi.alphabet.check_word(w) for w in sample_words]
-    if image_samples is None:
-        image_samples = [data.alpha.apply(w) for w in sample_words]
-    else:
-        image_samples = [data.psi.alphabet.check_word(z) for z in image_samples]
-    for w in sample_words:
-        if data.alpha.apply(data.phi.apply_power(w, k)) != \
-                data.psi.apply_power(data.alpha.apply(w), k):
-            return False
-    for z in image_samples:
-        if data.phi.apply_power(data.beta.apply(z), k) != \
-                data.beta.apply(data.psi.apply_power(z, k)):
-            return False
-    return True
+def twined_commutation_check(data: TwinedData) -> bool:
+    """Whether alpha∘phi = psi∘alpha and phi∘beta = beta∘psi, and so
+    alpha∘phi^k = psi^k∘alpha and phi^k∘beta = beta∘psi^k for every k
+    (fact 1 of the module docstring)."""
+    phi, psi, alpha, beta = data.phi, data.psi, data.alpha, data.beta
+    return (all(alpha.apply(phi.image(a)) == psi.apply(alpha.image(a))
+                for a in phi.alphabet)
+            and all(phi.apply(beta.image(b)) == beta.apply(psi.image(b))
+                    for b in psi.alphabet))
 
 
 def simplification_language_check(system: DF0LSystem, target: DF0LSystem,
-                                  alpha: LetterMap, beta: LetterMap,
-                                  max_len: int) -> bool:
-    """Bounded check that alpha maps the source language into the target
-    language and beta maps the target language back."""
+                                  alpha: LetterMap, beta: LetterMap) -> bool:
+    """Whether alpha maps the source language into the target language and
+    beta maps the target language back, read from the axioms (fact 2 of the
+    module docstring); the maps must commute with the two morphisms."""
     system.require_pdf0l()
     target.require_pdf0l()
-    if max_len < 0:
-        raise PreconditionError("max_len must be >= 0")
-    alpha_stretch = max(1, max(len(alpha.image(a)) for a in system.alphabet))
-    beta_stretch = max(1, max(len(beta.image(b)) for b in target.alphabet))
-    target_words = factor_language(target, max_len * alpha_stretch)
-    for w in factor_language(system, max_len).all_words():
-        if alpha.apply(w) not in target_words:
-            return False
-    source_words = factor_language(system, max_len * beta_stretch)
-    for z in factor_language(target, max_len).all_words():
-        if beta.apply(z) not in source_words:
-            return False
-    return True
+    if not twined_commutation_check(
+            TwinedData(system.morphism, target.morphism, alpha, beta)):
+        raise PreconditionError("alpha and beta must commute with the morphisms")
+    return (all(contains(target, alpha.apply(w)) for w in system.axioms)
+            and all(contains(system, beta.apply(z)) for z in target.axioms))

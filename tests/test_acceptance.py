@@ -14,15 +14,17 @@ from df0l import (DF0LSystem, LetterMap, Morphism, TwinedData,
                   collision_family_check, contains, factor_language,
                   interpretation_length_bounds, is_admissible,
                   is_strongly_synchronizing, is_weakly_synchronized,
-                  is_weakly_synchronizing, minimal_interpretations, occurrences,
+                  is_weakly_synchronizing, minimal_interpretations,
                   parse_system, parse_word, power_system, strong_threshold,
                   twined_commutation_check, verify_twined,
                   weak_power_transfer_bound, weak_threshold)
 from df0l.cli import main as cli_main
 
 from conftest import random_pdf0l, sys1, w
+from test_injectivity import sampled_commutation
 from test_interpretations import naive_minimal_interpretations
 from test_language import assert_matches_unrolling
+from wordtools import is_conjugate, occurrences, primitive_root
 
 SEED = 20240808
 
@@ -143,7 +145,6 @@ def test_criterion_5_repetitive_square(capsys, tmp_path):
     assert code == 0
     assert payload["result"]["status"] == "repetitive"
     witness = parse_word(payload["result"]["witness"])
-    from df0l import is_conjugate, primitive_root
     assert is_conjugate(primitive_root(witness)[0], w("bc"))
 
     code, payload = cli_json(capsys, "threshold", str(path), "--mode", "strong")
@@ -266,9 +267,10 @@ def test_criterion_6_property_suites():
                       LetterMap({"a": ("A",), "b": ("B",), "c": ("B",)}),
                       LetterMap({"A": w("abacc"), "B": w("aba")}))
     assert verify_twined(data)
+    assert twined_commutation_check(data)
     samples = [w("a"), w("ab"), w("abacc"), w("ccaba")]
     for k in range(4):
-        assert twined_commutation_check(data, k, samples)
+        assert sampled_commutation(data, k, samples)
 
     print(f"\nACCEPTANCE 6: PASS - {systems_checked} random systems: "
           f"interpretation bounds ({bound_hits} interps), pair extension "

@@ -11,7 +11,7 @@ public entries, and the rule errors of parse_letter_map.
 import pytest
 
 from df0l import (ErasingMorphismError, InvalidSystemError, LetterMap,
-                  NotInLanguageError, ParseError, PreconditionError, TwinedData,
+                  NotInLanguageError, ParseError, PreconditionError,
                   collision_family_check, collisions_upto, contains,
                   detect_unbounded_repetitive, factor_language,
                   fixed_point_prefix, interpretation_length_bounds,
@@ -19,7 +19,7 @@ from df0l import (ErasingMorphismError, InvalidSystemError, LetterMap,
                   is_weakly_synchronizing, minimal_interpretations,
                   minimal_invariant_subalphabets, parse_letter_map, power_system,
                   simplification_language_check, strong_sync_letter,
-                  strong_threshold, twined_commutation_check, weak_threshold)
+                  strong_threshold, weak_threshold)
 
 from conftest import sys1, w
 
@@ -123,11 +123,9 @@ PRECONDITIONS = [
     ("collisions_upto", "max_len 0", lambda: collisions_upto(TM, 0), PreconditionError),
     ("collision_family_check", "n 0",
      lambda: collision_family_check(TM, 0, w("a"), w("b")), PreconditionError),
-    ("twined_commutation_check", "k -1",
-     lambda: twined_commutation_check(TwinedData(PHI, PHI, IDENTITY, IDENTITY), -1,
-                                      [w("a")]), PreconditionError),
-    ("simplification_language_check", "max_len -1",
-     lambda: simplification_language_check(TM, TM, IDENTITY, IDENTITY, -1),
+    ("simplification_language_check", "maps not commuting",
+     lambda: simplification_language_check(TM, TM, IDENTITY,
+                                           LetterMap({"a": w("ab"), "b": w("a")})),
      PreconditionError),
     ("factor_language", "max_len -1", lambda: factor_language(TM, -1), PreconditionError),
     ("interpretation_length_bounds", "empty word",

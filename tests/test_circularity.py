@@ -4,11 +4,12 @@ import tracemalloc
 import pytest
 
 from df0l import (check_threshold_bounds, contains, detect_unbounded_repetitive,
-                  factor_language, fixed_point_prefix, is_admissible, is_primitive,
+                  factor_language, fixed_point_prefix, is_admissible,
                   is_strongly_synchronizing, is_weakly_synchronized, power_system,
                   strong_threshold, weak_power_transfer_bound, weak_threshold)
 
 from conftest import binary_census, random_pdf0l, w
+from wordtools import is_primitive
 
 
 def test_weak_threshold_thue_morse(thue_morse):

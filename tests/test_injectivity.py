@@ -1,10 +1,47 @@
-from df0l import (Alphabet, LetterMap, Morphism, TwinedData,
-                  collision_family_check, collisions_upto, contains,
+import random
+
+import pytest
+
+from df0l import (Alphabet, DF0LSystem, LetterMap, Morphism, PreconditionError,
+                  TwinedData, collision_family_check, collisions_upto, contains,
                   delta_estimate, factor_language, find_twined_failure,
                   simplification_language_check, twined_commutation_check,
                   verify_twined)
 
 from conftest import w
+
+
+def sampled_commutation(data, k, sample_words, image_samples=None):
+    """Oracle: alpha∘phi^k = psi^k∘alpha on the samples over phi's alphabet
+    and phi^k∘beta = beta∘psi^k on the image samples (derived via alpha
+    when not given)."""
+    if image_samples is None:
+        image_samples = [data.alpha.apply(u) for u in sample_words]
+    for u in sample_words:
+        if data.alpha.apply(data.phi.apply_power(u, k)) != \
+                data.psi.apply_power(data.alpha.apply(u), k):
+            return False
+    for z in image_samples:
+        if data.phi.apply_power(data.beta.apply(z), k) != \
+                data.beta.apply(data.psi.apply_power(z, k)):
+            return False
+    return True
+
+
+def bounded_language_check(system, target, alpha, beta, max_len):
+    """Oracle: alpha maps the source language words up to max_len into the
+    target language and beta maps the target words up to max_len back."""
+    alpha_stretch = max(1, max(len(alpha.image(a)) for a in system.alphabet))
+    beta_stretch = max(1, max(len(beta.image(b)) for b in target.alphabet))
+    target_words = factor_language(target, max_len * alpha_stretch)
+    for u in factor_language(system, max_len).all_words():
+        if alpha.apply(u) not in target_words:
+            return False
+    source_words = factor_language(system, max_len * beta_stretch)
+    for z in factor_language(target, max_len).all_words():
+        if beta.apply(z) not in source_words:
+            return False
+    return True
 
 
 def test_collisions_collapse_bounded(collapse_bounded):
@@ -93,30 +130,37 @@ def test_perturbed_twining_pinpoints_letter(collapse_bounded):
 
 def test_commutation(collapse_bounded):
     data = _example_twining(collapse_bounded)
+    assert twined_commutation_check(data)
     samples = [w("a"), w("ab"), w("abacc"), w("cba")]
     for k in range(4):
-        assert twined_commutation_check(data, k, samples)
+        assert sampled_commutation(data, k, samples)
     # explicit image-side samples
-    assert twined_commutation_check(data, 2, samples,
-                                    image_samples=[("A",), ("B", "A"), ("A", "B", "B")])
+    assert sampled_commutation(data, 2, samples,
+                               image_samples=[("A",), ("B", "A"), ("A", "B", "B")])
 
 
 def test_language_check(collapse_bounded):
-    from df0l import DF0LSystem
     data = _example_twining(collapse_bounded)
     target = DF0LSystem(data.psi, [data.alpha.apply(ax)
                                    for ax in collapse_bounded.axioms])
     assert simplification_language_check(
-        collapse_bounded, target, data.alpha, data.beta, 4)
+        collapse_bounded, target, data.alpha, data.beta)
     # identity twining trivially passes
     phi = collapse_bounded.morphism
     identity = LetterMap({a: (a,) for a in phi.alphabet})
     assert simplification_language_check(
-        collapse_bounded, collapse_bounded, identity, identity, 4)
-    # a beta image outside the source language must fail (bb never occurs)
+        collapse_bounded, collapse_bounded, identity, identity)
+    # a beta with an image outside the source language (bb never occurs)
+    # does not commute with the morphisms, so the check refuses it
     bad_beta = LetterMap({"A": w("abacc"), "B": w("abb")})
+    with pytest.raises(PreconditionError):
+        simplification_language_check(collapse_bounded, target, data.alpha, bad_beta)
+    # commuting maps whose axiom image leaves the language must fail: the
+    # identity carries the axiom bb of the second system to bb
+    from_bb = DF0LSystem(phi, [w("bb")])
+    assert not contains(collapse_bounded, w("bb"))
     assert not simplification_language_check(
-        collapse_bounded, target, data.alpha, bad_beta, 4)
+        from_bb, collapse_bounded, identity, identity)
 
 
 def test_canonical_pair_order(collapse_bounded):
@@ -125,3 +169,77 @@ def test_canonical_pair_order(collapse_bounded):
     assert pairs == sorted(pairs, key=lambda p: (key(p.u), key(p.v)))
     for pair in pairs:
         assert key(pair.u) < key(pair.v)
+
+
+def _random_twined_pair(rng):
+    """A seeded twined pair: phi = beta∘alpha, psi = alpha∘beta, with random
+    axioms of length 1-2 on each side."""
+    source = Alphabet(tuple("abc"[:rng.randint(2, 3)]))
+    target = Alphabet(tuple("ABC"[:rng.randint(1, 3)]))
+    alpha = LetterMap({a: tuple(rng.choices(target.letters, k=rng.randint(1, 2)))
+                       for a in source})
+    beta = LetterMap({b: tuple(rng.choices(source.letters, k=rng.randint(1, 3)))
+                      for b in target})
+    phi = Morphism(source, {a: beta.apply(alpha.image(a)) for a in source})
+    psi = Morphism(target, {b: alpha.apply(beta.image(b)) for b in target})
+
+    def axioms(alphabet):
+        return [tuple(rng.choices(alphabet.letters, k=rng.randint(1, 2)))
+                for _ in range(rng.randint(1, 2))]
+    return DF0LSystem(phi, axioms(source)), DF0LSystem(psi, axioms(target)), alpha, beta
+
+
+TWINED_PAIRS = [_random_twined_pair(random.Random(seed)) for seed in range(500)]
+
+
+def test_language_check_is_exact():
+    """The axiom check equals the bounded check once L reaches the longest
+    axiom, and at L = 6; the bounded check at L = 1 passes pairs the exact
+    check refuses."""
+    negatives = passed_at_1 = 0
+    for system, target, alpha, beta in TWINED_PAIRS:
+        exact = simplification_language_check(system, target, alpha, beta)
+        longest = max(map(len, [*system.axioms, *target.axioms]))
+        assert exact == bounded_language_check(system, target, alpha, beta, longest)
+        assert exact == bounded_language_check(system, target, alpha, beta, 6)
+        if not exact:
+            negatives += 1
+            passed_at_1 += bounded_language_check(system, target, alpha, beta, 1)
+    assert negatives > 0 and passed_at_1 > 0
+
+
+def test_commutation_is_decided_on_letters():
+    """The letter check equals the sampled check with every letter as a
+    sample for k <= 3, on random maps (mostly not twined) and on powers of
+    one morphism (commuting, mostly not twined); it holds on every twined
+    pair."""
+    rng = random.Random(7)
+    outcomes = []
+    for _ in range(3000):
+        source = Alphabet(tuple("abc"[:rng.randint(2, 3)]))
+        target = Alphabet(tuple("ABC"[:rng.randint(1, 3)]))
+        phi = Morphism(source, {a: tuple(rng.choices(source.letters, k=rng.randint(1, 3)))
+                                for a in source})
+        if rng.random() < 0.2:
+            # phi commutes with its own powers
+            psi = phi
+            alpha, beta = (LetterMap(phi.power(rng.randint(1, 2)).images)
+                           for _ in range(2))
+        else:
+            psi = Morphism(target, {b: tuple(rng.choices(target.letters, k=rng.randint(1, 3)))
+                                    for b in target})
+            alpha = LetterMap({a: tuple(rng.choices(target.letters, k=rng.randint(1, 2)))
+                               for a in source})
+            beta = LetterMap({b: tuple(rng.choices(source.letters, k=rng.randint(1, 3)))
+                              for b in target})
+        data = TwinedData(phi, psi, alpha, beta)
+        letters = [(a,) for a in data.phi.alphabet]
+        image_letters = [(b,) for b in data.psi.alphabet]
+        exact = twined_commutation_check(data)
+        assert exact == all(sampled_commutation(data, k, letters, image_letters)
+                            for k in range(1, 4))
+        outcomes.append(exact)
+    assert outcomes.count(True) > 100 and outcomes.count(False) > 1000
+    for system, target, alpha, beta in TWINED_PAIRS:
+        assert twined_commutation_check(
+            TwinedData(system.morphism, target.morphism, alpha, beta))

@@ -11,10 +11,11 @@ from df0l import (Alphabet, DF0LSystem, Interpretation, Morphism,
                   interpretation_length_bounds, is_admissible,
                   is_strongly_synchronizing, is_weakly_synchronized,
                   is_weakly_synchronizing, minimal_interpretations,
-                  occurrences, strong_sync_letter)
+                  strong_sync_letter)
 from df0l.language import _record
 
 from conftest import random_pdf0l, sys1, w
+from wordtools import occurrences
 
 
 def naive_minimal_interpretations(system, u, extra=2):

@@ -10,12 +10,12 @@ import pytest
 
 from df0l import (Alphabet, DF0LSystem, ErasingMorphismError, Morphism,
                   clear_interpretation_cache, clear_language_cache, contains,
-                  factor_language, factors, format_word,
-                  minimal_interpretations, parse_system, power_system,
-                  strong_threshold, weak_threshold)
+                  factor_language, format_word, minimal_interpretations,
+                  parse_system, power_system, strong_threshold, weak_threshold)
 from df0l.language import _record
 
 from conftest import random_pdf0l, sys1, w
+from wordtools import factors
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
 

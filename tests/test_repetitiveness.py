@@ -8,11 +8,11 @@ import pytest
 from df0l import (Alphabet, DF0LSystem, Morphism, PreconditionError,
                   RepetitivenessVerdict, clear_language_cache, contains,
                   detect_unbounded_repetitive, default_period_bound,
-                  factor_language, fixed_point_prefix, is_primitive,
-                  parse_system, render_system, strong_threshold,
-                  unbounded_letters)
+                  factor_language, fixed_point_prefix, parse_system,
+                  render_system, strong_threshold, unbounded_letters)
 
 from conftest import binary_census, random_pdf0l, sys1, w
+from wordtools import is_primitive
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
 

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from df0l import (factors, is_conjugate, is_primitive, occurrences, parse_word,
-                  primitive_root)
+from df0l import parse_word
 
 from conftest import w
+from wordtools import (factors, is_conjugate, is_primitive, occurrences,
+                       primitive_root)
 
 
 def test_parse_and_format():
