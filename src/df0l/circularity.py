@@ -56,31 +56,26 @@ def _level_search(system: DF0LSystem, cutoff: int, mode: str, width: int,
         return decode(w) if mode == "weak" else (
             decode(w[:len(w) // 2]), decode(w[len(w) // 2:]))
 
-    prev_bad: list[str] | None = None
-    bad: list[str] = []
+    failed: set[str] | None = None     # the previous level's failing words
     for level in range(1, cutoff + 1):
         n = width * level
         words = _record(system, n).levels[n]
-        if prev_bad is None:
-            candidates = words
-        else:
-            failed = set(prev_bad)
-            candidates = [w for w in words if failed.issuperset(trims(w))]
-        # only the failing words reach the report, in canonical order, which
-        # within one length is the order of the code strings
-        bad = sorted(w for w in candidates if fails(system, w, level))
+        bad = {w for w in words if (failed is None or failed.issuperset(trims(w)))
+               and fails(system, w, level)}
         if not bad:
             for w in words:
                 if fails(system, w, level):
                     raise AssertionError(
                         f"level {level} verification failed on {' '.join(decode(w))}")
-            witness = item(prev_bad[0]) if prev_bad else None
+            # only the failing words reach the report, in canonical order,
+            # which within one length is the order of the code strings
+            witness = item(min(failed)) if failed else None
             return ThresholdReport(mode, "found", threshold=level - 1,
                                    witness_word=witness if mode == "weak" else None,
                                    witness_pair=witness if mode == "strong" else None)
-        prev_bad = bad
+        failed = bad
     return ThresholdReport(mode, "cutoff_exceeded", last_level=cutoff,
-                           survivors=tuple(map(item, bad[:_SURVIVOR_SAMPLE])))
+                           survivors=tuple(map(item, sorted(failed)[:_SURVIVOR_SAMPLE])))
 
 
 def _weak_fails(system: DF0LSystem, w: str, level: int) -> bool:

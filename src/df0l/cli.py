@@ -265,7 +265,7 @@ def _cmd_delta(args, system):
 @_command("twined", "verify a twined pair of morphisms", _arg("file2"),
           _arg("--alpha", required=True, help='rules like "a -> x; b -> x y"'),
           _arg("--beta", required=True),
-          _max_len(default=4, help="echoed in the report only: both checks are exact"))
+          _max_len(default=4, help="echoed in the JSON report only: both checks are exact"))
 def _cmd_twined(args, system):
     other = _load(args.file2)
     alpha = parse_letter_map(args.alpha, system.alphabet, other.alphabet)
@@ -282,10 +282,8 @@ def _cmd_twined(args, system):
     result = {"twined": twined, "failure": failure, "commutation": commutation,
               "language_check": language_ok, "max_len": args.max_len}
     if twined:
-        lines = ["twined: yes",
-                 f"commutation (k<=3): {'ok' if commutation else 'FAILED'}",
-                 f"language check (L={args.max_len}): "
-                 f"{'ok' if language_ok else 'FAILED'}"]
+        lines = ["twined: yes", "commutation: ok",
+                 f"language check: {'ok' if language_ok else 'FAILED'}"]
     else:
         lines = [f"twined: no (first failing letter: {failure})"]
     return result, lines

@@ -26,6 +26,7 @@ beta letter maps between their alphabets, applied homomorphically.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import PreconditionError
 from .language import contains, factor_language
@@ -50,11 +51,7 @@ def collisions_upto(system: DF0LSystem, max_len: int) -> list[CollisionPair]:
     # the codes come in canonical order, and so does every group
     for w in factor_language(system, max_len)._codes():
         by_image.setdefault(w.translate(table), []).append(w)
-    pairs = []
-    for group in by_image.values():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                pairs.append((group[i], group[j]))
+    pairs = [pair for group in by_image.values() for pair in combinations(group, 2)]
     pairs.sort(key=lambda p: (code_key(p[0]), code_key(p[1])))
     decode = system.alphabet.decode
     return [CollisionPair(decode(u), decode(v)) for u, v in pairs]

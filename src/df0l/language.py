@@ -25,8 +25,9 @@ Every word held here is a code string, one character per letter (see
 Alphabet), so a stored word of length n over at most 128 letters costs
 49 + n bytes, where a tuple of tokens costs 56 + 8n with its GC header.
 Queries are encoded on the way in, and words are decoded only on the way
-out.  FactorSet values are immutable views of the first max_len + 1 levels;
-their words property decodes one word at a time.
+out.  A FactorSet is an immutable view of the first max_len + 1 levels and
+is itself a read-only set of words, decoded one at a time, equal to and
+hashed like the frozenset of the same words.
 Membership reads the same recurrence: u is in the language iff it is a
 factor of an axiom or has a minimal interpretation (s, w, t), a language
 word w with image(w) = s·u·t, s and t shorter than the images of w's first
@@ -63,8 +64,9 @@ from .system import DF0LSystem, code_key
 from .words import Word
 
 
-class FactorSet:
-    """Immutable length-bounded slice of a system's factor language."""
+class FactorSet(Set):
+    """Immutable length-bounded slice of a system's factor language: a
+    read-only set of its words, decoded one at a time."""
 
     __slots__ = ("system", "max_len", "_levels")
 
@@ -75,8 +77,8 @@ class FactorSet:
 
     @property
     def words(self) -> Set:
-        """The words as a read-only set of tuples, decoded one at a time."""
-        return _Words(self)
+        """The set itself; kept for callers that read its words by name."""
+        return self
 
     def __contains__(self, word) -> bool:
         try:
@@ -87,6 +89,19 @@ class FactorSet:
 
     def __len__(self):
         return sum(map(len, self._levels))
+
+    def __iter__(self):
+        decode = self.system.alphabet.decode
+        for level in self._levels:
+            yield from map(decode, level)
+
+    # equal to, and hashed like, the frozenset of the same words
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, words):
+        # the results of the set operators are plain frozensets
+        return frozenset(words)
 
     def _codes(self):
         """Every code string in canonical order, which is length first."""
@@ -103,31 +118,6 @@ class FactorSet:
 
     def __repr__(self):
         return f"FactorSet(max_len={self.max_len}, words={len(self)})"
-
-
-class _Words(Set):
-    """FactorSet.words: a view of the factor set that holds no word of its own."""
-
-    __slots__ = ("_factors",)
-
-    def __init__(self, factors: FactorSet):
-        self._factors = factors
-
-    def __contains__(self, word) -> bool:
-        return word in self._factors
-
-    def __len__(self):
-        return len(self._factors)
-
-    def __iter__(self):
-        decode = self._factors.system.alphabet.decode
-        for level in self._factors._levels:
-            yield from map(decode, level)
-
-    @classmethod
-    def _from_iterable(cls, words):
-        # the results of the set operators are plain frozensets
-        return frozenset(words)
 
 
 class _Record:
@@ -224,13 +214,16 @@ def factor_language(system: DF0LSystem, max_len: int) -> FactorSet:
 def interpretation_length_bounds(system: DF0LSystem, u) -> tuple[int, int]:
     """Possible lengths of w in a minimal interpretation of u: the image of w
     must cover u, and the interior letters of w map strictly inside u."""
+    n = len(system.alphabet.encode(u))
     system.require_pdf0l()
-    if not u:
+    if not n:
         raise PreconditionError("interpretations are defined for non-empty words")
-    phi = system.morphism
-    lo = -(-len(u) // phi.max_image_len)
-    hi = max(1, 2 + (len(u) - 2) // phi.min_image_len)
-    return lo, hi
+    return _length_bounds(system.morphism, n)
+
+
+def _length_bounds(phi, n: int) -> tuple[int, int]:
+    """interpretation_length_bounds for a word of length n >= 1."""
+    return -(-n // phi.max_image_len), max(1, 2 + (n - 2) // phi.min_image_len)
 
 
 def _cuts(phi, s_len: int, w: str) -> tuple[int, ...]:
@@ -248,7 +241,7 @@ def _parses(system: DF0LSystem, u: str) -> tuple[tuple[str, str, str, tuple[int,
         return known
     phi = system.morphism
     images = phi.image_codes
-    _, hi = interpretation_length_bounds(system, u)
+    _, hi = _length_bounds(phi, len(u))
     levels = _record(system, hi).levels
     heads = {}      # heads[c]: the letters whose image starts with c, with their images
     for b, image in images.items():

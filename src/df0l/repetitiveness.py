@@ -123,8 +123,8 @@ def detect_unbounded_repetitive(system: DF0LSystem,
     so image^c(u) = u^n iff m divides total and x[:total] has period m.  It
     is exact, not a sampled check.  The prefix x[:period_bound] is built
     once per letter, linearly, and each m is filtered by one comparison of
-    x[m:seen] with x[:seen-m], seen = min(total, period_bound).  When total
-    exceeds period_bound, a survivor is confirmed one letter image of u at a
+    x[m:seen] with x[:seen-m], seen = min(total, period_bound).  Every
+    survivor is confirmed from u and its letter images alone, one image at a
     time against u repeated, so memory stays O(period_bound + max image).
     The verdict is computed once per system and period bound."""
     system.require_pdf0l()
@@ -174,7 +174,7 @@ def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
             # prefix[m:total] is x[m:seen], seen = min(total, period_bound),
             # so the prefix starts with it iff x[:seen] has period m
             if (total % m == 0 and prefix.startswith(prefix[m:total])
-                    and (total <= period_bound or _tiles(power, prefix[:m]))):
+                    and _tiles(power, prefix[:m])):
                 return RepetitivenessVerdict(
                     True, alphabet.letters[ord(a)], cycle, alphabet.decode(prefix[:m]),
                     total // m, period_bound, power_bound)

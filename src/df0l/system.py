@@ -57,12 +57,6 @@ class Alphabet:
     def __contains__(self, token):
         return token in self._encode
 
-    def __eq__(self, other):
-        return isinstance(other, Alphabet) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
     def __repr__(self):
         return f"Alphabet({' '.join(self.letters)})"
 
@@ -133,15 +127,6 @@ class LetterMap:
         except KeyError:
             raise InvalidSystemError(f"no image for letter {letter!r}") from None
         return tuple(out)
-
-    def _key(self):
-        return tuple(sorted(self.images.items()))
-
-    def __eq__(self, other):
-        return isinstance(other, LetterMap) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 class Morphism(LetterMap):
@@ -235,10 +220,6 @@ class DF0LSystem:
     @property
     def alphabet(self) -> Alphabet:
         return self.morphism.alphabet
-
-    @property
-    def is_pdf0l(self) -> bool:
-        return self.morphism.is_nonerasing
 
     def require_pdf0l(self):
         self.morphism.require_nonerasing()

@@ -97,6 +97,14 @@ CASES += [
     ("contains", "unknown letter before erasing",
      lambda: contains(ERASING, w("x")), InvalidSystemError),
 ]
+CASES += [
+    ("interpretation_length_bounds", "unknown letter",
+     lambda: interpretation_length_bounds(TM, ("z", "q", "x")), InvalidSystemError),
+    ("interpretation_length_bounds", "unknown letter before erasing",
+     lambda: interpretation_length_bounds(ERASING, w("x")), InvalidSystemError),
+    ("interpretation_length_bounds", "erasing before empty",
+     lambda: interpretation_length_bounds(ERASING, ()), ErasingMorphismError),
+]
 for name, search in SEARCHES.items():
     CASES += [
         (name, "erasing", lambda f=search: f(ERASING, 5), ErasingMorphismError),

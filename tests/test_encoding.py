@@ -5,6 +5,7 @@ copy whose language letters are the plain tokens a, b, c.  The renaming keeps
 the declaration order of the language letters, so canonical orders agree.
 """
 
+import collections.abc
 import dataclasses
 import tracemalloc
 
@@ -147,3 +148,8 @@ def test_factor_set_words_is_a_view(thue_morse):
     assert frozenset(small.all_words()) == small.words
     assert small.words <= fs.words and not fs.words <= small.words
     assert fs.words - small.words == frozenset(w for w in fs.all_words() if len(w) > 5)
+    # the factor set is itself that set, equal to and hashed like a frozenset
+    assert isinstance(fs, collections.abc.Set) and fs.words is fs
+    assert small == frozenset(small.all_words())
+    assert hash(small) == hash(frozenset(small.all_words()))
+    assert type(fs | small) is frozenset

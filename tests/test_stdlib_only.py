@@ -6,11 +6,14 @@ hook (a .pth file of some installed package) loads modules of its own and
 hides, or fakes, a dependency.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+HERE = os.path.dirname(__file__)
+SRC = os.path.join(HERE, os.pardir, "src")
+TRACING = os.path.join(HERE, os.pardir, "bench", "tracing.py")
 
 PROBE = """
 import sys
@@ -63,3 +66,15 @@ def test_public_surface_is_pinned():
     namespace = {}
     exec("from df0l import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(PUBLIC)
+
+
+def test_benchmark_traced_names_resolve():
+    """Every (module, attribute) that the benchmark's tracer wraps exists on
+    df0l, so renaming or deleting one fails here, not only in a traced run."""
+    import df0l.cli     # the tracer reaches df0l.cli as an attribute
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module_name, attr, _, _ in tracing.TARGETS:
+        assert callable(getattr(getattr(df0l, module_name), attr)), (module_name, attr)
