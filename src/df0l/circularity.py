@@ -9,8 +9,12 @@ synchronized factor is synchronized, so level-L candidates are restricted
 to words whose trims all failed at the previous level: both end-trims
 w[1:] and w[:-1] of a weak word, the core w[1:-1] of a strong pair.  The
 level at which no candidate fails is re-verified over every word before the
-threshold is reported.  Strong circularity is not known to be decidable, so
-exhausting the cutoff is an explicit result rather than an error.
+threshold is reported.  A candidate's trims were parsed at the previous
+level, so each candidate is parsed by one frontier step from the memoized
+parse of a trim, two (left, then right) from the core of a strong pair;
+the full pass runs only where no trim's parse is memoized.  Strong
+circularity is not known to be decidable, so exhausting the cutoff is an
+explicit result rather than an error.
 """
 
 from dataclasses import dataclass
@@ -46,8 +50,9 @@ def _level_search(system: DF0LSystem, cutoff: int, mode: str, width: int,
     """The level loop shared by both searches.
 
     Level L tests the language words of length width·L, as code strings;
-    fails(system, w, L) is the mode's failure test and trims(w) the
-    previous-level words that must all have failed for w to be a candidate.
+    fails(system, record, w, L) is the mode's failure test, on the record
+    grown for the level, and trims(w) the previous-level words that must all
+    have failed for w to be a candidate.
     """
     decode = system.alphabet.decode
 
@@ -59,12 +64,13 @@ def _level_search(system: DF0LSystem, cutoff: int, mode: str, width: int,
     failed: set[str] | None = None     # the previous level's failing words
     for level in range(1, cutoff + 1):
         n = width * level
-        words = _record(system, n).levels[n]
+        record = _record(system, n)
+        words = record.levels[n]
         bad = {w for w in words if (failed is None or failed.issuperset(trims(w)))
-               and fails(system, w, level)}
+               and fails(system, record, w, level)}
         if not bad:
             for w in words:
-                if fails(system, w, level):
+                if fails(system, record, w, level):
                     raise AssertionError(
                         f"level {level} verification failed on {' '.join(decode(w))}")
             # only the failing words reach the report, in canonical order,
@@ -78,14 +84,14 @@ def _level_search(system: DF0LSystem, cutoff: int, mode: str, width: int,
                            survivors=tuple(map(item, sorted(failed)[:_SURVIVOR_SAMPLE])))
 
 
-def _weak_fails(system: DF0LSystem, w: str, level: int) -> bool:
+def _weak_fails(system: DF0LSystem, record, w: str, level: int) -> bool:
     """No split of w is weakly synchronizing."""
-    return not _word_sync(_parses(system, w), len(w)).synchronized
+    return not _word_sync(_parses(system, w, record), len(w)).synchronized
 
 
-def _strong_fails(system: DF0LSystem, w: str, size: int) -> bool:
+def _strong_fails(system: DF0LSystem, record, w: str, size: int) -> bool:
     """The middle split of w is admissible and not strongly synchronizing."""
-    ends = _split_ends(_parses(system, w), size)
+    ends = _split_ends(_parses(system, w, record), size)
     return _admissible(ends) and _strong_letter(system, ends) is None
 
 

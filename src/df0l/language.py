@@ -34,24 +34,32 @@ word w with image(w) = s·u·t, s and t shorter than the images of w's first
 and last letters.  `_member` is the only membership rule: one lookup where
 level |u| is built, else the parse of u, which reads the levels up to the
 length bound hi of `interpretation_length_bounds`, about |u| / min|image(a)|.
-Minimal interpretations are found by desubstitution, in one pass over u
-from left to right.  The pass keeps a frontier: the minimal interpretations
-of the prefix read so far, each held as (s, w, the image of w's last
-letter, how many letters of that image are matched).  The frontier of u[:1]
-holds every language letter a and offset s < |image(a)| with
-image(a)[s] = u[0].  For each next letter c, a state whose last image still
-has unmatched letters advances if its next letter is c; a state whose last
-image is finished extends w by each letter b whose image starts with c, and
-keeps w·b only if it is a language word.  At the end, the unmatched rest of
-each state's last image is its t.
-This is exact because every minimal interpretation (s, w, t) of u[:i+1]
-restricts to one of u[:i]: w is kept and t grows by u[i], or, when the
-image of w's last letter starts at u[i], w drops that letter and t is
-empty; s and the first letter of w stay.  So the frontier after u[:i] is
-exactly the set of minimal interpretations of u[:i], with no duplicates, as
-(s, w) fixes the state.  A minimal interpretation of a prefix of u is no
-longer than hi, and since the language is factorial the pass's work follows
-the minimal interpretations of the prefixes, not the size of the language.
+Minimal interpretations are found by desubstitution, one frontier step at
+a time.  The right step takes the minimal interpretations (s, w, t) of u to
+those of u·c: a state with t non-empty advances if t starts with c, and t
+loses that letter; a state with t empty extends w by each letter b whose
+image starts with c, keeps w·b only if it is a language word, and takes
+the rest of image(b) as its t.  The full pass starts from the minimal
+interpretations of u[:1], every language letter a and offset j with
+image(a)[j] = u[0], and takes one right step per further letter of u.
+The right step is exact because every minimal interpretation (s, w, t) of
+u·c restricts to one of u: w is kept and t grows by c, or, when the image
+of w's last letter starts at c, w drops that letter and t is empty; s and
+the first letter of w stay.  So the frontier after u[:i] is exactly the
+set of minimal interpretations of u[:i], with no duplicates, as (s, w)
+fixes the state.  A minimal interpretation of a prefix of u is no longer
+than hi, and since the language is factorial the pass's work follows the
+minimal interpretations of the prefixes, not the size of the language.
+The left step, u to c·u, is its mirror and works on s: a state with s
+non-empty is kept if s ends with c, and s loses that letter; a state with s
+empty extends w on the left by each letter b whose image ends with c,
+keeps b·w only if it is a language word, and takes image(b) without its
+last letter as its s.  The restriction argument reads the same from right
+to left: a minimal interpretation (s, w, t) of c·u gives (s·c, w, t) of u,
+or (ε, w[1:], t) when image(w[0]) = s·c, since then w[1:] is a non-empty
+language word whose image is u·t.  So a word whose trim u[:-1], u[1:] or
+u[1:-1] has a memoized parse is parsed by one or two steps from it, which
+is how the threshold searches parse their candidates.
 """
 
 import threading
@@ -228,57 +236,103 @@ def _length_bounds(phi, n: int) -> tuple[int, int]:
 
 def _cuts(phi, s_len: int, w: str) -> tuple[int, ...]:
     """|image(w[:i])| - s_len for i = 0..|w|: where in u each prefix image ends."""
-    images = phi.image_codes
-    return tuple(accumulate((len(images[b]) for b in w), initial=-s_len))
+    return tuple(accumulate(map(len, map(phi.image_codes.__getitem__, w)), initial=-s_len))
 
 
-def _parses(system: DF0LSystem, u: str) -> tuple[tuple[str, str, str, tuple[int, ...]], ...]:
+def _right_step(states, c: str, heads, levels) -> list:
+    """The frontier step u -> u·c: the minimal interpretations (s, w, t) of
+    u·c from those of u, read on t."""
+    starting = heads.get(c, ())
+    stepped = []
+    for s, w, t in states:
+        if t:
+            if t[0] == c:
+                stepped.append((s, w, t[1:]))
+        else:
+            level = levels[len(w) + 1]
+            for b, rest in starting:
+                v = w + b
+                if v in level:
+                    stepped.append((s, v, rest))
+    return stepped
+
+
+def _left_step(states, c: str, tails, levels) -> list:
+    """Its mirror u -> c·u, read on s."""
+    ending = tails.get(c, ())
+    stepped = []
+    for s, w, t in states:
+        if s:
+            if s[-1] == c:
+                stepped.append((s[:-1], w, t))
+        else:
+            level = levels[len(w) + 1]
+            for b, rest in ending:
+                v = b + w
+                if v in level:
+                    stepped.append((rest, v, t))
+    return stepped
+
+
+def _full_pass(phi, levels, u: str) -> list:
+    """The minimal interpretations (s, w, t) of u: right steps from those of
+    u[:1], every language letter a with an offset j where image(a)[j] = u[0]."""
+    c = u[0]
+    states = [(image[:j], a, image[j + 1:]) for a, image in phi.image_codes.items()
+              if a in levels[1] for j in range(len(image)) if image[j] == c]
+    heads = phi.heads
+    for c in islice(u, 1, None):
+        states = _right_step(states, c, heads, levels)
+    return states
+
+
+def _parses(system: DF0LSystem, u: str,
+            record: _Record | None = None) -> tuple[tuple[str, str, str, tuple[int, ...]], ...]:
     """Every minimal interpretation (s, w, t) of the code string u, with its
-    cuts, in canonical order: one left-to-right frontier pass over u."""
-    record = _record(system, 0)     # a memoized word's levels are grown already
-    known = record.parses.get(u)
+    cuts, in canonical order; record, if given, is the system's record,
+    looked up by the caller.
+
+    A memoized parse is returned as it is.  Else u is parsed by one frontier
+    step from the memoized parse of a trim: a right step from u[:-1], a left
+    step from u[1:], or a left and then a right step from u[1:-1], the core
+    that a strong candidate's search memoized.  Only with no trim memoized
+    does the full pass run."""
+    if record is None:
+        record = _record(system, 0)
+    memo = record.parses
+    known = memo.get(u)
     if known is not None:
         return known
     phi = system.morphism
-    images = phi.image_codes
     _, hi = _length_bounds(phi, len(u))
-    levels = _record(system, hi).levels
-    heads = {}      # heads[c]: the letters whose image starts with c, with their images
-    for b, image in images.items():
-        heads.setdefault(image[0], []).append((b, image))
-    # the minimal interpretations of u[:1]: (s, w, image of w's last letter,
-    # how many letters of that image are matched)
-    frontier = [(image[:j], a, image, j + 1) for a, image in images.items()
-                if a in levels[1] for j in range(len(image)) if image[j] == u[0]]
-    for c in islice(u, 1, None):
-        starting = heads.get(c, ())
-        advanced = []
-        for s, w, image, j in frontier:
-            if j < len(image):
-                if image[j] == c:
-                    advanced.append((s, w, image, j + 1))
-            else:
-                level = levels[len(w) + 1]
-                for b, next_image in starting:
-                    v = w + b
-                    if v in level:
-                        advanced.append((s, v, next_image, 1))
-        frontier = advanced
-    found = sorted(((s, w, image[j:]) for s, w, image, j in frontier),
-                   key=lambda i: (code_key(i[0]), code_key(i[1]), code_key(i[2])))
-    parses = tuple((s, w, t, _cuts(phi, len(s), w)) for s, w, t in found)
-    if len(record.parses) >= _PARSE_MEMO_SIZE:
-        record.parses.clear()
-    record.parses[u] = parses
+    levels = record.levels
+    if len(levels) <= hi:
+        levels = _record(system, hi).levels
+    if (trim := memo.get(u[:-1])) is not None:
+        states = _right_step([p[:3] for p in trim], u[-1], phi.heads, levels)
+    elif (trim := memo.get(u[1:])) is not None:
+        states = _left_step([p[:3] for p in trim], u[0], phi.tails, levels)
+    elif (trim := memo.get(u[1:-1])) is not None:
+        states = _right_step(_left_step([p[:3] for p in trim], u[0], phi.tails, levels),
+                             u[-1], phi.heads, levels)
+    else:
+        states = _full_pass(phi, levels, u)
+    if len(states) > 1:
+        states.sort(key=lambda i: (code_key(i[0]), code_key(i[1]), code_key(i[2])))
+    parses = tuple((s, w, t, _cuts(phi, len(s), w)) for s, w, t in states)
+    if len(memo) >= _PARSE_MEMO_SIZE:
+        memo.clear()
+    memo[u] = parses
     return parses
 
 
 def _member(system: DF0LSystem, code: str) -> bool:
     """Whether the code string is a language word; see the module docstring."""
-    levels = _record(system, 0).levels
+    record = _record(system, 0)
+    levels = record.levels
     if len(code) < len(levels):
         return code in levels[len(code)]
-    return bool(_parses(system, code)) or any(code in a for a in system.axiom_codes)
+    return bool(_parses(system, code, record)) or any(code in a for a in system.axiom_codes)
 
 
 def contains(system: DF0LSystem, word) -> bool:

@@ -133,9 +133,12 @@ class Morphism(LetterMap):
     """Endomorphism of a fixed alphabet; images may be empty (erasing).
 
     image_codes maps each letter code to the code string of its image, and
-    code.translate(table) is the image of a code string."""
+    code.translate(table) is the image of a code string.  heads[c] lists each
+    letter b whose image starts with c, with the rest of that image, and
+    tails[c] each b whose image ends with c, with the image before c."""
 
-    __slots__ = ("alphabet", "is_nonerasing", "image_codes", "table", "_identity", "_hash")
+    __slots__ = ("alphabet", "is_nonerasing", "image_codes", "table", "heads", "tails",
+                 "_identity", "_hash")
 
     def __init__(self, alphabet, images):
         if not isinstance(alphabet, Alphabet):
@@ -153,6 +156,11 @@ class Morphism(LetterMap):
         self.is_nonerasing = self.min_image_len > 0
         self.image_codes = dict(zip(alphabet.codes, codes))
         self.table = str.maketrans(self.image_codes)
+        self.heads, self.tails = {}, {}
+        for b, code in self.image_codes.items():
+            if code:
+                self.heads.setdefault(code[0], []).append((b, code[1:]))
+                self.tails.setdefault(code[-1], []).append((b, code[:-1]))
         # equal morphisms, and only they, have equal identities
         self._identity = (alphabet.letters, tuple(codes))
         self._hash = hash(self._identity)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import df0l.language
 from df0l import Alphabet, DF0LSystem, Morphism
 
 
@@ -45,6 +46,20 @@ def two_fixed():
 def repetitive_square():
     # weakly circular with threshold 1; unboundedly repetitive via bc
     return sys1("abc", {"a": "aac", "b": "bc", "c": "bc"}, ["a"])
+
+
+@pytest.fixture
+def full_passes(monkeypatch):
+    """The arguments of every full parse pass made while the test runs."""
+    passes = []
+    full_pass = df0l.language._full_pass
+
+    def counted(*args):
+        passes.append(args)
+        return full_pass(*args)
+
+    monkeypatch.setattr(df0l.language, "_full_pass", counted)
+    return passes
 
 
 LETTER_POOL = "abcd"

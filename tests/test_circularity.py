@@ -1,15 +1,21 @@
+import os
 import random
 import tracemalloc
 
 import pytest
 
-from df0l import (check_threshold_bounds, contains, detect_unbounded_repetitive,
-                  factor_language, fixed_point_prefix, is_admissible,
-                  is_strongly_synchronizing, is_weakly_synchronized, power_system,
-                  strong_threshold, weak_power_transfer_bound, weak_threshold)
+import df0l.circularity
+import df0l.language
+from df0l import (check_threshold_bounds, clear_interpretation_cache, clear_language_cache,
+                  contains, detect_unbounded_repetitive, factor_language,
+                  fixed_point_prefix, is_admissible, is_strongly_synchronizing,
+                  is_weakly_synchronized, parse_system, power_system, strong_threshold,
+                  weak_power_transfer_bound, weak_threshold)
 
 from conftest import binary_census, random_pdf0l, w
 from wordtools import is_primitive
+
+SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
 
 
 def test_weak_threshold_thue_morse(thue_morse):
@@ -300,3 +306,52 @@ def test_power_transfer_property_random():
                         assert is_weakly_synchronized(system, u).synchronized
                         tested_words += 1
     assert tested_words > 100
+
+
+def _sample_reports():
+    """Weak cutoff 20 and strong cutoff 12 on each of the six samples, from
+    cold caches."""
+    reports = []
+    for name in sorted(os.listdir(SAMPLES)):
+        with open(os.path.join(SAMPLES, name), encoding="utf-8") as handle:
+            system = parse_system(handle.read())
+        clear_language_cache()
+        reports.append((name, weak_threshold(system, 20), strong_threshold(system, 12)))
+    return reports
+
+
+def test_candidates_are_stepped_from_their_trims(full_passes, monkeypatch):
+    """On the six samples the two searches run the full pass at most 50
+    times, where one full pass per memo miss made 144: every word whose trim
+    u[:-1], u[1:] or u[1:-1] has a memoized parse is parsed by steps from it,
+    and the reports are those of full passes only."""
+    parses = df0l.circularity._parses
+
+    def watched(system, u, record):
+        memo = record.parses
+        trimmed = u not in memo and any(v in memo for v in (u[:-1], u[1:], u[1:-1]))
+        before = len(full_passes)
+        parsed = parses(system, u, record)
+        assert not (trimmed and len(full_passes) > before), u
+        return parsed
+
+    def cold(system, u, record):
+        clear_interpretation_cache()
+        return parses(system, u, record)
+
+    monkeypatch.setattr(df0l.circularity, "_parses", watched)
+    stepped = _sample_reports()
+    assert len(full_passes) <= 50, len(full_passes)
+    monkeypatch.setattr(df0l.circularity, "_parses", cold)
+    assert stepped == _sample_reports()
+
+
+def test_threshold_reports_survive_parse_memo_eviction(full_passes, monkeypatch):
+    """With room for 4 parses the memo empties mid-search and trims are
+    lost, so the full pass runs more often; every report stays the same."""
+    expected = _sample_reports()
+    unevicted = len(full_passes)
+    monkeypatch.setattr(df0l.language, "_PARSE_MEMO_SIZE", 4)
+    clear_interpretation_cache()
+    assert _sample_reports() == expected
+    assert len(full_passes) > 2 * unevicted, (len(full_passes), unevicted)

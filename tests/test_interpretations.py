@@ -12,7 +12,7 @@ from df0l import (Alphabet, DF0LSystem, Interpretation, Morphism,
                   is_strongly_synchronizing, is_weakly_synchronized,
                   is_weakly_synchronizing, minimal_interpretations,
                   strong_sync_letter)
-from df0l.language import _record
+from df0l.language import _parses, _record
 
 from conftest import random_pdf0l, sys1, w
 from wordtools import occurrences
@@ -422,3 +422,50 @@ def test_a_full_parse_memo_empties_itself(thue_morse, monkeypatch):
         assert minimal_interpretations(thue_morse, u) == expected, u
         sizes.append(len(memo))
     assert max(sizes) == 4 and sizes.count(1) > 1, sizes
+
+
+def test_stepped_parses_equal_the_full_pass_and_the_oracle(full_passes):
+    """On every language word u of length 2-9 of seeded random systems, the
+    parse stepped right from that of u[:-1], left from that of u[1:], and
+    left then right from that of u[1:-1] equals the full pass and the
+    definition-level oracle, cuts and canonical order included."""
+
+    def parse(system, code, trim=None):
+        """The parse of code from a cold memo, or from one holding only the
+        parse of trim, which then must not run the full pass."""
+        clear_interpretation_cache()
+        if trim is not None:
+            _parses(system, trim)
+        full_passes.clear()
+        parsed = _parses(system, code)
+        assert len(full_passes) == (trim is None), (system, code, trim)
+        return parsed
+
+    def canonical(parse):
+        return [(len(x), x) for x in parse[:3]]
+
+    rng = random.Random(53)
+    systems = words = 0
+    while systems < 25:
+        system = random_pdf0l(rng, max_letters=3, max_image_len=3)
+        language = factor_language(system, 9)
+        if not 0 < len(language.words_of_length(9)) <= 60:
+            continue
+        systems += 1
+        encode, image = system.alphabet.encode, system.morphism.apply
+        for u in language.all_words():
+            if len(u) < 2:
+                continue
+            expected = sorted(
+                ((encode(i.s), encode(i.w), encode(i.t),
+                  tuple(len(image(i.w[:k])) - len(i.s) for k in range(len(i.w) + 1)))
+                 for i in naive_minimal_interpretations(system, u)), key=canonical)
+            code = encode(u)
+            full = parse(system, code)
+            assert list(full) == expected, (system, u)
+            assert parse(system, code, code[:-1]) == full, (system, u)
+            assert parse(system, code, code[1:]) == full, (system, u)
+            if len(code) > 2:
+                assert parse(system, code, code[1:-1]) == full, (system, u)
+            words += 1
+    assert words > 1000, words
