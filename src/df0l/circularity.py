@@ -17,28 +17,31 @@ circularity is not known to be decidable, so exhausting the cutoff is an
 explicit result rather than an error.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import PreconditionError
 from .interpretations import _admissible, _split_ends, _strong_letter, _word_sync
 from .language import _parses, _record
-from .repetitiveness import RepetitivenessVerdict, detect_unbounded_repetitive
+from .repetitiveness import detect_unbounded_repetitive
 from .system import DF0LSystem
-from .words import Word
 
 _SURVIVOR_SAMPLE = 8
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
-    mode: str                 # 'weak' | 'strong'
-    status: str               # 'found' | 'cutoff_exceeded' | 'not_strongly_circular'
-    threshold: int | None = None
-    witness_word: Word | None = None
-    witness_pair: tuple[Word, Word] | None = None
-    last_level: int | None = None
-    survivors: tuple | None = None
-    repetition: RepetitivenessVerdict | None = None
+class ThresholdReport(namedtuple(
+        "ThresholdReport", "mode status threshold witness_word witness_pair "
+        "last_level survivors repetition", defaults=(None,) * 6)):
+    """The answer of a threshold search.
+
+    mode is 'weak' or 'strong'; status is 'found', 'cutoff_exceeded' or
+    'not_strongly_circular'.  A found threshold D (int) comes with a failing
+    witness_word (Word, weak mode) or witness_pair (tuple[Word, Word],
+    strong mode), unless no word fails at all; an exhausted cutoff with
+    last_level (int) and a sample of failing survivors (tuple); a strong
+    search stopped by a repetitiveness certificate with its repetition
+    (RepetitivenessVerdict).  Fields that do not apply are None.
+    """
+    __slots__ = ()
 
     @property
     def found(self) -> bool:
@@ -148,13 +151,17 @@ def weak_power_transfer_bound(system: DF0LSystem, k: int) -> int:
         sum(map(lengths.__getitem__, w)) for w in system.axiom_codes)
 
 
-@dataclass(frozen=True)
-class BoundsCheck:
-    weak_ok: bool
-    weak_slack: int
-    strong_checked: bool
-    strong_ok: bool | None
-    strong_slack: int | None
+class BoundsCheck(namedtuple(
+        "BoundsCheck", "weak_ok weak_slack strong_checked strong_ok strong_slack")):
+    """The threshold inequalities checked by `check_threshold_bounds`.
+
+    weak_ok (bool) and weak_slack (int) for D_weak <= 2·D_strong + max
+    image length; strong_checked (bool) says whether a delta was given,
+    and strong_ok (bool | None) and strong_slack (int | None), None
+    without one, are for D_strong <= D_weak + delta + 1.  A slack is the
+    bound minus the threshold.
+    """
+    __slots__ = ()
 
 
 def check_threshold_bounds(system: DF0LSystem, weak: int, strong: int,

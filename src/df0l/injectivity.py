@@ -25,19 +25,17 @@ beta letter maps between their alphabets, applied homomorphically.
    and phi∘beta = beta∘alpha∘beta = beta∘psi.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .errors import PreconditionError
 from .language import contains, factor_language
-from .system import DF0LSystem, LetterMap, Morphism, code_key
-from .words import Word
+from .system import DF0LSystem, LetterMap, code_key
 
 
-@dataclass(frozen=True)
-class CollisionPair:
-    u: Word
-    v: Word
+class CollisionPair(namedtuple("CollisionPair", "u v")):
+    """Two distinct language words u and v (Word) with equal images."""
+    __slots__ = ()
 
 
 def collisions_upto(system: DF0LSystem, max_len: int) -> list[CollisionPair]:
@@ -92,12 +90,11 @@ def collision_family_check(system: DF0LSystem, n: int, seed_u, seed_v) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TwinedData:
-    phi: Morphism
-    psi: Morphism
-    alpha: LetterMap
-    beta: LetterMap
+class TwinedData(namedtuple("TwinedData", "phi psi alpha beta")):
+    """A candidate twined pair: the morphisms phi and psi (Morphism) of the
+    two systems and the letter maps alpha: phi's letters -> psi's words and
+    beta: psi's letters -> phi's words (LetterMap)."""
+    __slots__ = ()
 
 
 def find_twined_failure(data: TwinedData) -> str | None:

@@ -25,32 +25,32 @@ public functions encode the caller's words and decode their answers.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NotInLanguageError, PreconditionError
 from .language import _cuts, _member, _parses, interpretation_length_bounds
 from .system import DF0LSystem
-from .words import Word
 
 
-@dataclass(frozen=True, slots=True)
-class Interpretation:
-    s: Word
-    w: Word
-    t: Word
+class Interpretation(namedtuple("Interpretation", "s w t")):
+    """A minimal interpretation (s, w, t) of a word u: Words with w in the
+    language, image(w) = s·u·t, s shorter than the image of w's first letter
+    and t shorter than the image of its last letter."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class PairSplit:
-    left: Word
-    right: Word
+class PairSplit(namedtuple("PairSplit", "left right")):
+    """The split w = left·right (Words) of an interpretation's w with
+    image(left) = s·u' and image(right) = u''·t, for a split u = u'·u''."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class WordSyncReport:
-    synchronized: bool
-    split_at: int | None
-    vacuous: bool
+class WordSyncReport(namedtuple("WordSyncReport", "synchronized split_at vacuous")):
+    """Whether a word is weakly synchronized (bool), the length of the left
+    part of its first weakly synchronizing split (int | None), and whether
+    it is so vacuously, having no interpretation at all (bool; split_at is
+    then 0)."""
+    __slots__ = ()
 
 
 def _cut(cuts: tuple[int, ...], k: int) -> int | None:

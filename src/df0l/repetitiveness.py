@@ -48,7 +48,7 @@ complete in the power and bounded only by the searched period, and must be
 read as "no certificate found".
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from .errors import PreconditionError
@@ -57,15 +57,18 @@ from .system import DF0LSystem
 from .words import Word
 
 
-@dataclass(frozen=True)
-class RepetitivenessVerdict:
-    repetitive: bool
-    letter: str | None
-    power: int | None          # iterate l of the morphism fixing the witness
-    witness: Word | None       # primitive u with image^l(u) = u^exponent
-    exponent: int | None
-    period_bound: int
-    power_bound: int
+class RepetitivenessVerdict(namedtuple(
+        "RepetitivenessVerdict",
+        "repetitive letter power witness exponent period_bound power_bound")):
+    """The detector's answer.
+
+    repetitive (bool); for a certificate, the letter (str) whose fixed
+    point starts with it, the iterate power l (int) of the morphism fixing
+    the witness, the primitive witness u (Word) with image^l(u) =
+    u^exponent, and the exponent (int); these four are None without one.
+    period_bound and power_bound (int) are the bounds the search ran under.
+    """
+    __slots__ = ()
 
 
 def default_period_bound(system: DF0LSystem) -> int:

@@ -10,7 +10,7 @@ pure function of its arguments.
 """
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 from .errors import ErasingMorphismError, InvalidSystemError, PreconditionError
@@ -254,14 +254,13 @@ def power_system(system: DF0LSystem, k: int) -> DF0LSystem:
     return DF0LSystem(phi.power(k), [w for w in axioms if w])
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    is_pdf0l: bool
-    erasing_letters: tuple[str, ...]
-    min_image_len: int
-    max_image_len: int
-    letter_count: int
-    axiom_count: int
+class ValidationReport(namedtuple(
+        "ValidationReport", "is_pdf0l erasing_letters min_image_len max_image_len "
+        "letter_count axiom_count")):
+    """Structural facts of a system: whether its morphism is non-erasing
+    (bool), its erasing letters (tuple[str, ...]), its least and greatest
+    image lengths, and its numbers of letters and of axioms (int)."""
+    __slots__ = ()
 
 
 def validate(system: DF0LSystem) -> ValidationReport:
@@ -346,12 +345,13 @@ def minimal_invariant_subalphabets(morphism: Morphism, p: int) -> list[frozenset
     return _growth(morphism, p)[2]
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    bounded: tuple[str, ...]
-    unbounded: tuple[str, ...]
-    invariant_exponent: int
-    minimal_invariant_subalphabets: tuple[tuple[str, ...], ...]
+class GrowthReport(namedtuple(
+        "GrowthReport", "bounded unbounded invariant_exponent "
+        "minimal_invariant_subalphabets")):
+    """Letter growth: the bounded and unbounded letters (tuple[str, ...]),
+    the invariant exponent p (int) and the minimal invariant subalphabets
+    (tuple[tuple[str, ...], ...]), in canonical order."""
+    __slots__ = ()
 
 
 def classify_letters(morphism: Morphism) -> GrowthReport:

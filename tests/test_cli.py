@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
-from df0l import (contains, is_weakly_synchronized, parse_system, parse_word,
-                  strong_sync_letter)
+from df0l import (clear_language_cache, contains, is_weakly_synchronized,
+                  parse_system, parse_word, render_system, strong_sync_letter)
 from df0l.cli import main
+
+from conftest import binary_census
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
 
@@ -231,6 +233,32 @@ def test_json_is_deterministic(capsys):
                  ["repetitive", sample("repetitive_square.sys")],
                  ["delta", sample("collapse_bounded_delta.sys"), "-L", "5"]):
         assert stripped(argv) == stripped(argv)
+
+
+CENSUS_COMMANDS = (["letters"], ["repetitive"],
+                   ["threshold", "--mode", "weak", "--cutoff", "14"],
+                   ["threshold", "--mode", "strong", "--cutoff", "10"],
+                   ["delta", "-L", "6"])
+
+
+def test_json_is_deterministic_over_the_binary_census(capsys, tmp_path):
+    """On every census system each report, apart from elapsed_ms, is the
+    same from cold caches as from the caches its own run left warm."""
+    systems = list(binary_census())
+    assert len(systems) == 392
+    for index, system in enumerate(systems):
+        path = tmp_path / f"census{index}.sys"
+        path.write_text(render_system(system), encoding="utf-8")
+        for command, *options in CENSUS_COMMANDS:
+            argv = [command, str(path), *options, "--json"]
+            clear_language_cache()
+            reports = []
+            for _ in range(2):
+                assert main(argv) == 0, argv
+                payload = json.loads(capsys.readouterr().out)
+                payload.pop("elapsed_ms")
+                reports.append(json.dumps(payload, sort_keys=True))
+            assert reports[0] == reports[1], argv
 
 
 def test_witnesses_revalidate(capsys):

@@ -6,7 +6,6 @@ the declaration order of the language letters, so canonical orders agree.
 """
 
 import collections.abc
-import dataclasses
 import tracemalloc
 
 import pytest
@@ -35,9 +34,8 @@ def _renamed(system, names, alphabet):
 
 def _rename(value, names):
     """A df0l answer with every letter token t written names[t]."""
-    if dataclasses.is_dataclass(value):
-        return type(value)(**{field.name: _rename(getattr(value, field.name), names)
-                              for field in dataclasses.fields(value)})
+    if hasattr(value, "_fields"):      # a record, a named tuple
+        return type(value)(*(_rename(item, names) for item in value))
     if isinstance(value, (tuple, list)):
         return type(value)(_rename(item, names) for item in value)
     if isinstance(value, str):
