@@ -18,7 +18,7 @@ from .fileformat import parse_letter_map, parse_system, render_system
 from .injectivity import (CollisionPair, TwinedData, collision_family_check,
                           collisions_upto, delta_estimate, find_twined_failure,
                           simplification_language_check,
-                          twined_commutation_check, verify_twined)
+                          twined_commutation_check)
 from .interpretations import (Interpretation, PairSplit, WordSyncReport,
                               compatible_split, interpretation_length_bounds,
                               is_admissible, is_strongly_synchronizing,
@@ -27,7 +27,7 @@ from .interpretations import (Interpretation, PairSplit, WordSyncReport,
 from .language import (FactorSet, clear_interpretation_cache,
                        clear_language_cache, contains, factor_language)
 from .repetitiveness import (RepetitivenessVerdict, default_period_bound,
-                             detect_unbounded_repetitive, fixed_point_prefix)
+                             detect_unbounded_repetitive)
 from .system import (Alphabet, DF0LSystem, GrowthReport, LetterMap, Morphism,
                      ValidationReport, classify_letters, invariant_exponent,
                      minimal_invariant_subalphabets, power_system,
@@ -45,12 +45,12 @@ __all__ = [
     "collision_family_check", "collisions_upto", "compatible_split",
     "contains", "default_period_bound", "delta_estimate",
     "detect_unbounded_repetitive", "factor_language", "find_twined_failure",
-    "fixed_point_prefix", "format_word", "interpretation_length_bounds",
-    "invariant_exponent", "is_admissible", "is_strongly_synchronizing",
-    "is_weakly_synchronized", "is_weakly_synchronizing",
-    "minimal_interpretations", "minimal_invariant_subalphabets",
-    "parse_letter_map", "parse_system", "parse_word", "power_system",
-    "render_system", "simplification_language_check", "strong_sync_letter",
-    "strong_threshold", "twined_commutation_check", "unbounded_letters",
-    "validate", "verify_twined", "weak_power_transfer_bound", "weak_threshold",
+    "format_word", "interpretation_length_bounds", "invariant_exponent",
+    "is_admissible", "is_strongly_synchronizing", "is_weakly_synchronized",
+    "is_weakly_synchronizing", "minimal_interpretations",
+    "minimal_invariant_subalphabets", "parse_letter_map", "parse_system",
+    "parse_word", "power_system", "render_system",
+    "simplification_language_check", "strong_sync_letter", "strong_threshold",
+    "twined_commutation_check", "unbounded_letters", "validate",
+    "weak_power_transfer_bound", "weak_threshold",
 ]

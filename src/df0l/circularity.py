@@ -48,15 +48,14 @@ class ThresholdReport(namedtuple(
         return self.status == "found"
 
 
-def _level_search(system: DF0LSystem, cutoff: int, mode: str, width: int,
-                  trims, fails) -> ThresholdReport:
-    """The level loop shared by both searches.
-
-    Level L tests the language words of length width·L, as code strings;
-    fails(system, record, w, L) is the mode's failure test, on the record
-    grown for the level, and trims(w) the previous-level words that must all
-    have failed for w to be a candidate.
+def _level_search(system: DF0LSystem, cutoff: int, mode: str) -> ThresholdReport:
+    """The level loop shared by both searches, with the mode's settings from
+    _MODES: level L tests the language words of length width·L, as code
+    strings; fails(system, record, w, L) is the mode's failure test, on the
+    record grown for the level, and trims(w) the previous-level words that
+    must all have failed for w to be a candidate.
     """
+    width, trims, fails = _MODES[mode]
     decode = system.alphabet.decode
 
     def item(w):
@@ -98,6 +97,13 @@ def _strong_fails(system: DF0LSystem, record, w: str, size: int) -> bool:
     return _admissible(ends) and _strong_letter(system, ends) is None
 
 
+# per mode: the width of a level's words, a candidate's trims, the failure test
+_MODES = {
+    "weak": (1, lambda w: (w[1:], w[:-1]), _weak_fails),
+    "strong": (2, lambda w: (w[1:-1],), _strong_fails),
+}
+
+
 def weak_threshold(system: DF0LSystem, cutoff: int) -> ThresholdReport:
     """Exact weak circularity threshold, or cutoff exhaustion.
 
@@ -109,31 +115,27 @@ def weak_threshold(system: DF0LSystem, cutoff: int) -> ThresholdReport:
     system.require_pdf0l()
     if cutoff < 1:
         raise PreconditionError("cutoff must be >= 1")
-    return _level_search(system, cutoff, "weak", 1,
-                         lambda w: (w[1:], w[:-1]), _weak_fails)
+    return _level_search(system, cutoff, "weak")
 
 
-def strong_threshold(system: DF0LSystem, cutoff: int, *,
-                     repetitive_check: bool = True,
-                     period_bound: int | None = None) -> ThresholdReport:
+def strong_threshold(system: DF0LSystem, cutoff: int) -> ThresholdReport:
     """Exact strong circularity threshold, a repetitiveness certificate that
     the system is not strongly circular, or cutoff exhaustion.
 
-    Level D tests the admissible pairs with both sides of length exactly
-    D+1: a longer admissible pair restricts to an admissible pair at that
-    level, and a synchronizing level pair lifts back to the longer one, so
-    equal-length level checks are exhaustive.
+    An unboundedly repetitive system is not strongly circular, so the
+    detector runs first, at the default period bound.  Level D tests the
+    admissible pairs with both sides of length exactly D+1: a longer
+    admissible pair restricts to an admissible pair at that level, and a
+    synchronizing level pair lifts back to the longer one, so equal-length
+    level checks are exhaustive.
     """
     system.require_pdf0l()
     if cutoff < 1:
         raise PreconditionError("cutoff must be >= 1")
-    if repetitive_check:
-        verdict = detect_unbounded_repetitive(system, period_bound)
-        if verdict.repetitive:
-            return ThresholdReport("strong", "not_strongly_circular",
-                                   repetition=verdict)
-    return _level_search(system, cutoff, "strong", 2,
-                         lambda w: (w[1:-1],), _strong_fails)
+    verdict = detect_unbounded_repetitive(system)
+    if verdict.repetitive:
+        return ThresholdReport("strong", "not_strongly_circular", repetition=verdict)
+    return _level_search(system, cutoff, "strong")
 
 
 def weak_power_transfer_bound(system: DF0LSystem, k: int) -> int:

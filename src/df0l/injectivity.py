@@ -108,10 +108,6 @@ def find_twined_failure(data: TwinedData) -> str | None:
     return None
 
 
-def verify_twined(data: TwinedData) -> bool:
-    return find_twined_failure(data) is None
-
-
 def twined_commutation_check(data: TwinedData) -> bool:
     """Whether alpha∘phi = psi∘alpha and phi∘beta = beta∘psi, and so
     alpha∘phi^k = psi^k∘alpha and phi^k∘beta = beta∘psi^k for every k

@@ -54,7 +54,6 @@ from itertools import accumulate
 from .errors import PreconditionError
 from .language import _record
 from .system import DF0LSystem
-from .words import Word
 
 
 class RepetitivenessVerdict(namedtuple(
@@ -80,31 +79,17 @@ def _fixed_prefix(phi, letter: str, n: int) -> str:
     # first n letters, as a code string, of the fixed point x at the code
     # `letter`, whose image starts with `letter` and is longer: x = image(x[0])
     # image(x[1]) ..., so x grows by the images of its own letters after the
-    # first, at most as many at a time as letters are missing, since no image
-    # is empty; a list, since appending to a str may copy it every time
+    # first, in batches of as many letters as fit in the letters still missing
+    # at the longest image each, and at least one, so x never runs more than
+    # one image past n; a list, since appending to a str may copy it every time
     word = list(phi.image_codes[letter])
-    table = phi.table
+    table, longest = phi.table, phi.max_image_len
     i = 1
     while len(word) < n:
-        batch = word[i:i + n - len(word)]
+        batch = word[i:i + max(1, (n - len(word)) // longest)]
         word += "".join(batch).translate(table)
         i += len(batch)
     return "".join(word[:n])
-
-
-def fixed_point_prefix(system: DF0LSystem, letter: str, power: int, n: int) -> Word:
-    """First n letters of the fixed point lim image^(power·k)(letter)."""
-    system.require_pdf0l()
-    if power < 1 or n < 1:
-        raise PreconditionError("power and n must be >= 1")
-    alphabet = system.alphabet
-    code = alphabet.encode((letter,))
-    phi = system.morphism.power(power)
-    start = phi.image_codes[code]
-    if len(start) < 2 or start[0] != code:
-        raise PreconditionError(
-            f"image^{power}({letter}) must start with {letter} and be longer")
-    return alphabet.decode(_fixed_prefix(phi, code, n))
 
 
 def detect_unbounded_repetitive(system: DF0LSystem,
@@ -128,7 +113,9 @@ def detect_unbounded_repetitive(system: DF0LSystem,
     once per letter, linearly, and each m is filtered by one comparison of
     x[m:seen] with x[:seen-m], seen = min(total, period_bound).  Every
     survivor is confirmed from u and its letter images alone, one image at a
-    time against u repeated, so memory stays O(period_bound + max image).
+    time against u repeated, so no copy of image^c(u) is made.  The prefix
+    costs O(period_bound + max|image^c(b)|) memory; the power image^c that
+    is still built costs |A|·max|image^c(b)|.
     The verdict is computed once per system and period bound."""
     system.require_pdf0l()
     if period_bound is None:

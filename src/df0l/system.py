@@ -82,10 +82,6 @@ class Alphabet:
         self.encode(word)
         return word
 
-    def word_key(self, word: Word):
-        """Canonical order: length first, then lexicographic by declaration order."""
-        return code_key(self.encode(word))
-
 
 def code_key(code: str):
     """The canonical order of code strings: length first, then code points."""

@@ -1,0 +1,370 @@
+"""Naive references that the tests check df0l against, each defined once.
+
+Every reference works from the definitions, on words as tuples of letter
+tokens, and imports only public df0l names: word helpers, the canonical
+order, the factor language by unrolling the axioms, the language levels by
+registration, minimal interpretations by scanning images, the unpruned
+threshold searches, the repetitiveness detector by iterating the morphism,
+letter growth, the twined checks on samples and bounded languages, and
+checkers of the `repetitive` and `delta` JSON reports.
+"""
+
+from itertools import combinations
+
+from df0l import (Interpretation, RepetitivenessVerdict, Word, contains,
+                  factor_language, format_word, interpretation_length_bounds,
+                  is_admissible, is_strongly_synchronizing,
+                  is_weakly_synchronized, parse_word)
+
+
+# -- words ---------------------------------------------------------------
+# primitive_root, is_primitive, occurrences and is_conjugate read any
+# sequence, so they take both words of letter tokens and code strings.
+
+def primitive_root(word: Word) -> tuple[Word, int]:
+    """Return (root, exponent) with root primitive and root * exponent == word."""
+    n = len(word)
+    if n == 0:
+        raise ValueError("the empty word has no primitive root")
+    for d in range(1, n // 2 + 1):
+        if n % d == 0 and word[:d] * (n // d) == word:
+            return word[:d], n // d
+    return word, 1
+
+
+def is_primitive(word: Word) -> bool:
+    return primitive_root(word)[1] == 1
+
+
+def occurrences(pattern: Word, word: Word) -> list[int]:
+    """Ascending 0-based start positions of pattern inside word."""
+    if not pattern:
+        raise ValueError("pattern must be non-empty")
+    m = len(pattern)
+    return [i for i in range(len(word) - m + 1) if word[i:i + m] == pattern]
+
+
+def is_conjugate(u: Word, v: Word) -> bool:
+    """True iff u and v are rotations of each other."""
+    if len(u) != len(v):
+        return False
+    if not u:
+        return True
+    return bool(occurrences(v, u + u))
+
+
+def factors(word: Word, max_len: int) -> set[Word]:
+    """All factors of word of length <= max_len, including the empty word."""
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    out: set[Word] = {()}
+    n = len(word)
+    for i in range(n):
+        top = min(n, i + max_len)
+        for j in range(i + 1, top + 1):
+            out.add(word[i:j])
+    return out
+
+
+def canonical_key(alphabet):
+    """The canonical order of words over alphabet, as a sort key: length
+    first, then the letters' indices in declaration order."""
+    index = {a: i for i, a in enumerate(alphabet.letters)}
+    return lambda word: (len(word), tuple(map(index.__getitem__, word)))
+
+
+# -- the factor language -------------------------------------------------
+
+def unrolled_language(system, max_len, quiet_rounds=None, length_cap=300_000):
+    """Brute-force oracle: accumulate factors of iterated axiom images until
+    the set stops changing for a window of rounds.
+
+    Returns (words, complete).  The set is complete only when the quiet
+    window was reached without hitting the length cap: bounded letters can
+    pile up runs linearly while the host word grows geometrically, so a
+    capped unrolling may stop before slow factors develop.
+    """
+    if quiet_rounds is None:
+        quiet_rounds = 2 * len(system.alphabet) + 4
+    phi = system.morphism
+    seen = set()
+    words = list(system.axioms)
+    quiet = 0
+    while quiet < quiet_rounds:
+        added = False
+        for word in words:
+            for f in factors(word, max_len):
+                if f not in seen:
+                    seen.add(f)
+                    added = True
+        quiet = 0 if added else quiet + 1
+        words = [phi.apply(word) for word in words]
+        if any(len(word) > length_cap for word in words):
+            return seen, False
+    return seen, True
+
+
+def unverified_by_unrolling(system, words, max_level=40, length_cap=5_000_000):
+    """Independently confirm words occur in iterated axiom images by direct
+    containment; returns whichever words the budget could not confirm."""
+    sep = "\x00"
+    remaining = {v: sep + sep.join(v) + sep for v in words}
+    phi = system.morphism
+    for axiom in system.axioms:
+        if not remaining:
+            break
+        current = axiom
+        for _ in range(max_level):
+            text = sep + sep.join(current) + sep
+            for v in [v for v, pattern in remaining.items() if pattern in text]:
+                del remaining[v]
+            if not remaining or len(current) > length_cap:
+                break
+            current = phi.apply(current)
+    return set(remaining)
+
+
+def unrolled_factors(system, max_len):
+    """The language words of length <= max_len, exactly, by unrolling the
+    axioms on factor sets.  No image is empty, so a factor of image(w) of
+    length <= n lies in image(v) for a factor v of w of length <= n: the
+    factor set of each iterate follows from that of the one before.  The
+    sets are finitely many, so the sequence repeats, and the union up to
+    the first repeat is the union over every iterate."""
+    phi = system.morphism
+    current = frozenset().union(*(factors(axiom, max_len) for axiom in system.axioms))
+    seen, words = set(), set()
+    while current not in seen:
+        seen.add(current)
+        words |= current
+        current = frozenset().union(*(factors(phi.apply(v), max_len) for v in current))
+    return words
+
+
+def assert_matches_unrolling(system, max_len):
+    """Oracle comparison: exact when the unrolling is complete; otherwise the
+    unrolling must be a subset and every extra word must be independently
+    confirmed by direct containment in a deeper iterate."""
+    mine = factor_language(system, max_len).words
+    oracle, complete = unrolled_language(system, max_len)
+    assert oracle <= mine, sorted(map(format_word, oracle - mine))[:5]
+    if complete:
+        assert mine == oracle, sorted(map(format_word, mine - oracle))[:5]
+    else:
+        assert not unverified_by_unrolling(system, mine - oracle)
+    return complete
+
+
+def _tight(phi, size, v, n):
+    """The tight factors of length n of image(v)."""
+    image = phi.apply(v)
+    total = len(image)
+    return [image[s:s + n] for s in range(max(0, total - size[v[-1]] + 1 - n),
+                                          min(size[v[0]], total - n + 1))]
+
+
+def registration_levels(system, max_len):
+    """Reference levels, on tuples of tokens: a word joining level n is
+    registered under every longer length its tight factors reach, and its
+    image is built again for each of them."""
+    phi = system.morphism
+    size = {a: len(phi.image(a)) for a in system.alphabet}
+    registered = {}
+    levels = [{()}]
+    for n in range(1, max_len + 1):
+        level = {a[i:i + n] for a in system.axioms for i in range(len(a) - n + 1)}
+        for v in registered.pop(n, ()):
+            level.update(_tight(phi, size, v, n))
+        todo = list(level)
+        for x in todo:
+            total = sum(size[a] for a in x)
+            shortest = max(n, total - size[x[0]] - size[x[-1]] + 2)
+            if shortest == n:
+                new = set(_tight(phi, size, x, n)) - level
+                level |= new
+                todo.extend(new)
+            for k in range(max(shortest, n + 1), total + 1):
+                registered.setdefault(k, []).append(x)
+        levels.append(level)
+    return levels
+
+
+# -- interpretations and thresholds --------------------------------------
+
+def naive_minimal_interpretations(system, u, extra=2):
+    """Definition-level oracle: scan every language word up to the length
+    bound plus `extra`, keep occurrences with minimal cut sizes."""
+    phi = system.morphism
+    _, hi = interpretation_length_bounds(system, u)
+    found = set()
+    for v in factor_language(system, hi + extra).all_words():
+        if not v:
+            continue
+        image = phi.apply(v)
+        for pos in occurrences(u, image) if len(image) >= len(u) else []:
+            s, t = image[:pos], image[pos + len(u):]
+            if len(s) < len(phi.image(v[0])) and len(t) < len(phi.image(v[-1])):
+                found.add(Interpretation(s, v, t))
+    return found
+
+
+def _oracle_weak(system, cutoff):
+    """The unpruned weak search: ("found", D) or ("cutoff", None), and the
+    failing words of level D, or of the cutoff level, in canonical order."""
+    failing = []
+    for level in range(1, cutoff + 1):
+        words = factor_language(system, level).words_of_length(level)
+        bad = [v for v in words if not is_weakly_synchronized(system, v).synchronized]
+        if not bad:
+            return ("found", level - 1), failing
+        failing = bad
+    return ("cutoff", None), failing
+
+
+def _oracle_strong(system, cutoff):
+    """The unpruned strong search, as _oracle_weak, with the failing pairs."""
+    failing = []
+    for size in range(1, cutoff + 1):
+        words = factor_language(system, 2 * size).words_of_length(2 * size)
+        pairs = [(v[:size], v[size:]) for v in words]
+        bad = [(left, right) for left, right in pairs
+               if is_admissible(system, left, right)
+               and not is_strongly_synchronizing(system, left, right)]
+        if not bad:
+            return ("found", size - 1), failing
+        failing = bad
+    return ("cutoff", None), failing
+
+
+# -- repetitiveness and growth -------------------------------------------
+
+def iterated_prefix(system, letter, power, n):
+    """The first n letters of the fixed point lim image^(power·k)(letter),
+    by iterating image^power on image^power(letter), which must start with
+    letter and be longer."""
+    phi = system.morphism
+    prefix = phi.apply_power((letter,), power)
+    while len(prefix) < n:
+        prefix = phi.apply_power(prefix, power)
+    return prefix[:n]
+
+
+def _naive_detect(system, period_bound, scanned=None):
+    """The detector by its definition: the fixed-point prefix by iterating
+    the power, then image^l(u) = u^n, n >= 2, for each prefix u in order,
+    with image^l(u) grown one letter image at a time.  Appends each
+    (letter, power, prefix) it scans to `scanned`, when given."""
+    phi = system.morphism
+    power_bound = len(system.alphabet)
+    for a in system.alphabet:
+        if not contains(system, (a,)):
+            continue
+        for ell in range(1, power_bound + 1):
+            start = phi.apply_power((a,), ell)
+            if len(start) < 2 or start[0] != a:
+                continue
+            prefix = iterated_prefix(system, a, ell, period_bound)
+            if scanned is not None:
+                scanned.append((a, ell, prefix))
+            images = {c: phi.apply_power((c,), ell) for c in system.alphabet}
+            image = []
+            for m in range(1, period_bound + 1):
+                u = prefix[:m]
+                image.extend(images[u[-1]])
+                n, rest = divmod(len(image), m)
+                if n >= 2 and not rest and image == list(u) * n:
+                    return RepetitivenessVerdict(True, a, ell, u, n, period_bound,
+                                                 power_bound)
+    return RepetitivenessVerdict(False, None, None, None, None, period_bound, power_bound)
+
+
+def _growth_oracle(phi, letter, step_cap=3000, length_cap=500):
+    """Bounded iff the iterated image word sequence enters a cycle."""
+    seen = set()
+    word = (letter,)
+    for _ in range(step_cap):
+        if word in seen:
+            return False
+        seen.add(word)
+        word = phi.apply(word)
+        if len(word) > length_cap:
+            return True
+    raise AssertionError("growth oracle undecided; raise the caps")
+
+
+# -- twined checks -------------------------------------------------------
+
+def sampled_commutation(data, k, sample_words, image_samples=None):
+    """Oracle: alpha∘phi^k = psi^k∘alpha on the samples over phi's alphabet
+    and phi^k∘beta = beta∘psi^k on the image samples (derived via alpha
+    when not given)."""
+    if image_samples is None:
+        image_samples = [data.alpha.apply(u) for u in sample_words]
+    for u in sample_words:
+        if data.alpha.apply(data.phi.apply_power(u, k)) != \
+                data.psi.apply_power(data.alpha.apply(u), k):
+            return False
+    for z in image_samples:
+        if data.phi.apply_power(data.beta.apply(z), k) != \
+                data.beta.apply(data.psi.apply_power(z, k)):
+            return False
+    return True
+
+
+def bounded_language_check(system, target, alpha, beta, max_len):
+    """Oracle: alpha maps the source language words up to max_len into the
+    target language and beta maps the target words up to max_len back."""
+    alpha_stretch = max(1, max(len(alpha.image(a)) for a in system.alphabet))
+    beta_stretch = max(1, max(len(beta.image(b)) for b in target.alphabet))
+    target_words = factor_language(target, max_len * alpha_stretch)
+    for u in factor_language(system, max_len).all_words():
+        if alpha.apply(u) not in target_words:
+            return False
+    source_words = factor_language(system, max_len * beta_stretch)
+    for z in factor_language(target, max_len).all_words():
+        if beta.apply(z) not in source_words:
+            return False
+    return True
+
+
+# -- report checkers -----------------------------------------------------
+
+def check_repetitive_report(system, result):
+    """A `repetitive --json` result: a certificate's witness u starts with
+    its letter, image^power(u) = u^exponent with exponent >= 2, and u is
+    primitive and a prefix of the iterated fixed point at the letter; a
+    negative names none of the four.  Returns whether it certifies."""
+    fields = [result[key] for key in ("letter", "power", "witness", "exponent")]
+    if result["status"] != "repetitive":
+        assert result["status"] == "no_witness" and fields == [None] * 4, result
+        return False
+    letter, power, witness, exponent = fields
+    u = parse_word(witness)
+    assert u[0] == letter, result
+    assert exponent >= 2 and system.morphism.apply_power(u, power) == u * exponent, result
+    assert is_primitive(u), result
+    assert iterated_prefix(system, letter, power, len(u)) == u, result
+    return True
+
+
+def check_delta_report(system, result):
+    """A `delta --json` result at max_len L, against the language unrolled
+    exactly to L: every listed pair is two distinct words with equal images,
+    both in the language; the list is every such pair, in canonical order;
+    count is its length and delta_lower_bound the longest common image."""
+    phi = system.morphism
+    key = canonical_key(system.alphabet)
+    words = unrolled_factors(system, result["max_len"])
+    pairs = [tuple(map(parse_word, pair)) for pair in result["pairs"]]
+    for u, v in pairs:
+        assert u != v and phi.apply(u) == phi.apply(v), (u, v)
+        assert u in words and v in words, (u, v)
+    by_image = {}
+    for word in sorted(words - {()}, key=key):
+        by_image.setdefault(phi.apply(word), []).append(word)
+    assert pairs == sorted((pair for group in by_image.values()
+                            for pair in combinations(group, 2)),
+                           key=lambda pair: (key(pair[0]), key(pair[1])))
+    assert result["count"] == len(pairs)
+    assert result["delta_lower_bound"] == max(
+        (len(phi.apply(u)) for u, _ in pairs), default=0)

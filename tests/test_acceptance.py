@@ -12,19 +12,18 @@ import time
 from df0l import (DF0LSystem, LetterMap, Morphism, TwinedData,
                   clear_interpretation_cache, clear_language_cache,
                   collision_family_check, contains, factor_language,
-                  interpretation_length_bounds, is_admissible,
+                  find_twined_failure, interpretation_length_bounds,
                   is_strongly_synchronizing, is_weakly_synchronized,
                   is_weakly_synchronizing, minimal_interpretations,
                   parse_system, parse_word, power_system, strong_threshold,
-                  twined_commutation_check, verify_twined,
-                  weak_power_transfer_bound, weak_threshold)
+                  twined_commutation_check, weak_power_transfer_bound,
+                  weak_threshold)
 from df0l.cli import main as cli_main
 
 from conftest import random_pdf0l, sys1, w
-from test_injectivity import sampled_commutation
-from test_interpretations import naive_minimal_interpretations
-from test_language import assert_matches_unrolling
-from wordtools import is_conjugate, occurrences, primitive_root
+from oracles import (assert_matches_unrolling, is_conjugate,
+                     naive_minimal_interpretations, occurrences, primitive_root,
+                     sampled_commutation)
 
 SEED = 20240808
 
@@ -205,7 +204,7 @@ def _check_pair_extension(rng, system, lang):
 
 def _check_threshold_inequality(system):
     weak = weak_threshold(system, 4)
-    strong = strong_threshold(system, 3, period_bound=8)
+    strong = strong_threshold(system, 3)
     if weak.found and strong.found:
         assert weak.threshold <= 2 * strong.threshold + system.morphism.max_image_len
         return 1
@@ -266,7 +265,7 @@ def test_criterion_6_property_suites():
     data = TwinedData(phi, psi,
                       LetterMap({"a": ("A",), "b": ("B",), "c": ("B",)}),
                       LetterMap({"A": w("abacc"), "B": w("aba")}))
-    assert verify_twined(data)
+    assert find_twined_failure(data) is None
     assert twined_commutation_check(data)
     samples = [w("a"), w("ab"), w("abacc"), w("ccaba")]
     for k in range(4):

@@ -14,9 +14,9 @@ from df0l import (ErasingMorphismError, InvalidSystemError, LetterMap,
                   NotInLanguageError, ParseError, PreconditionError,
                   collision_family_check, collisions_upto, contains,
                   detect_unbounded_repetitive, factor_language,
-                  fixed_point_prefix, interpretation_length_bounds,
-                  is_admissible, is_weakly_synchronized,
-                  is_weakly_synchronizing, minimal_interpretations,
+                  interpretation_length_bounds, is_admissible,
+                  is_weakly_synchronized, is_weakly_synchronizing,
+                  minimal_interpretations,
                   minimal_invariant_subalphabets, parse_letter_map, power_system,
                   simplification_language_check, strong_sync_letter,
                   strong_threshold, weak_threshold)
@@ -140,10 +140,6 @@ PRECONDITIONS = [
      lambda: interpretation_length_bounds(TM, ()), PreconditionError),
     ("detect_unbounded_repetitive", "period_bound 0",
      lambda: detect_unbounded_repetitive(TM, 0), PreconditionError),
-    ("fixed_point_prefix", "power 0", lambda: fixed_point_prefix(TM, "a", 0, 4),
-     PreconditionError),
-    ("fixed_point_prefix", "n 0", lambda: fixed_point_prefix(TM, "a", 1, 0),
-     PreconditionError),
     ("Morphism.apply_power", "k -1", lambda: PHI.apply_power(w("a"), -1), PreconditionError),
     ("Morphism.power", "k 0", lambda: PHI.power(0), PreconditionError),
     ("power_system", "k 0", lambda: power_system(TM, 0), PreconditionError),

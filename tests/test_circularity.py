@@ -7,13 +7,12 @@ import pytest
 import df0l.circularity
 import df0l.language
 from df0l import (check_threshold_bounds, clear_interpretation_cache, clear_language_cache,
-                  contains, detect_unbounded_repetitive, factor_language,
-                  fixed_point_prefix, is_admissible, is_strongly_synchronizing,
-                  is_weakly_synchronized, parse_system, power_system, strong_threshold,
-                  weak_power_transfer_bound, weak_threshold)
+                  contains, detect_unbounded_repetitive, factor_language, is_admissible,
+                  is_strongly_synchronizing, is_weakly_synchronized, parse_system,
+                  power_system, strong_threshold, weak_power_transfer_bound, weak_threshold)
 
 from conftest import binary_census, random_pdf0l, w
-from wordtools import is_primitive
+from oracles import _oracle_strong, _oracle_weak, is_primitive, iterated_prefix
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
 
@@ -94,14 +93,14 @@ def test_weak_divergence_comes_with_repetition_witness(repetitive_square):
 
 
 def test_strong_search_without_precheck(repetitive_square, thue_morse):
-    report = strong_threshold(repetitive_square, 4, repetitive_check=False)
+    report = df0l.circularity._level_search(repetitive_square, 4, "strong")
     assert report.status == "cutoff_exceeded"
     assert report.last_level == 4
     for left, right in report.survivors:
         assert len(left) == len(right) == 4
         assert is_admissible(repetitive_square, left, right)
         assert not is_strongly_synchronizing(repetitive_square, left, right)
-    assert strong_threshold(thue_morse, 10, repetitive_check=False).threshold == 1
+    assert df0l.circularity._level_search(thue_morse, 10, "strong").threshold == 1
 
 
 def test_degenerate_thresholds():
@@ -180,34 +179,6 @@ def test_powers_of_strongly_circular_systems_stay_weakly_circular(
         assert weak_threshold(power_system(system, 2), 25).threshold == expected
 
 
-def _oracle_weak(system, cutoff):
-    """The unpruned weak search: ("found", D) or ("cutoff", None), and the
-    failing words of level D, or of the cutoff level, in canonical order."""
-    failing = []
-    for level in range(1, cutoff + 1):
-        words = factor_language(system, level).words_of_length(level)
-        bad = [v for v in words if not is_weakly_synchronized(system, v).synchronized]
-        if not bad:
-            return ("found", level - 1), failing
-        failing = bad
-    return ("cutoff", None), failing
-
-
-def _oracle_strong(system, cutoff):
-    """The unpruned strong search, as _oracle_weak, with the failing pairs."""
-    failing = []
-    for size in range(1, cutoff + 1):
-        words = factor_language(system, 2 * size).words_of_length(2 * size)
-        pairs = [(v[:size], v[size:]) for v in words]
-        bad = [(left, right) for left, right in pairs
-               if is_admissible(system, left, right)
-               and not is_strongly_synchronizing(system, left, right)]
-        if not bad:
-            return ("found", size - 1), failing
-        failing = bad
-    return ("cutoff", None), failing
-
-
 def test_threshold_searches_match_unpruned_oracles():
     """The level restrictions must not change any verdict."""
     rng = random.Random(4242)
@@ -218,13 +189,13 @@ def test_threshold_searches_match_unpruned_oracles():
         mine = ("found", report.threshold) if report.found else ("cutoff", None)
         assert mine == _oracle_weak(system, 5)[0]
 
-        report = strong_threshold(system, 4, repetitive_check=False)
+        report = df0l.circularity._level_search(system, 4, "strong")
         mine = ("found", report.threshold) if report.found else ("cutoff", None)
         assert mine == _oracle_strong(system, 4)[0]
 
         if detect_unbounded_repetitive(system, 24).repetitive:
             # a certified repetition forbids any strong threshold
-            assert not strong_threshold(system, 4, repetitive_check=False).found
+            assert not df0l.circularity._level_search(system, 4, "strong").found
             repetitive_cases += 1
     assert repetitive_cases > 20
 
@@ -255,7 +226,7 @@ def test_exhaustive_binary_census():
             assert not is_weakly_synchronized(system, word).synchronized
         weak_exhausted += not weak.found
 
-        strong = strong_threshold(system, 10, repetitive_check=False)
+        strong = df0l.circularity._level_search(system, 10, "strong")
         mine = ("found", strong.threshold) if strong.found else ("cutoff", None)
         verdict, failing = _oracle_strong(system, 10)
         assert mine == verdict, system
@@ -279,7 +250,7 @@ def test_exhaustive_binary_census():
             u = rep.witness
             assert is_primitive(u), system
             assert system.morphism.apply_power(u, rep.power) == u * rep.exponent
-            assert fixed_point_prefix(system, rep.letter, rep.power, len(u)) == u
+            assert iterated_prefix(system, rep.letter, rep.power, len(u)) == u
             assert all(contains(system, u * k) for k in range(1, 5)), system
             certificates += 1
     assert weak_exhausted == 126

@@ -8,6 +8,7 @@ from df0l import (clear_language_cache, contains, is_weakly_synchronized,
 from df0l.cli import main
 
 from conftest import binary_census
+from oracles import check_delta_report, check_repetitive_report
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
 
@@ -259,6 +260,25 @@ def test_json_is_deterministic_over_the_binary_census(capsys, tmp_path):
                 payload.pop("elapsed_ms")
                 reports.append(json.dumps(payload, sort_keys=True))
             assert reports[0] == reports[1], argv
+
+
+def test_census_reports_pass_the_report_checkers(capsys, tmp_path):
+    """The `repetitive` and `delta -L 6` reports of every census system pass
+    the checkers of tests/oracles.py: 142 are certificates, and 26 list
+    collision pairs, 226 in all."""
+    certified = colliding = pairs = 0
+    for index, system in enumerate(binary_census()):
+        path = tmp_path / f"census{index}.sys"
+        path.write_text(render_system(system), encoding="utf-8")
+        code, repetitive = run_json(capsys, "repetitive", str(path))
+        assert code == 0
+        certified += check_repetitive_report(system, repetitive["result"])
+        code, delta = run_json(capsys, "delta", str(path), "-L", "6")
+        assert code == 0
+        check_delta_report(system, delta["result"])
+        colliding += bool(delta["result"]["count"])
+        pairs += delta["result"]["count"]
+    assert (certified, colliding, pairs) == (142, 26, 226)
 
 
 def test_witnesses_revalidate(capsys):

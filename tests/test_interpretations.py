@@ -15,24 +15,7 @@ from df0l import (Alphabet, DF0LSystem, Interpretation, Morphism,
 from df0l.language import _parses, _record
 
 from conftest import random_pdf0l, sys1, w
-from wordtools import occurrences
-
-
-def naive_minimal_interpretations(system, u, extra=2):
-    """Definition-level oracle: scan every language word up to the length
-    bound plus `extra`, keep occurrences with minimal cut sizes."""
-    phi = system.morphism
-    _, hi = interpretation_length_bounds(system, u)
-    found = set()
-    for v in factor_language(system, hi + extra).all_words():
-        if not v:
-            continue
-        image = phi.apply(v)
-        for pos in occurrences(u, image) if len(image) >= len(u) else []:
-            s, t = image[:pos], image[pos + len(u):]
-            if len(s) < len(phi.image(v[0])) and len(t) < len(phi.image(v[-1])):
-                found.add(Interpretation(s, v, t))
-    return found
+from oracles import canonical_key, naive_minimal_interpretations, occurrences
 
 
 def test_thue_morse_aba(thue_morse):
@@ -263,7 +246,7 @@ def test_exhaustive_binary_family_matches_oracle():
     assert len(systems) == 72
     words = 0
     for system in systems:
-        key = system.alphabet.word_key
+        key = canonical_key(system.alphabet)
         for u in factor_language(system, 6).all_words():
             if not u:
                 continue

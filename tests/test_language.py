@@ -10,63 +10,14 @@ import pytest
 
 from df0l import (Alphabet, DF0LSystem, ErasingMorphismError, Morphism,
                   clear_interpretation_cache, clear_language_cache, contains,
-                  factor_language, format_word, minimal_interpretations,
+                  factor_language, minimal_interpretations,
                   parse_system, power_system, strong_threshold, weak_threshold)
 from df0l.language import _record
 
 from conftest import random_pdf0l, sys1, w
-from wordtools import factors
+from oracles import assert_matches_unrolling, canonical_key, factors, registration_levels
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
-
-
-def unrolled_language(system, max_len, quiet_rounds=None, length_cap=300_000):
-    """Brute-force oracle: accumulate factors of iterated axiom images until
-    the set stops changing for a window of rounds.
-
-    Returns (words, complete).  The set is complete only when the quiet
-    window was reached without hitting the length cap: bounded letters can
-    pile up runs linearly while the host word grows geometrically, so a
-    capped unrolling may stop before slow factors develop.
-    """
-    if quiet_rounds is None:
-        quiet_rounds = 2 * len(system.alphabet) + 4
-    phi = system.morphism
-    seen = set()
-    words = list(system.axioms)
-    quiet = 0
-    while quiet < quiet_rounds:
-        added = False
-        for word in words:
-            for f in factors(word, max_len):
-                if f not in seen:
-                    seen.add(f)
-                    added = True
-        quiet = 0 if added else quiet + 1
-        words = [phi.apply(word) for word in words]
-        if any(len(word) > length_cap for word in words):
-            return seen, False
-    return seen, True
-
-
-def unverified_by_unrolling(system, words, max_level=40, length_cap=5_000_000):
-    """Independently confirm words occur in iterated axiom images by direct
-    containment; returns whichever words the budget could not confirm."""
-    sep = "\x00"
-    remaining = {v: sep + sep.join(v) + sep for v in words}
-    phi = system.morphism
-    for axiom in system.axioms:
-        if not remaining:
-            break
-        current = axiom
-        for _ in range(max_level):
-            text = sep + sep.join(current) + sep
-            for v in [v for v, pattern in remaining.items() if pattern in text]:
-                del remaining[v]
-            if not remaining or len(current) > length_cap:
-                break
-            current = phi.apply(current)
-    return set(remaining)
 
 
 def test_thue_morse_language_matches_listing(thue_morse):
@@ -74,7 +25,7 @@ def test_thue_morse_language_matches_listing(thue_morse):
               ["", "a", "b", "aa", "ab", "ba", "bb",
                "aab", "aba", "abb", "baa", "bab", "bba"]]
     fs = factor_language(thue_morse, 3)
-    assert fs.all_words() == sorted(listed, key=thue_morse.alphabet.word_key)
+    assert fs.all_words() == sorted(listed, key=canonical_key(thue_morse.alphabet))
     assert w("aaa") not in fs and w("bbb") not in fs
     fs4 = factor_language(thue_morse, 4)
     assert w("aaba") in fs4 and w("aabb") in fs4
@@ -167,20 +118,6 @@ def test_power_language_equality(thue_morse, two_fixed, collapse_bounded):
         base = factor_language(system, 10).words
         for k in (2, 3):
             assert factor_language(power_system(system, k), 10).words == base
-
-
-def assert_matches_unrolling(system, max_len):
-    """Oracle comparison: exact when the unrolling is complete; otherwise the
-    unrolling must be a subset and every extra word must be independently
-    confirmed by direct containment in a deeper iterate."""
-    mine = factor_language(system, max_len).words
-    oracle, complete = unrolled_language(system, max_len)
-    assert oracle <= mine, sorted(map(format_word, oracle - mine))[:5]
-    if complete:
-        assert mine == oracle, sorted(map(format_word, mine - oracle))[:5]
-    else:
-        assert not unverified_by_unrolling(system, mine - oracle)
-    return complete
 
 
 def test_language_matches_unrolling_oracle(thue_morse, collapse_bounded,
@@ -303,40 +240,6 @@ def test_clearing_the_cache_lets_go_of_the_system(repetitive_square):
     del system
     gc.collect()
     assert alive() is None
-
-
-def _tight(phi, size, v, n):
-    """The tight factors of length n of image(v)."""
-    image = phi.apply(v)
-    total = len(image)
-    return [image[s:s + n] for s in range(max(0, total - size[v[-1]] + 1 - n),
-                                          min(size[v[0]], total - n + 1))]
-
-
-def registration_levels(system, max_len):
-    """Reference builder, on tuples of tokens: a word joining level n is
-    registered under every longer length its tight factors reach, and its
-    image is built again for each of them."""
-    phi = system.morphism
-    size = {a: len(phi.image(a)) for a in system.alphabet}
-    registered = {}
-    levels = [{()}]
-    for n in range(1, max_len + 1):
-        level = {a[i:i + n] for a in system.axioms for i in range(len(a) - n + 1)}
-        for v in registered.pop(n, ()):
-            level.update(_tight(phi, size, v, n))
-        todo = list(level)
-        for x in todo:
-            total = sum(size[a] for a in x)
-            shortest = max(n, total - size[x[0]] - size[x[-1]] + 2)
-            if shortest == n:
-                new = set(_tight(phi, size, x, n)) - level
-                level |= new
-                todo.extend(new)
-            for k in range(max(shortest, n + 1), total + 1):
-                registered.setdefault(k, []).append(x)
-        levels.append(level)
-    return levels
 
 
 def _assert_levels(fs, reference, lengths):

@@ -8,13 +8,22 @@ import pytest
 from df0l import (Alphabet, DF0LSystem, Morphism, PreconditionError,
                   RepetitivenessVerdict, clear_language_cache, contains,
                   detect_unbounded_repetitive, default_period_bound,
-                  factor_language, fixed_point_prefix, parse_system,
-                  render_system, strong_threshold, unbounded_letters)
+                  factor_language, parse_system, render_system,
+                  strong_threshold, unbounded_letters)
+from df0l.repetitiveness import _fixed_prefix
 
 from conftest import binary_census, random_pdf0l, sys1, w
-from wordtools import is_primitive
+from oracles import _naive_detect, is_primitive
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
+
+
+def fixed_point_prefix(system, letter, power, n):
+    """The detector's `_fixed_prefix` on letter tokens: the first n letters
+    of the fixed point of image^power at letter."""
+    alphabet = system.alphabet
+    phi = system.morphism.power(power)
+    return alphabet.decode(_fixed_prefix(phi, alphabet.encode((letter,)), n))
 
 
 def test_detect_repetitive_square(repetitive_square):
@@ -67,12 +76,10 @@ def test_default_period_bound(thue_morse, collapse_bounded):
     assert default_period_bound(collapse_bounded) == 5 ** 4
 
 
-def test_fixed_point_prefix(thue_morse, repetitive_square, collapse_bounded):
+def test_fixed_point_prefix(thue_morse, repetitive_square):
     assert fixed_point_prefix(thue_morse, "a", 1, 8) == w("abbabaab")
     assert fixed_point_prefix(repetitive_square, "b", 1, 6) == w("bcbcbc")
     assert fixed_point_prefix(thue_morse, "a", 1, 1) == w("a")
-    with pytest.raises(PreconditionError):
-        fixed_point_prefix(collapse_bounded, "b", 1, 4)  # image(b) starts with a
 
 
 def test_fixed_point_prefix_grows_consistently(repetitive_square):
@@ -116,7 +123,6 @@ def test_one_verdict_per_system_and_period_bound(repetitive_square):
     assert detect_unbounded_repetitive(copy, bound) is verdict
     other = detect_unbounded_repetitive(repetitive_square, 8)
     assert other is not verdict and other.period_bound == 8 and other.repetitive
-    assert strong_threshold(copy, 4, period_bound=8).repetition is other
     clear_language_cache()
     again = detect_unbounded_repetitive(repetitive_square)
     assert again is not verdict and again == verdict
@@ -141,35 +147,14 @@ def test_erasing_refused():
         detect_unbounded_repetitive(erasing)
 
 
-def _naive_detect(system, period_bound):
-    """The detector by its definition: the fixed-point prefix by iterating
-    the power, then image^l(u) = u^n, n >= 2, for each prefix u in order,
-    with image^l(u) grown one letter image at a time.  Also checks
-    fixed_point_prefix against the iterate on every scanned pair."""
-    phi = system.morphism
-    power_bound = len(system.alphabet)
-    for a in system.alphabet:
-        if not contains(system, (a,)):
-            continue
-        for ell in range(1, power_bound + 1):
-            start = phi.apply_power((a,), ell)
-            if len(start) < 2 or start[0] != a:
-                continue
-            prefix = start
-            while len(prefix) < period_bound:
-                prefix = phi.apply_power(prefix, ell)
-            prefix = prefix[:period_bound]
-            assert fixed_point_prefix(system, a, ell, period_bound) == prefix, system
-            images = {c: phi.apply_power((c,), ell) for c in system.alphabet}
-            image = []
-            for m in range(1, period_bound + 1):
-                u = prefix[:m]
-                image.extend(images[u[-1]])
-                n, rest = divmod(len(image), m)
-                if n >= 2 and not rest and image == list(u) * n:
-                    return RepetitivenessVerdict(True, a, ell, u, n, period_bound,
-                                                 power_bound)
-    return RepetitivenessVerdict(False, None, None, None, None, period_bound, power_bound)
+def _checked_naive_detect(system, period_bound):
+    """The naive reference, with the detector's `_fixed_prefix` checked
+    against the iterate on every (letter, power) pair the reference scans."""
+    scanned = []
+    verdict = _naive_detect(system, period_bound, scanned)
+    for letter, power, prefix in scanned:
+        assert fixed_point_prefix(system, letter, power, period_bound) == prefix, system
+    return verdict
 
 
 def test_detector_matches_naive_reference():
@@ -186,7 +171,7 @@ def test_detector_matches_naive_reference():
     for system in systems:
         for bound in (default_period_bound(system), 7, 30):
             verdict = detect_unbounded_repetitive(system, bound)
-            assert verdict == _naive_detect(system, bound), (system, bound)
+            assert verdict == _checked_naive_detect(system, bound), (system, bound)
             certified += verdict.repetitive
     assert certified == 576
 
@@ -227,7 +212,7 @@ def test_detector_matches_naive_reference_on_longer_cycles():
     for system in systems:
         for bound in (7, 30):
             verdict = detect_unbounded_repetitive(system, bound)
-            assert verdict == _naive_detect(system, bound), (system, bound)
+            assert verdict == _checked_naive_detect(system, bound), (system, bound)
             if verdict.repetitive:
                 assert verdict.power == _cycle_length(system, verdict.letter)
                 powers.append(verdict.power)
@@ -276,3 +261,22 @@ def test_detector_skips_a_letter_that_does_not_recur():
         tracemalloc.stop()
     assert verdict == RepetitivenessVerdict(False, None, None, None, None, 2 ** 31, 30)
     assert peak < 2**20
+
+
+def test_detector_prefix_grows_within_the_period_bound():
+    """x_i -> x_(i+1) x_(i+1), indices mod 12: image^12(x0) = x0^4096 and the
+    default period bound is 2^13.  The prefix grows by as many letters at a
+    time as their images fit in the letters still missing, so it stops at
+    2^13 letters; one batch of 4 096 letters, each imaged to 4 096, would
+    take about 145 MiB."""
+    system = _chain(12, lambda xs: {a: (xs[(i + 1) % len(xs)],) * 2
+                                    for i, a in enumerate(xs)})
+    clear_language_cache()
+    tracemalloc.start()
+    try:
+        verdict = detect_unbounded_repetitive(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict == RepetitivenessVerdict(True, "x0", 12, ("x0",), 4096, 2 ** 13, 12)
+    assert peak < 8 * 2**20

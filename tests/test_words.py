@@ -5,8 +5,8 @@ import pytest
 from df0l import parse_word
 
 from conftest import w
-from wordtools import (factors, is_conjugate, is_primitive, occurrences,
-                       primitive_root)
+from oracles import (factors, is_conjugate, is_primitive, occurrences,
+                     primitive_root)
 
 
 def test_parse_and_format():
