@@ -19,8 +19,9 @@ frozenset per length, only grow; registered words and pending sets survive
 a raise of the bound, so raising it computes only the new levels.  Growth
 holds one lock and appends whole levels, which never change, so readers
 need no lock.  The record also keeps the minimal interpretations of queried
-words, all forgotten at once when _PARSE_MEMO_SIZE are held, and the
-repetitiveness verdict per period bound.
+words, all forgotten at once when _PARSE_MEMO_SIZE are held, the
+repetitiveness verdict per period bound, and the parse tables of the
+frontier steps below, heads and tails, built once with the record.
 Every word held here is a code string, one character per letter (see
 Alphabet), so a stored word of length n over at most 128 letters costs
 49 + n bytes, where a tuple of tokens costs 56 + 8n with its GC header.
@@ -129,16 +130,23 @@ class FactorSet(Set):
 
 
 class _Record:
-    """What df0l remembers about one system; see the module docstring."""
+    """What df0l remembers about one system; see the module docstring.
+    heads[c] lists each letter b whose image starts with c, with the rest
+    of that image, and tails[c] each b whose image ends with c, with the
+    image before c; the frontier steps read them."""
 
-    __slots__ = ("levels", "registered", "pending", "parses", "verdicts")
+    __slots__ = ("levels", "registered", "pending", "parses", "verdicts", "heads", "tails")
 
-    def __init__(self):
+    def __init__(self, phi):
         self.levels = [frozenset({""})]
         self.registered = defaultdict(list)     # f(x) -> the words x cut when its level is built
         self.pending = defaultdict(set)         # length -> its words cut from shorter levels
         self.parses = {}                        # word -> its minimal interpretations with their cuts
         self.verdicts = {}                      # period bound -> RepetitivenessVerdict
+        self.heads, self.tails = {}, {}
+        for b, code in phi.image_codes.items():     # non-erasing, as _record checks
+            self.heads.setdefault(code[0], []).append((b, code[1:]))
+            self.tails.setdefault(code[-1], []).append((b, code[:-1]))
 
 
 _PARSE_MEMO_SIZE = 1 << 17
@@ -205,7 +213,7 @@ def _record(system: DF0LSystem, max_len: int) -> _Record:
     record = _RECORDS.get(system)
     if record is None or len(record.levels) <= max_len:
         with _GROWTH:
-            record = _RECORDS.setdefault(system, _Record())
+            record = _RECORDS.get(system) or _RECORDS.setdefault(system, _Record(system.morphism))
             levels = record.levels
             while len(levels) <= max_len:
                 levels.append(_next_level(system, len(levels), record))
@@ -274,13 +282,12 @@ def _left_step(states, c: str, tails, levels) -> list:
     return stepped
 
 
-def _full_pass(phi, levels, u: str) -> list:
+def _full_pass(phi, heads, levels, u: str) -> list:
     """The minimal interpretations (s, w, t) of u: right steps from those of
     u[:1], every language letter a with an offset j where image(a)[j] = u[0]."""
     c = u[0]
     states = [(image[:j], a, image[j + 1:]) for a, image in phi.image_codes.items()
               if a in levels[1] for j in range(len(image)) if image[j] == c]
-    heads = phi.heads
     for c in islice(u, 1, None):
         states = _right_step(states, c, heads, levels)
     return states
@@ -305,18 +312,18 @@ def _parses(system: DF0LSystem, u: str,
         return known
     phi = system.morphism
     _, hi = _length_bounds(phi, len(u))
-    levels = record.levels
+    levels, heads, tails = record.levels, record.heads, record.tails
     if len(levels) <= hi:
         levels = _record(system, hi).levels
     if (trim := memo.get(u[:-1])) is not None:
-        states = _right_step([p[:3] for p in trim], u[-1], phi.heads, levels)
+        states = _right_step([p[:3] for p in trim], u[-1], heads, levels)
     elif (trim := memo.get(u[1:])) is not None:
-        states = _left_step([p[:3] for p in trim], u[0], phi.tails, levels)
+        states = _left_step([p[:3] for p in trim], u[0], tails, levels)
     elif (trim := memo.get(u[1:-1])) is not None:
-        states = _right_step(_left_step([p[:3] for p in trim], u[0], phi.tails, levels),
-                             u[-1], phi.heads, levels)
+        states = _right_step(_left_step([p[:3] for p in trim], u[0], tails, levels),
+                             u[-1], heads, levels)
     else:
-        states = _full_pass(phi, levels, u)
+        states = _full_pass(phi, heads, levels, u)
     if len(states) > 1:
         states.sort(key=lambda i: (code_key(i[0]), code_key(i[1]), code_key(i[2])))
     parses = tuple((s, w, t, _cuts(phi, len(s), w)) for s, w, t in states)

@@ -114,8 +114,9 @@ def detect_unbounded_repetitive(system: DF0LSystem,
     x[m:seen] with x[:seen-m], seen = min(total, period_bound).  Every
     survivor is confirmed from u and its letter images alone, one image at a
     time against u repeated, so no copy of image^c(u) is made.  The prefix
-    costs O(period_bound + max|image^c(b)|) memory; the power image^c that
-    is still built costs |A|·max|image^c(b)|.
+    costs O(period_bound + max|image^c(b)|) memory, and the power image^c,
+    whose images are code strings of one code point per letter,
+    |A|·max|image^c(b)| code points.
     The verdict is computed once per system and period bound."""
     system.require_pdf0l()
     if period_bound is None:

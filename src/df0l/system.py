@@ -1,12 +1,14 @@
 """Alphabets, morphisms, DF0L systems, and letter-growth analysis.
 
-LetterMap.apply builds every image of a word of tokens, Morphism.power every
-power, and each map holds its image-length bounds.  Inside df0l words are
-code strings (see Alphabet), and a Morphism's table maps them to their
-images.  Letter growth is read off one walk of alph vectors, the letter sets
-of the iterated images, so it builds no power.  All objects here are immutable
-after construction and safe to share between threads; every analysis is a
-pure function of its arguments.
+Inside df0l words are code strings (see Alphabet), and a Morphism holds each
+image once, as a code string, with the str.translate table that maps a code
+string to its image: Morphism.apply_power and Morphism.power iterate the
+table and decode only the answer.  LetterMap.apply, the map between two
+alphabets of the twined checks, builds images of words of tokens.  Each map
+holds its image-length bounds.  Letter growth is read off one walk of alph
+vectors, the letter sets of the iterated images, so it builds no power.
+All objects here are immutable after construction and safe to share between
+threads; every analysis is a pure function of its arguments.
 """
 
 import sys
@@ -101,12 +103,9 @@ class LetterMap:
             out[letter] = image = tuple(image)
             for token in image:
                 _check_token(token)
-        self._own(out)
-
-    def _own(self, images):
-        self.images = images
-        self.max_image_len = max(map(len, images.values()), default=0)
-        self.min_image_len = min(map(len, images.values()), default=0)
+        self.images = out
+        self.max_image_len = max(map(len, out.values()), default=0)
+        self.min_image_len = min(map(len, out.values()), default=0)
 
     def image(self, letter: str) -> Word:
         try:
@@ -125,16 +124,16 @@ class LetterMap:
         return tuple(out)
 
 
-class Morphism(LetterMap):
+class Morphism:
     """Endomorphism of a fixed alphabet; images may be empty (erasing).
 
-    image_codes maps each letter code to the code string of its image, and
-    code.translate(table) is the image of a code string.  heads[c] lists each
-    letter b whose image starts with c, with the rest of that image, and
-    tails[c] each b whose image ends with c, with the image before c."""
+    image_codes maps each letter code to the code string of its image, the
+    only copy of the images, and code.translate(table) is the image of a
+    code string.  A word of tokens is encoded on the way in and its image
+    decoded on the way out, so a power is built from code strings alone."""
 
-    __slots__ = ("alphabet", "is_nonerasing", "image_codes", "table", "heads", "tails",
-                 "_identity", "_hash")
+    __slots__ = ("alphabet", "image_codes", "table", "max_image_len", "min_image_len",
+                 "is_nonerasing", "_identity")
 
     def __init__(self, alphabet, images):
         if not isinstance(alphabet, Alphabet):
@@ -146,23 +145,26 @@ class Morphism(LetterMap):
         if extra:
             raise InvalidSystemError(f"image given for unknown letter {sorted(extra)[0]!r}")
         # alphabet letters are checked tokens, so encoding checks the images
-        codes = [alphabet.encode(images[letter]) for letter in alphabet]
-        self._own(dict(zip(alphabet, map(alphabet.decode, codes))))
+        self._own(alphabet, [alphabet.encode(images[letter]) for letter in alphabet])
+
+    def _own(self, alphabet, codes):
         self.alphabet = alphabet
-        self.is_nonerasing = self.min_image_len > 0
         self.image_codes = dict(zip(alphabet.codes, codes))
         self.table = str.maketrans(self.image_codes)
-        self.heads, self.tails = {}, {}
-        for b, code in self.image_codes.items():
-            if code:
-                self.heads.setdefault(code[0], []).append((b, code[1:]))
-                self.tails.setdefault(code[-1], []).append((b, code[:-1]))
+        self.max_image_len = max(map(len, codes))
+        self.min_image_len = min(map(len, codes))
+        self.is_nonerasing = self.min_image_len > 0
         # equal morphisms, and only they, have equal identities
         self._identity = (alphabet.letters, tuple(codes))
-        self._hash = hash(self._identity)
+
+    def image(self, letter: str) -> Word:
+        return self.alphabet.decode(self.image_codes[self.alphabet.encode((letter,))])
+
+    def apply(self, word: Word) -> Word:
+        return self.apply_power(word, 1)
 
     def erasing_letters(self) -> tuple[str, ...]:
-        return tuple(a for a in self.alphabet if not self.images[a])
+        return tuple(a for a, code in zip(self.alphabet, self.image_codes.values()) if not code)
 
     def require_nonerasing(self):
         if not self.is_nonerasing:
@@ -172,27 +174,29 @@ class Morphism(LetterMap):
     def apply_power(self, word: Word, k: int) -> Word:
         if k < 0:
             raise PreconditionError("power must be >= 0")
-        word = tuple(word)
+        code = self.alphabet.encode(word)
         for _ in range(k):
-            word = self.apply(word)
-        return word
+            code = code.translate(self.table)
+        return self.alphabet.decode(code)
 
     def power(self, k: int) -> "Morphism":
         if k < 1:
             raise PreconditionError("power must be >= 1")
-        images = self.images
+        codes = list(self.image_codes.values())
         for _ in range(k - 1):
-            images = {a: self.apply(w) for a, w in images.items()}
-        return Morphism(self.alphabet, images)
+            codes = [code.translate(self.table) for code in codes]
+        power = Morphism.__new__(Morphism)
+        power._own(self.alphabet, codes)
+        return power
 
     def __eq__(self, other):
         return isinstance(other, Morphism) and self._identity == other._identity
 
     def __hash__(self):
-        return self._hash
+        return hash(self._identity)
 
     def __repr__(self):
-        rules = ", ".join(f"{a}->{' '.join(self.images[a]) or 'ε'}" for a in self.alphabet)
+        rules = ", ".join(f"{a}->{' '.join(self.image(a)) or 'ε'}" for a in self.alphabet)
         return f"Morphism({rules})"
 
 

@@ -189,8 +189,9 @@ def test_commutation_is_decided_on_letters():
         if rng.random() < 0.2:
             # phi commutes with its own powers
             psi = phi
-            alpha, beta = (LetterMap(phi.power(rng.randint(1, 2)).images)
-                           for _ in range(2))
+            powers = [phi.power(rng.randint(1, 2)) for _ in range(2)]
+            alpha, beta = (LetterMap({a: power.image(a) for a in phi.alphabet})
+                           for power in powers)
         else:
             psi = Morphism(target, {b: tuple(rng.choices(target.letters, k=rng.randint(1, 3)))
                                     for b in target})

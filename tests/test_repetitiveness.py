@@ -280,3 +280,23 @@ def test_detector_prefix_grows_within_the_period_bound():
         tracemalloc.stop()
     assert verdict == RepetitivenessVerdict(True, "x0", 12, ("x0",), 4096, 2 ** 13, 12)
     assert peak < 8 * 2**20
+
+
+def test_detector_power_holds_code_strings_only():
+    """x_i -> x_(i+1) x_(i+1), indices mod 18: image^18(x0) = x0^262144, and
+    image^18 has 18 images of 2^18 letters each.  As code strings, one code
+    point per letter, they take 4.5 MiB and the scan peaks near 13 MiB; as
+    tuples of letter tokens, 8 bytes per letter and encoded again into
+    code strings, the peak passes 80 MiB."""
+    system = _chain(18, lambda xs: {a: (xs[(i + 1) % len(xs)],) * 2
+                                    for i, a in enumerate(xs)})
+    clear_language_cache()
+    tracemalloc.start()
+    try:
+        verdict = detect_unbounded_repetitive(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (verdict.letter, verdict.power, verdict.witness, verdict.exponent) == \
+        ("x0", 18, ("x0",), 2 ** 18)
+    assert peak < 24 * 2**20

@@ -80,9 +80,9 @@ def test_apply_names_a_letter_without_image(thue_morse):
     assert plain.apply(("A", "B", "A")) == w("abab")
     with pytest.raises(InvalidSystemError, match="no image for letter 'C'"):
         plain.apply(("A", "C", "B"))
-    with pytest.raises(InvalidSystemError, match="no image for letter 'z'"):
+    with pytest.raises(InvalidSystemError, match="unknown letter 'z'"):
         thue_morse.morphism.apply(w("abz"))
-    with pytest.raises(InvalidSystemError, match="no image for letter 'z'"):
+    with pytest.raises(InvalidSystemError, match="unknown letter 'z'"):
         thue_morse.morphism.apply_power(w("z"), 2)
 
 
