@@ -11,7 +11,9 @@ The commands form one static table, built once at import: each handler
 declares its subcommand with the `_command` decorator, which adds the
 system-file argument and the shared --json flag and attaches the handler to
 the parsed arguments.  A handler returns (JSON result, text lines) for one
-loaded system, and main() parses, loads, dispatches and prints.
+loaded system, and main() parses, loads, dispatches and prints.  Each call
+reads its file, but a system text is parsed once: language.py keeps the
+system parsed from each text until clear_language_cache().
 """
 
 import argparse
@@ -77,7 +79,10 @@ def _load(path):
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidSystemError(f"cannot read {path}: {exc}") from exc
-    return parse_system(text)
+    system = language._SYSTEMS.get(text)
+    if system is None:      # a text that fails to parse is not stored
+        system = language._SYSTEMS[text] = parse_system(text)
+    return system
 
 
 def _word_text(word):
@@ -289,9 +294,24 @@ def _cmd_twined(args, system):
     return result, lines
 
 
+def _parse_known_args(argv):
+    """What _PARSER.parse_known_args(argv) returns.  When argv starts with a
+    command name, after at most one --json, that command's parser alone
+    runs, in one pass; help, a missing or unknown command and any other
+    argument before the command go through _PARSER."""
+    leading_json = argv[:1] == ["--json"]
+    command = argv[leading_json:leading_json + 1]
+    parser = _COMMANDS.choices.get(command[0]) if command else None
+    if parser is None:
+        return _PARSER.parse_known_args(argv)
+    return parser.parse_known_args(argv[leading_json + 1:],
+                                   argparse.Namespace(json=leading_json))
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args, extra = _PARSER.parse_known_args(argv)
+        args, extra = _parse_known_args(argv)
         if extra:       # parse_args's own error, here with the parsed command
             raise _UsageError(_PARSER, f"unrecognized arguments: {' '.join(extra)}",
                               args.command)

@@ -14,7 +14,9 @@ the closure of level n.  Cutting x computes image(x) once and every tight
 factor once: those of length f(x) join that level, and each longer one goes
 into the pending set of its length, which seeds that level.  Pending sets
 reach at most 2 max|image(a)| - 2 lengths past the bound.
-Each system has one record, the only memoized state in df0l.  Its levels, a
+Each system has one record, and each system text that the CLI parsed is
+kept with its system: that is all the memoized state in df0l, and
+clear_language_cache() forgets both.  A record's levels, a
 frozenset per length, only grow; registered words and pending sets survive
 a raise of the bound, so raising it computes only the new levels.  Growth
 holds one lock and appends whole levels, which never change, so readers
@@ -151,12 +153,15 @@ class _Record:
 
 _PARSE_MEMO_SIZE = 1 << 17
 _RECORDS: dict[DF0LSystem, _Record] = {}
+_SYSTEMS: dict[str, DF0LSystem] = {}    # system file text -> the system parsed from it
 _GROWTH = threading.Lock()
 
 
 def clear_language_cache():
-    """Forget everything remembered about every system."""
+    """Forget everything remembered about every system, and every system
+    text the CLI parsed."""
     _RECORDS.clear()
+    _SYSTEMS.clear()
 
 
 def clear_interpretation_cache():

@@ -5,6 +5,7 @@ import sys
 
 from df0l import (clear_language_cache, contains, is_weakly_synchronized,
                   parse_system, parse_word, render_system, strong_sync_letter)
+from df0l import cli
 from df0l.cli import main
 
 from conftest import binary_census
@@ -380,3 +381,96 @@ def test_usage_errors_give_a_json_report(capsys):
         assert report["error"]["exit_code"] == 2
         assert report["error"]["message"].startswith(message)
         assert f"error: {report['error']['message']}\n" in text.err
+
+
+def test_commands_parse_as_the_top_level_parser_does(monkeypatch):
+    """main() parses a command's arguments with the command's own parser, in
+    one pass, and gets the namespace and extras that the top-level parser
+    gets; help, an unknown command and anything else before the command
+    name still go through the top-level parser."""
+    tm, other = sample("thue_morse.sys"), sample("simplified_collapse.sys")
+    arguments = {"language": ["-L", "3"], "interpretations": ["a b"],
+                 "sync": ["a b", "a", "--mode=weak"],
+                 "threshold": ["--mode", "strong", "--cut", "4"],
+                 "power": ["-k", "2", "-o", "out.sys"], "letters": [],
+                 "repetitive": ["--period-bound", "8"], "delta": ["-L", "4"],
+                 "twined": [other, "--alpha", "a -> a", "--beta", "a -> a", "-L", "5"]}
+    assert set(arguments) == set(cli._COMMANDS.choices)
+    direct = []
+    for command, options in arguments.items():
+        direct += [[command, tm, *options], ["--json", command, tm, *options],
+                   [command, tm, *options, "--json"], [command, "--json", tm, *options]]
+    direct.append(["letters", tm, "--bogus"])
+    top_level = [["--json", "--json", "letters", tm], ["--js", "letters", tm],
+                 ["--json", "--json", "threshold", tm, "--mode=weak"]]
+    top_level_parse = cli._PARSER.parse_known_args
+    calls = []
+    monkeypatch.setattr(cli._PARSER, "parse_known_args",
+                        lambda args: calls.append(args) or top_level_parse(args))
+    for argv in direct + top_level:
+        calls.clear()
+        assert cli._parse_known_args(argv) == top_level_parse(argv), argv
+        assert calls == ([] if argv in direct else [argv]), argv
+
+
+def test_each_system_text_is_parsed_once(capsys, monkeypatch, tmp_path):
+    """The CLI reads its file on every call, but parses each distinct text
+    once until clear_language_cache(); a text that fails to parse is parsed,
+    and fails, on every call."""
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse_system(text)
+
+    monkeypatch.setattr(cli, "parse_system", counted)
+    clear_language_cache()
+    path = tmp_path / "survey.sys"
+    path.write_text("alphabet: a b\nmap a -> a b\nmap b -> a\naxiom: a\n")
+    for command, *options in CENSUS_COMMANDS:
+        assert main(["--json", command, str(path), *options]) == 0
+    capsys.readouterr()
+    assert len(parsed) == 1
+
+    # the memo is keyed by the text: a rewritten file is parsed again
+    path.write_text("alphabet: a b c d\nmap a -> c b\nmap b -> a d\nmap c -> c\n"
+                    "map d -> d\naxiom: b\n")
+    code, payload = run_json(capsys, "letters", str(path))
+    assert code == 0 and len(parsed) == 2
+    assert payload["result"]["bounded"] == ["c", "d"]
+    assert payload["result"]["invariant_exponent"] == 2
+
+    clear_language_cache()
+    assert run_json(capsys, "letters", str(path))[1]["result"] == payload["result"]
+    assert len(parsed) == 3
+
+    bad = tmp_path / "bad.sys"
+    bad.write_text("alphabet: a\nmap a -> b\naxiom: a\n")
+    reports = []
+    for _ in range(3):
+        code, out = run(capsys, "letters", str(bad), "--json")
+        assert code == 2
+        reports.append(json.loads(out))
+    assert reports[0]["error"]["exit_code"] == 2
+    assert reports == reports[:1] * 3
+    assert len(parsed) == 6
+
+
+def test_twined_with_one_file_as_both_systems(capsys):
+    """Both files of `twined` may name one file; the loader hands back the
+    same system twice, and the reports are those of two separate parses."""
+    info = {"alphabet": ["a", "b", "c"], "axioms": ["a"], "max_image_len": 5,
+            "min_image_len": 3, "pdf0l": True}
+    collapse = sample("collapse_bounded_delta.sys")
+    cases = [("a -> a b a c c; b -> a b a; c -> a b a",
+              {"commutation": True, "failure": None, "language_check": True,
+               "max_len": 4, "twined": True}),
+             ("a -> a; b -> b; c -> b",
+              {"commutation": None, "failure": "a", "language_check": None,
+               "max_len": 4, "twined": False})]
+    for alpha, result in cases:
+        code, payload = run_json(capsys, "twined", collapse, collapse, "--alpha", alpha,
+                                 "--beta", "a -> a; b -> b; c -> c")
+        assert code == 0
+        assert payload["system"] == info
+        assert payload["result"] == result
