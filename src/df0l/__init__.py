@@ -29,9 +29,7 @@ from .language import (FactorSet, clear_interpretation_cache,
 from .repetitiveness import (RepetitivenessVerdict, default_period_bound,
                              detect_unbounded_repetitive)
 from .system import (Alphabet, DF0LSystem, GrowthReport, LetterMap, Morphism,
-                     ValidationReport, classify_letters, invariant_exponent,
-                     minimal_invariant_subalphabets, power_system,
-                     unbounded_letters, validate)
+                     ValidationReport, classify_letters, power_system, validate)
 from .words import Word, format_word, parse_word
 
 __all__ = [
@@ -45,12 +43,11 @@ __all__ = [
     "collision_family_check", "collisions_upto", "compatible_split",
     "contains", "default_period_bound", "delta_estimate",
     "detect_unbounded_repetitive", "factor_language", "find_twined_failure",
-    "format_word", "interpretation_length_bounds", "invariant_exponent",
-    "is_admissible", "is_strongly_synchronizing", "is_weakly_synchronized",
-    "is_weakly_synchronizing", "minimal_interpretations",
-    "minimal_invariant_subalphabets", "parse_letter_map", "parse_system",
-    "parse_word", "power_system", "render_system",
+    "format_word", "interpretation_length_bounds", "is_admissible",
+    "is_strongly_synchronizing", "is_weakly_synchronized",
+    "is_weakly_synchronizing", "minimal_interpretations", "parse_letter_map",
+    "parse_system", "parse_word", "power_system", "render_system",
     "simplification_language_check", "strong_sync_letter", "strong_threshold",
-    "twined_commutation_check", "unbounded_letters", "validate",
-    "weak_power_transfer_bound", "weak_threshold",
+    "twined_commutation_check", "validate", "weak_power_transfer_bound",
+    "weak_threshold",
 ]

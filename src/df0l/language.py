@@ -20,10 +20,14 @@ clear_language_cache() forgets both.  A record's levels, a
 frozenset per length, only grow; registered words and pending sets survive
 a raise of the bound, so raising it computes only the new levels.  Growth
 holds one lock and appends whole levels, which never change, so readers
-need no lock.  The record also keeps the minimal interpretations of queried
-words, all forgotten at once when _PARSE_MEMO_SIZE are held, the
-repetitiveness verdict per period bound, and the parse tables of the
-frontier steps below, heads and tails, built once with the record.
+need no lock.  Growth is all-or-nothing: a level build that raises (a
+MemoryError, a KeyboardInterrupt) has already taken words from the
+registered and pending sets, so the system's record is dropped and the
+next query starts from a cold build.  The record also keeps the minimal
+interpretations of queried words, all forgotten at once when
+_PARSE_MEMO_SIZE are held, the repetitiveness verdict per period bound,
+and the parse tables of the frontier steps below, heads and tails, built
+once with the record.
 Every word held here is a code string, one character per letter (see
 Alphabet), so a stored word of length n over at most 128 letters costs
 49 + n bytes, where a tuple of tokens costs 56 + 8n with its GC header.
@@ -220,8 +224,14 @@ def _record(system: DF0LSystem, max_len: int) -> _Record:
         with _GROWTH:
             record = _RECORDS.get(system) or _RECORDS.setdefault(system, _Record(system.morphism))
             levels = record.levels
-            while len(levels) <= max_len:
-                levels.append(_next_level(system, len(levels), record))
+            try:
+                while len(levels) <= max_len:
+                    levels.append(_next_level(system, len(levels), record))
+            except BaseException:
+                # a level that raised has taken its pending and registered
+                # words and kept part of what it cut: forget the system
+                del _RECORDS[system]
+                raise
     return record
 
 

@@ -5,8 +5,9 @@ image once, as a code string, with the str.translate table that maps a code
 string to its image: Morphism.apply_power and Morphism.power iterate the
 table and decode only the answer.  LetterMap.apply, the map between two
 alphabets of the twined checks, builds images of words of tokens.  Each map
-holds its image-length bounds.  Letter growth is read off one walk of alph
-vectors, the letter sets of the iterated images, so it builds no power.
+holds its image-length bounds.  classify_letters, the one way into letter
+growth, reads it off one walk of alph vectors, the letter sets of the
+iterated images, so it builds no power.
 All objects here are immutable after construction and safe to share between
 threads; every analysis is a pure function of its arguments.
 """
@@ -282,67 +283,17 @@ def validate(system: DF0LSystem) -> ValidationReport:
 
 
 def _alph_walk(morphism):
-    """The alph vectors walk[k] = (alph(phi^k(a)) for a in the alphabet), for
-    k = 0 .. K-1, up to the first repeat walk[K] = walk[s]; returns (walk, s).
-    Each step takes unions of letter sets, so no image word is built."""
-    letters = morphism.alphabet.letters
-    image_alph = {a: frozenset(morphism.image(a)) for a in letters}
-    vec = tuple(frozenset((a,)) for a in letters)
+    """The alph vectors walk[k] = (alph(phi^k(a)) for each letter code a),
+    as sets of letter codes, for k = 0 .. K-1, up to the first repeat
+    walk[K] = walk[s]; returns (walk, s).  Each step takes unions of letter
+    sets, so no image word is built."""
+    image_alph = {a: frozenset(code) for a, code in morphism.image_codes.items()}
+    vec = tuple(map(frozenset, morphism.alphabet.codes))
     seen = {}   # in insertion order, so its keys are the walk
     while vec not in seen:
         seen[vec] = len(seen)
         vec = tuple(frozenset().union(*map(image_alph.__getitem__, v)) for v in vec)
     return list(seen), seen[vec]
-
-
-def _growth(morphism, p=None):
-    """The unbounded letters, the invariant exponent, and the inclusion-minimal
-    sets alph(phi^p(g)) over unbounded letters g, p defaulting to the
-    exponent: all read off one alph walk."""
-    morphism.require_nonerasing()
-    if p is not None and p < 1:
-        raise PreconditionError("p must be >= 1")
-    letters = morphism.alphabet.letters
-    walk, s = _alph_walk(morphism)
-    period = len(walk) - s
-    exponent = period * max(1, -(-s // period))   # least multiple >= max(s, 1)
-    # the letters reachable in >= 1 step: alph(phi^k(a)) over k = 1 .. K
-    reach = [frozenset().union(*col) for col in zip(*walk[1:], walk[s])]
-    heavy = {c for c, r in zip(letters, reach) if c in r and len(morphism.image(c)) >= 2}
-    unbounded = frozenset(a for a, r in zip(letters, reach) if a in heavy or r & heavy)
-    p = exponent if p is None else p
-    vec = walk[p] if p < len(walk) else walk[s + (p - s) % period]
-    candidates = {b for a, b in zip(letters, vec) if a in unbounded}
-    minimal = [b for b in candidates if not any(c < b for c in candidates)]
-    minimal.sort(key=lambda b: (len(b), [i for i, a in enumerate(letters) if a in b]))
-    return unbounded, exponent, minimal
-
-
-def unbounded_letters(morphism: Morphism) -> frozenset[str]:
-    """Letters whose iterated image lengths are unbounded.
-
-    A letter is unbounded iff it reaches (reflexively) a letter c that lies
-    on a cycle of the occurrence graph and has |image(c)| >= 2: such a c
-    re-occurs in its own iterated images, so lengths grow past any bound;
-    conversely, when every reachable cyclic letter has a one-letter image,
-    every long walk is trapped in a deterministic loop and lengths stall.
-    Reachability is the union of the alph vectors, so no power is built.
-    Valid for non-erasing morphisms only.
-    """
-    return _growth(morphism)[0]
-
-
-def invariant_exponent(morphism: Morphism) -> int:
-    """Smallest multiple p of the alph-vector period with p >= the preperiod,
-    so that alph(phi^p(a)) = alph(phi^(pk)(a)) for every letter a and k >= 1.
-    The period and preperiod are those of the alph walk; no power is built."""
-    return _growth(morphism)[1]
-
-
-def minimal_invariant_subalphabets(morphism: Morphism, p: int) -> list[frozenset[str]]:
-    """Inclusion-minimal sets alph(phi^p(g)) over unbounded letters g, read
-    off the alph walk modulo its period, so no power is built."""
-    return _growth(morphism, p)[2]
 
 
 class GrowthReport(namedtuple(
@@ -355,14 +306,38 @@ class GrowthReport(namedtuple(
 
 
 def classify_letters(morphism: Morphism) -> GrowthReport:
-    """Bounded/unbounded split plus the invariant exponent and its minimal
-    invariant subalphabets, in canonical order, from one alph walk."""
-    unbounded, p, subalphabets = _growth(morphism)
-    letters = morphism.alphabet.letters
+    """Letter growth, read off one alph walk, so no power is built.
+
+    A letter is unbounded iff it reaches (reflexively) a letter c that lies
+    on a cycle of the occurrence graph and has |image(c)| >= 2: such a c
+    re-occurs in its own iterated images, so lengths grow past any bound;
+    conversely, when every reachable cyclic letter has a one-letter image,
+    every long walk is trapped in a deterministic loop and lengths stall.
+    Reachability is the union of the alph vectors.  The invariant exponent
+    p is the least multiple of the walk's period that is >= max(1, its
+    preperiod), so alph(phi^p(a)) = alph(phi^(pk)(a)) for every letter a
+    and k >= 1; the minimal invariant subalphabets are the inclusion-minimal
+    sets alph(phi^p(g)) over unbounded letters g.  Valid for non-erasing
+    morphisms only."""
+    morphism.require_nonerasing()
+    codes, images = morphism.alphabet.codes, morphism.image_codes
+    walk, s = _alph_walk(morphism)
+    period = len(walk) - s
+    p = period * max(1, -(-s // period))
+    # the letters reachable in >= 1 step: alph(phi^k(a)) over k = 1 .. K
+    reach = [frozenset().union(*col) for col in zip(*walk[1:], walk[s])]
+    heavy = {c for c, r in zip(codes, reach) if c in r and len(images[c]) >= 2}
+    unbounded = "".join(a for a, r in zip(codes, reach) if a in heavy or r & heavy)
+    # alph(phi^p(a)) for p >= s, read off the walk modulo its period
+    candidates = {b for a, b in zip(codes, walk[s + (p - s) % period]) if a in unbounded}
+    # code points follow declaration order: a sorted letter set lists its
+    # letters in canonical order, and code_key orders the sets canonically
+    minimal = sorted(("".join(sorted(b)) for b in candidates
+                      if not any(c < b for c in candidates)), key=code_key)
+    decode = morphism.alphabet.decode
     return GrowthReport(
-        bounded=tuple(a for a in letters if a not in unbounded),
-        unbounded=tuple(a for a in letters if a in unbounded),
+        bounded=decode("".join(a for a in codes if a not in unbounded)),
+        unbounded=decode(unbounded),
         invariant_exponent=p,
-        minimal_invariant_subalphabets=tuple(
-            tuple(a for a in letters if a in b) for b in subalphabets),
+        minimal_invariant_subalphabets=tuple(map(decode, minimal)),
     )

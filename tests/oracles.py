@@ -7,11 +7,12 @@ and iterates, the factor language by unrolling the axioms, the language
 levels by registration, minimal interpretations by scanning images, the
 unpruned threshold searches, the repetitiveness detector by iterating the
 morphism, letter growth, the twined checks on samples and bounded
-languages, and checkers of the `repetitive` and `delta` JSON reports.
+languages, and checkers of the `repetitive`, `threshold` and `delta` JSON
+reports.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from df0l import (Interpretation, RepetitivenessVerdict, Word, contains,
                   factor_language, format_word, interpretation_length_bounds,
@@ -339,3 +340,86 @@ def check_delta_report(system, result):
     assert result["count"] == len(pairs)
     assert result["delta_lower_bound"] == max(
         (len(_image_of(phi, u)) for u, _ in pairs), default=0)
+
+
+def _level_interpretations(system, words, n):
+    """The minimal interpretations of every word of length n, from the images
+    of the language words `words`, as word -> [(w, cuts)] with cuts[i] =
+    |image(w[:i])| - |s| for i = 0..|w|.  `words` must hold every language
+    word of length <= n: the images of w's interior letters lie inside u and
+    those of its end letters meet u, so |w| <= n."""
+    images = _letter_images(system.morphism)
+    found = {}
+    for v in words:
+        if not v or len(v) > n:
+            continue
+        image = _image_of(system.morphism, v)
+        ends = list(accumulate((len(images[a]) for a in v), initial=0))
+        # s = image[:pos] shorter than image(v[0]), t shorter than image(v[-1])
+        for pos in range(max(0, len(image) - n - len(images[v[-1]]) + 1),
+                         min(len(images[v[0]]), len(image) - n + 1)):
+            found.setdefault(image[pos:pos + n], []).append((v, [e - pos for e in ends]))
+    return found
+
+
+def _weak_fails(parses, n):
+    """No split of a word of length n is compatible with all its parses."""
+    return bool(parses) and not any(all(k in cuts for _, cuts in parses)
+                                    for k in range(n + 1))
+
+
+def _strong_fails(parses, k):
+    """The split after k letters is compatible with some parse, and the
+    parses do not all end its left part with one letter."""
+    ends = []
+    for v, cuts in parses:
+        i = cuts.index(k) if k in cuts else None
+        ends.append(None if i is None else v[i - 1] if i else "")
+    return (any(end is not None for end in ends)
+            and not (ends[0] and ends.count(ends[0]) == len(ends)))
+
+
+def check_threshold_report(system, result):
+    """A `threshold --json` result, against the language unrolled exactly
+    (unrolled_factors) and the minimal interpretations read off its images;
+    level L holds the words of length L, or of length 2L split in half in
+    strong mode.  `found` D: the witness (none when D = 0) is the first
+    failing word of level D in canonical order, and no word of level D + 1
+    fails.  `cutoff_exceeded`: each survivor is a failing language word of
+    the last level, the cutoff, in canonical order.  `not_strongly_circular`:
+    the repetition is a certificate.  Returns the status."""
+    status, mode, cutoff = result["status"], result["mode"], result["cutoff"]
+    fields = [result[key] for key in ("D", "witness", "last_level", "survivors")]
+    if status == "not_strongly_circular":
+        assert mode == "strong" and fields == [None] * 4, result
+        assert check_repetitive_report(system, result["repetition"]), result
+        return status
+    assert result["repetition"] is None, result
+    width = 1 if mode == "weak" else 2
+    key = canonical_key(system.alphabet)
+    top = result["D"] + 1 if status == "found" else cutoff
+    words = unrolled_factors(system, width * top)
+
+    def failing(level):
+        n = width * level
+        parses = _level_interpretations(system, words, n)
+        fails = ((lambda u: _weak_fails(parses.get(u, []), n)) if mode == "weak"
+                 else (lambda u: _strong_fails(parses.get(u, []), level)))
+        return sorted((u for u in words if len(u) == n and fails(u)), key=key)
+
+    def item(u):
+        return format_word(u) if mode == "weak" else [
+            format_word(u[:len(u) // 2]), format_word(u[len(u) // 2:])]
+
+    if status == "found":
+        threshold, witness, last_level, survivors = fields
+        assert 0 <= threshold < cutoff and last_level is None and survivors is None, result
+        assert failing(threshold + 1) == [], result
+        bad = failing(threshold) if threshold else []
+        assert bool(bad) == bool(threshold), result
+        assert witness == (item(bad[0]) if bad else None), result
+    else:
+        assert status == "cutoff_exceeded", result
+        assert fields[:2] == [None, None] and fields[2] == cutoff, result
+        assert fields[3] == list(map(item, failing(cutoff)[:len(fields[3])])) != [], result
+    return status

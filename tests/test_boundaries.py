@@ -16,8 +16,7 @@ from df0l import (ErasingMorphismError, InvalidSystemError, LetterMap,
                   detect_unbounded_repetitive, factor_language,
                   interpretation_length_bounds, is_admissible,
                   is_weakly_synchronized, is_weakly_synchronizing,
-                  minimal_interpretations,
-                  minimal_invariant_subalphabets, parse_letter_map, power_system,
+                  minimal_interpretations, parse_letter_map, power_system,
                   simplification_language_check, strong_sync_letter,
                   strong_threshold, weak_threshold)
 
@@ -143,8 +142,6 @@ PRECONDITIONS = [
     ("Morphism.apply_power", "k -1", lambda: PHI.apply_power(w("a"), -1), PreconditionError),
     ("Morphism.power", "k 0", lambda: PHI.power(0), PreconditionError),
     ("power_system", "k 0", lambda: power_system(TM, 0), PreconditionError),
-    ("minimal_invariant_subalphabets", "p 0",
-     lambda: minimal_invariant_subalphabets(PHI, 0), PreconditionError),
     ("parse_letter_map", "rule without arrow",
      lambda: parse_letter_map("a b", PHI.alphabet, PHI.alphabet), ParseError),
     ("parse_letter_map", "unknown source letter",

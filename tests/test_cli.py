@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 from df0l import (clear_language_cache, contains, is_weakly_synchronized,
                   parse_system, parse_word, render_system, strong_sync_letter)
@@ -9,7 +10,7 @@ from df0l import cli
 from df0l.cli import main
 
 from conftest import binary_census
-from oracles import check_delta_report, check_repetitive_report
+from oracles import check_delta_report, check_repetitive_report, check_threshold_report
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
 
@@ -264,22 +265,32 @@ def test_json_is_deterministic_over_the_binary_census(capsys, tmp_path):
 
 
 def test_census_reports_pass_the_report_checkers(capsys, tmp_path):
-    """The `repetitive` and `delta -L 6` reports of every census system pass
-    the checkers of tests/oracles.py: 142 are certificates, and 26 list
-    collision pairs, 226 in all."""
+    """The `repetitive`, `threshold` (weak cutoff 14, strong cutoff 10) and
+    `delta -L 6` reports of every census system pass the checkers of
+    tests/oracles.py: 142 are certificates, 26 list collision pairs, 226 in
+    all, and the threshold statuses have the pinned counts."""
     certified = colliding = pairs = 0
+    statuses = Counter()
     for index, system in enumerate(binary_census()):
         path = tmp_path / f"census{index}.sys"
         path.write_text(render_system(system), encoding="utf-8")
         code, repetitive = run_json(capsys, "repetitive", str(path))
         assert code == 0
         certified += check_repetitive_report(system, repetitive["result"])
+        for mode, cutoff in (("weak", "14"), ("strong", "10")):
+            code, threshold = run_json(capsys, "threshold", str(path),
+                                       "--mode", mode, "--cutoff", cutoff)
+            assert code == 0
+            statuses[mode, check_threshold_report(system, threshold["result"])] += 1
         code, delta = run_json(capsys, "delta", str(path), "-L", "6")
         assert code == 0
         check_delta_report(system, delta["result"])
         colliding += bool(delta["result"]["count"])
         pairs += delta["result"]["count"]
     assert (certified, colliding, pairs) == (142, 26, 226)
+    assert statuses == {("weak", "found"): 266, ("weak", "cutoff_exceeded"): 126,
+                        ("strong", "found"): 250,
+                        ("strong", "not_strongly_circular"): 142}
 
 
 def test_witnesses_revalidate(capsys):
@@ -349,6 +360,30 @@ def test_unwritable_power_output_is_an_input_error(tmp_path):
     for target in (tmp_path / "missing" / "squared.sys", tmp_path):
         assert_input_error(["power", sample("two_fixed_letters.sys"), "-k", "2",
                             "-o", str(target)], f"cannot write {target}")
+
+
+def test_running_out_of_memory_is_an_exit_code():
+    """`power -k 22` on Thue-Morse needs more than a 200 MB address space:
+    the run ends with exit 2 and the error report, not a traceback."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (200_000 * 1024,) * 2)
+
+    env = {**os.environ,
+           "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
+    for json_flag in ([], ["--json"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "df0l", *json_flag, "power",
+             sample("thue_morse.sys"), "-k", "22"],
+            capture_output=True, env=env, timeout=60, preexec_fn=limit)
+        assert done.returncode == 2
+        assert b"Traceback" not in done.stderr
+        if json_flag:
+            assert json.loads(done.stdout) == {
+                "command": "power", "error": {"exit_code": 2, "message": "out of memory"}}
+        else:
+            assert done.stderr == b"error: out of memory\n"
 
 
 def test_usage_errors_give_a_json_report(capsys):

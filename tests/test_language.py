@@ -12,6 +12,7 @@ from df0l import (Alphabet, DF0LSystem, ErasingMorphismError, Morphism,
                   clear_interpretation_cache, clear_language_cache, contains,
                   factor_language, minimal_interpretations,
                   parse_system, power_system, strong_threshold, weak_threshold)
+import df0l.language
 from df0l.language import _record
 
 from conftest import random_pdf0l, sys1, w
@@ -216,6 +217,27 @@ def test_concurrent_growth_matches_a_cold_build(thue_morse):
         for fs in views:
             assert fs.words == {v for v in words if len(v) <= fs.max_len}
     assert _snapshot(factor_language(thue_morse, top)) == cold
+
+
+def test_a_failed_level_build_leaves_no_trace(thue_morse, monkeypatch):
+    """A level build that raises after it has taken its pending and
+    registered words, as a MemoryError or a KeyboardInterrupt can, must not
+    change a later answer: the language is then that of a cold build."""
+    cold = _cold(thue_morse, 8)
+    clear_language_cache()
+    factor_language(thue_morse, 5)
+    next_level = df0l.language._next_level
+
+    def failing(system, n, record):
+        next_level(system, n, record)
+        raise MemoryError
+
+    monkeypatch.setattr(df0l.language, "_next_level", failing)
+    with pytest.raises(MemoryError):
+        factor_language(thue_morse, 6)
+    monkeypatch.setattr(df0l.language, "_next_level", next_level)
+    assert _snapshot(factor_language(thue_morse, 8)) == cold
+    assert _snapshot(factor_language(thue_morse, 5)) == _cold(thue_morse, 5)
 
 
 class _WeakSystem(DF0LSystem):

@@ -6,10 +6,9 @@ import tracemalloc
 import pytest
 
 from df0l import (Alphabet, DF0LSystem, Morphism, PreconditionError,
-                  RepetitivenessVerdict, clear_language_cache, contains,
-                  detect_unbounded_repetitive, default_period_bound,
-                  factor_language, parse_system, render_system,
-                  strong_threshold, unbounded_letters)
+                  RepetitivenessVerdict, classify_letters, clear_language_cache,
+                  contains, detect_unbounded_repetitive, default_period_bound,
+                  factor_language, parse_system, render_system, strong_threshold)
 from df0l.repetitiveness import _fixed_prefix
 
 from conftest import binary_census, random_pdf0l, sys1, w
@@ -52,7 +51,7 @@ def test_verdict_self_checks(repetitive_square):
     fourth = [v for v in factor_language(system, 2).all_words()
               if v and is_primitive(v) and contains(system, v * 4)]
     assert fourth == [w("bc"), w("cb")]
-    unbounded = set(unbounded_letters(phi))
+    unbounded = set(classify_letters(phi).unbounded)
     assert all(unbounded.intersection(v) for v in fourth)
 
 

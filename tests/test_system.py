@@ -5,9 +5,7 @@ import pytest
 
 from df0l import (Alphabet, DF0LSystem, ErasingMorphismError,
                   InvalidSystemError, LetterMap, Morphism, classify_letters,
-                  factor_language, invariant_exponent,
-                  minimal_invariant_subalphabets, power_system,
-                  unbounded_letters, validate)
+                  factor_language, power_system, validate)
 from df0l.system import _alph_walk
 
 from conftest import random_pdf0l, sys1, w
@@ -148,26 +146,25 @@ def test_power_preserves_language(thue_morse, two_fixed, repetitive_square):
 
 
 def test_classify_letters(thue_morse, two_fixed, repetitive_square):
-    assert unbounded_letters(thue_morse.morphism) == {"a", "b"}
-    assert unbounded_letters(two_fixed.morphism) == {"a", "b"}
-    assert unbounded_letters(repetitive_square.morphism) == {"a", "b", "c"}
+    assert classify_letters(thue_morse.morphism).unbounded == ("a", "b")
+    assert classify_letters(repetitive_square.morphism).unbounded == ("a", "b", "c")
     growth = classify_letters(two_fixed.morphism)
     assert growth.bounded == ("c", "d")
     assert growth.unbounded == ("a", "b")
 
 
 def test_invariant_exponent(thue_morse, two_fixed):
-    assert invariant_exponent(thue_morse.morphism) == 1
-    assert invariant_exponent(two_fixed.morphism) == 2
+    assert classify_letters(thue_morse.morphism).invariant_exponent == 1
+    assert classify_letters(two_fixed.morphism).invariant_exponent == 2
     ident = Morphism(Alphabet(("a",)), {"a": ("a",)})
-    assert invariant_exponent(ident) == 1
+    assert classify_letters(ident).invariant_exponent == 1
 
 
 def test_invariant_exponent_is_invariant(thue_morse, two_fixed,
                                          repetitive_square, collapse_bounded):
     for system in (thue_morse, two_fixed, repetitive_square, collapse_bounded):
         phi = system.morphism
-        p = invariant_exponent(phi)
+        p = classify_letters(phi).invariant_exponent
         for a in phi.alphabet:
             base = set(phi.apply_power((a,), p))
             assert set(phi.apply_power((a,), 2 * p)) == base
@@ -175,23 +172,26 @@ def test_invariant_exponent_is_invariant(thue_morse, two_fixed,
 
 
 def test_minimal_invariant_subalphabets(thue_morse, repetitive_square):
-    assert minimal_invariant_subalphabets(
-        thue_morse.morphism, 1) == [frozenset("ab")]
-    phi = repetitive_square.morphism
-    p = invariant_exponent(phi)
-    assert p == 2  # alph(phi(a)) = {a,c} but alph(phi^2(a)) = {a,b,c}
-    assert minimal_invariant_subalphabets(phi, p) == [frozenset("bc")]
+    growth = classify_letters(thue_morse.morphism)
+    assert growth.invariant_exponent == 1
+    assert growth.minimal_invariant_subalphabets == (("a", "b"),)
+    growth = classify_letters(repetitive_square.morphism)
+    # alph(phi(a)) = {a,c} but alph(phi^2(a)) = {a,b,c}
+    assert growth.invariant_exponent == 2
+    assert growth.minimal_invariant_subalphabets == (("b", "c"),)
     all_bounded = Morphism(Alphabet(("a",)), {"a": ("a",)})
-    assert minimal_invariant_subalphabets(all_bounded, 1) == []
+    growth = classify_letters(all_bounded)
+    assert growth.invariant_exponent == 1
+    assert growth.minimal_invariant_subalphabets == ()
 
 
 def test_subalphabets_are_closed(two_fixed, repetitive_square, collapse_bounded):
     for system in (two_fixed, repetitive_square, collapse_bounded):
         phi = system.morphism
-        p = invariant_exponent(phi)
-        unbounded = unbounded_letters(phi)
-        power = phi.power(p)
-        for sub in minimal_invariant_subalphabets(phi, p):
+        growth = classify_letters(phi)
+        unbounded = set(growth.unbounded)
+        power = phi.power(growth.invariant_exponent)
+        for sub in map(frozenset, growth.minimal_invariant_subalphabets):
             assert sub & unbounded
             assert frozenset().union(*(set(power.image(g)) for g in sub)) == sub
 
@@ -222,9 +222,9 @@ def test_minimal_subalphabets_match_subset_enumeration():
     for _ in range(80):
         system = random_pdf0l(rng, max_letters=4, max_image_len=3)
         phi = system.morphism
-        p = invariant_exponent(phi)
-        power = phi.power(p)
-        unbounded = unbounded_letters(phi)
+        growth = classify_letters(phi)
+        power = phi.power(growth.invariant_exponent)
+        unbounded = set(growth.unbounded)
         letters = phi.alphabet.letters
         invariant = []
         for size in range(1, len(letters) + 1):
@@ -237,25 +237,31 @@ def test_minimal_subalphabets_match_subset_enumeration():
                     invariant.append(subset)
         minimal = {b for b in invariant
                    if not any(c < b for c in invariant)}
-        assert set(minimal_invariant_subalphabets(phi, p)) == minimal
+        assert set(map(frozenset, growth.minimal_invariant_subalphabets)) == minimal
 
 
-def test_minimal_subalphabets_at_every_power():
-    """alph(phi^p(g)) is read off the alph walk modulo its period: every p
-    up to past twice the walk length agrees with the p-th power itself."""
+def test_minimal_subalphabets_at_multiples_of_the_exponent():
+    """The subalphabets, read off the alph walk modulo its period, are the
+    minimal sets alph(phi^q(g)) over unbounded letters g at q = p, 2p and 3p
+    for the exponent p, built as iterated images.  Some morphisms have
+    preperiod 0, where p is the walk's length, so walk[p] is past its end."""
     rng = random.Random(12)
+    wrapped = 0
     for _ in range(80):
         phi = random_pdf0l(rng, max_letters=4, max_image_len=3).morphism
-        unbounded = unbounded_letters(phi)
-        walk, _ = _alph_walk(phi)
-        for p in range(1, 2 * len(walk) + 2):
-            power = phi.power(p)
-            candidates = {frozenset(power.image(g)) for g in unbounded}
+        growth = classify_letters(phi)
+        p = growth.invariant_exponent
+        walk, s = _alph_walk(phi)
+        if s == 0 and growth.unbounded:
+            assert p == len(walk)
+            wrapped += 1
+        result = growth.minimal_invariant_subalphabets
+        for q in (p, 2 * p, 3 * p):
+            candidates = {frozenset(_iterate_of(phi, (g,), q)) for g in growth.unbounded}
             minimal = {b for b in candidates if not any(c < b for c in candidates)}
-            result = minimal_invariant_subalphabets(phi, p)
-            assert len(result) == len(minimal) and set(result) == minimal, (phi, p)
-
-
+            assert len(result) == len(minimal) and set(map(frozenset, result)) == minimal, (
+                phi, q)
+    assert wrapped >= 5
 def test_letter_growth_builds_no_power():
     """a -> a a b, b -> c0 -> ... -> c17 -> b: phi^19(a) has over 2^19
     letters, but its letter set is read off letter sets in under 4 MiB."""
@@ -280,7 +286,7 @@ def test_growth_classification_matches_oracle():
     for _ in range(150):
         system = random_pdf0l(rng, max_letters=3, max_image_len=3)
         phi = system.morphism
-        unbounded = unbounded_letters(phi)
+        unbounded = classify_letters(phi).unbounded
         for a in phi.alphabet:
             lengths = [len(phi.apply_power((a,), k)) for k in range(6)]
             assert all(x <= y for x, y in zip(lengths, lengths[1:]))
