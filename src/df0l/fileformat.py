@@ -76,7 +76,8 @@ def render_system(system: DF0LSystem) -> str:
 
 
 def parse_letter_map(rules: str, source: Alphabet, target: Alphabet) -> LetterMap:
-    """Parse rules like "a -> x y; b -> y" into a total LetterMap."""
+    """Parse rules like "a -> x y; b -> y" into a total LetterMap from
+    source to target."""
     images = {}
     for chunk in rules.split(";"):
         chunk = chunk.strip()
@@ -97,4 +98,4 @@ def parse_letter_map(rules: str, source: Alphabet, target: Alphabet) -> LetterMa
     for letter in source:
         if letter not in images:
             raise ParseError(f"missing rule for letter {letter!r}")
-    return LetterMap(images)
+    return LetterMap(source, target, images)

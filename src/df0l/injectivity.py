@@ -29,7 +29,7 @@ from collections import namedtuple
 from itertools import combinations
 
 from .errors import PreconditionError
-from .language import contains, factor_language
+from .language import _member, contains, factor_language
 from .system import DF0LSystem, LetterMap, code_key
 
 
@@ -97,14 +97,27 @@ class TwinedData(namedtuple("TwinedData", "phi psi alpha beta")):
     __slots__ = ()
 
 
+def _require_matching_alphabets(data: TwinedData):
+    """The checks compare code strings, and codes follow each alphabet's
+    declaration order, so each map must read and write the letters of the
+    morphisms' alphabets in the same order."""
+    phi, psi = data.phi.alphabet.letters, data.psi.alphabet.letters
+    if ((data.alpha.alphabet.letters, data.alpha.target.letters,
+         data.beta.alphabet.letters, data.beta.target.letters) != (phi, psi, psi, phi)):
+        raise PreconditionError("alpha must map phi's alphabet to psi's, "
+                                "and beta psi's alphabet to phi's")
+
+
 def find_twined_failure(data: TwinedData) -> str | None:
-    """First letter breaking beta∘alpha = phi or alpha∘beta = psi, or None."""
-    for a in data.phi.alphabet:
-        if data.beta.apply(data.alpha.image(a)) != data.phi.image(a):
-            return a
-    for b in data.psi.alphabet:
-        if data.alpha.apply(data.beta.image(b)) != data.psi.image(b):
-            return b
+    """First letter breaking beta∘alpha = phi or alpha∘beta = psi, or None:
+    phi's letters first, then psi's, each in declaration order."""
+    _require_matching_alphabets(data)
+    for phi, alpha, beta in ((data.phi, data.alpha, data.beta),
+                             (data.psi, data.beta, data.alpha)):
+        for a, code, image in zip(phi.alphabet, alpha.image_codes.values(),
+                                  phi.image_codes.values()):
+            if code.translate(beta.table) != image:
+                return a
     return None
 
 
@@ -112,11 +125,11 @@ def twined_commutation_check(data: TwinedData) -> bool:
     """Whether alpha∘phi = psi∘alpha and phi∘beta = beta∘psi, and so
     alpha∘phi^k = psi^k∘alpha and phi^k∘beta = beta∘psi^k for every k
     (fact 1 of the module docstring)."""
-    phi, psi, alpha, beta = data.phi, data.psi, data.alpha, data.beta
-    return (all(alpha.apply(phi.image(a)) == psi.apply(alpha.image(a))
-                for a in phi.alphabet)
-            and all(phi.apply(beta.image(b)) == beta.apply(psi.image(b))
-                    for b in psi.alphabet))
+    _require_matching_alphabets(data)
+    phi, psi, alpha, beta = data
+    return all(f.image_codes[a].translate(m.table) == m.image_codes[a].translate(g.table)
+               for f, g, m in ((phi, psi, alpha), (psi, phi, beta))
+               for a in f.alphabet.codes)
 
 
 def simplification_language_check(system: DF0LSystem, target: DF0LSystem,
@@ -129,5 +142,5 @@ def simplification_language_check(system: DF0LSystem, target: DF0LSystem,
     if not twined_commutation_check(
             TwinedData(system.morphism, target.morphism, alpha, beta)):
         raise PreconditionError("alpha and beta must commute with the morphisms")
-    return (all(contains(target, alpha.apply(w)) for w in system.axioms)
-            and all(contains(system, beta.apply(z)) for z in target.axioms))
+    return (all(_member(target, code.translate(alpha.table)) for code in system.axiom_codes)
+            and all(_member(system, code.translate(beta.table)) for code in target.axiom_codes))

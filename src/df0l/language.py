@@ -96,6 +96,9 @@ class FactorSet(Set):
         return self
 
     def __contains__(self, word) -> bool:
+        # a word is a tuple of letter tokens, as in the equal frozenset
+        if not isinstance(word, tuple):
+            return False
         try:
             code = self.system.alphabet.encode(word)
         except InvalidSystemError:

@@ -1,13 +1,13 @@
 """Alphabets, morphisms, DF0L systems, and letter-growth analysis.
 
-Inside df0l words are code strings (see Alphabet), and a Morphism holds each
-image once, as a code string, with the str.translate table that maps a code
-string to its image: Morphism.apply_power and Morphism.power iterate the
-table and decode only the answer.  LetterMap.apply, the map between two
-alphabets of the twined checks, builds images of words of tokens.  Each map
-holds its image-length bounds.  classify_letters, the one way into letter
-growth, reads it off one walk of alph vectors, the letter sets of the
-iterated images, so it builds no power.
+Inside df0l words are code strings (see Alphabet), and a LetterMap, from a
+source alphabet to a target alphabet, holds each image once, as a code
+string, with the str.translate table that maps a code string to its image:
+apply translates once.  A Morphism is a LetterMap onto its own alphabet, so
+Morphism.apply_power and Morphism.power iterate the table and decode only
+the answer.  Each map holds its image-length bounds.  classify_letters, the
+one way into letter growth, reads it off one walk of alph vectors, the
+letter sets of the iterated images, so it builds no power.
 All objects here are immutable after construction and safe to share between
 threads; every analysis is a pure function of its arguments.
 """
@@ -92,77 +92,60 @@ def code_key(code: str):
 
 
 class LetterMap:
-    """Letter-to-word map applied homomorphically; source and target may differ.
-    Its image-length bounds are 0 when it has no entries."""
+    """Letter-to-word map from the letters of a source alphabet to words over
+    a target alphabet, applied homomorphically; images may be empty.
 
-    __slots__ = ("images", "max_image_len", "min_image_len")
+    image_codes maps each source letter code to the code string of its
+    image over the target, the only copy of the images, and
+    code.translate(table) is the image of a source code string.  A word of
+    tokens is encoded with the source alphabet on the way in and its image
+    decoded with the target on the way out."""
 
-    def __init__(self, images):
-        out = {}
-        for letter, image in images.items():
-            _check_token(letter)
-            out[letter] = image = tuple(image)
-            for token in image:
-                _check_token(token)
-        self.images = out
-        self.max_image_len = max(map(len, out.values()), default=0)
-        self.min_image_len = min(map(len, out.values()), default=0)
+    __slots__ = ("alphabet", "target", "image_codes", "table", "max_image_len",
+                 "min_image_len")
 
-    def image(self, letter: str) -> Word:
-        try:
-            return self.images[letter]
-        except KeyError:
-            raise InvalidSystemError(f"no image for letter {letter!r}") from None
-
-    def apply(self, word: Word) -> Word:
-        images = self.images
-        out = []
-        try:
-            for letter in word:
-                out += images[letter]
-        except KeyError:
-            raise InvalidSystemError(f"no image for letter {letter!r}") from None
-        return tuple(out)
-
-
-class Morphism:
-    """Endomorphism of a fixed alphabet; images may be empty (erasing).
-
-    image_codes maps each letter code to the code string of its image, the
-    only copy of the images, and code.translate(table) is the image of a
-    code string.  A word of tokens is encoded on the way in and its image
-    decoded on the way out, so a power is built from code strings alone."""
-
-    __slots__ = ("alphabet", "image_codes", "table", "max_image_len", "min_image_len",
-                 "is_nonerasing", "_identity")
-
-    def __init__(self, alphabet, images):
-        if not isinstance(alphabet, Alphabet):
-            alphabet = Alphabet(alphabet)
-        missing = [letter for letter in alphabet if letter not in images]
+    def __init__(self, source: Alphabet, target: Alphabet, images):
+        missing = [letter for letter in source if letter not in images]
         if missing:
             raise InvalidSystemError(f"no image for letter {missing[0]!r}")
-        extra = set(images) - set(alphabet.letters)
+        extra = set(images) - set(source.letters)
         if extra:
             raise InvalidSystemError(f"image given for unknown letter {sorted(extra)[0]!r}")
-        # alphabet letters are checked tokens, so encoding checks the images
-        self._own(alphabet, [alphabet.encode(images[letter]) for letter in alphabet])
+        # target letters are checked tokens, so encoding checks the images
+        self._own(source, target, [target.encode(images[letter]) for letter in source])
 
-    def _own(self, alphabet, codes):
+    def _own(self, alphabet, target, codes):
         self.alphabet = alphabet
+        self.target = target
         self.image_codes = dict(zip(alphabet.codes, codes))
         self.table = str.maketrans(self.image_codes)
         self.max_image_len = max(map(len, codes))
         self.min_image_len = min(map(len, codes))
+
+    def image(self, letter: str) -> Word:
+        return self.target.decode(self.image_codes[self.alphabet.encode((letter,))])
+
+    def apply(self, word: Word) -> Word:
+        return self.target.decode(self.alphabet.encode(word).translate(self.table))
+
+
+class Morphism(LetterMap):
+    """Endomorphism of a fixed alphabet, images may be empty (erasing): a
+    LetterMap onto its own alphabet, so a power is built from code strings
+    alone."""
+
+    __slots__ = ("is_nonerasing", "_identity")
+
+    def __init__(self, alphabet, images):
+        if not isinstance(alphabet, Alphabet):
+            alphabet = Alphabet(alphabet)
+        super().__init__(alphabet, alphabet, images)
+
+    def _own(self, alphabet, target, codes):
+        super()._own(alphabet, target, codes)
         self.is_nonerasing = self.min_image_len > 0
         # equal morphisms, and only they, have equal identities
         self._identity = (alphabet.letters, tuple(codes))
-
-    def image(self, letter: str) -> Word:
-        return self.alphabet.decode(self.image_codes[self.alphabet.encode((letter,))])
-
-    def apply(self, word: Word) -> Word:
-        return self.apply_power(word, 1)
 
     def erasing_letters(self) -> tuple[str, ...]:
         return tuple(a for a, code in zip(self.alphabet, self.image_codes.values()) if not code)
@@ -187,7 +170,7 @@ class Morphism:
         for _ in range(k - 1):
             codes = [code.translate(self.table) for code in codes]
         power = Morphism.__new__(Morphism)
-        power._own(self.alphabet, codes)
+        power._own(self.alphabet, self.alphabet, codes)
         return power
 
     def __eq__(self, other):

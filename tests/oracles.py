@@ -1,14 +1,14 @@
 """Naive references that the tests check df0l against, each defined once.
 
 Every reference works from the definitions, on words as tuples of letter
-tokens, with images built letter by letter from each phi.image(a), and
-imports only public df0l names: word helpers, the canonical order, images
-and iterates, the factor language by unrolling the axioms, the language
-levels by registration, minimal interpretations by scanning images, the
-unpruned threshold searches, the repetitiveness detector by iterating the
-morphism, letter growth, the twined checks on samples and bounded
-languages, and checkers of the `repetitive`, `threshold` and `delta` JSON
-reports.
+tokens, with images built letter by letter from each image(a) of a morphism
+or letter map, and imports only public df0l names: word helpers, the
+canonical order, images and iterates, the factor language by unrolling the
+axioms, the language levels by registration, minimal interpretations by
+scanning images, the unpruned threshold searches, the repetitiveness
+detector by iterating the morphism, letter growth, the twined checks on
+samples and bounded languages, and checkers of the `repetitive`,
+`threshold`, `delta` and `twined` JSON reports.
 """
 
 from functools import lru_cache
@@ -77,27 +77,29 @@ def canonical_key(alphabet):
 
 
 # -- images ----------------------------------------------------------------
-# Built letter by letter from phi.image(a), which decodes each image itself,
-# so no reference shares the morphism's translate table with df0l.
+# Built letter by letter from each image(a) of a morphism or letter map,
+# which decodes each image itself, so no reference shares a map's translate
+# table with df0l.
 
 @lru_cache(maxsize=256)
-def _letter_images(phi) -> dict:
-    """Every image(a) of phi; cached, as the references image many short
-    words under one morphism."""
-    return {a: phi.image(a) for a in phi.alphabet}
+def _letter_images(letter_map) -> dict:
+    """Every image(a) of a morphism or letter map; cached, as the references
+    image many short words under one map."""
+    return {a: letter_map.image(a) for a in letter_map.alphabet}
+
+
+def _image_of(letter_map, word: Word) -> Word:
+    """The image of word, one letter image at a time."""
+    images = _letter_images(letter_map)
+    return tuple(b for a in word for b in images[a])
 
 
 def _iterate_of(phi, word: Word, k: int) -> Word:
-    """image^k(word), by k images of whole words, one letter image at a time."""
-    images = _letter_images(phi)
+    """image^k(word), by k images of whole words."""
     word = tuple(word)
     for _ in range(k):
-        word = tuple(b for a in word for b in images[a])
+        word = _image_of(phi, word)
     return word
-
-
-def _image_of(phi, word: Word) -> Word:
-    return _iterate_of(phi, word, 1)
 
 
 # -- the factor language -------------------------------------------------
@@ -122,7 +124,7 @@ def unrolled_factors(system, max_len):
 def assert_matches_unrolling(system, max_len):
     """Oracle comparison: the language words up to max_len are exactly those
     of unrolled_factors."""
-    mine = factor_language(system, max_len).words
+    mine = factor_language(system, max_len)
     oracle = unrolled_factors(system, max_len)
     assert mine == oracle, sorted(map(format_word, mine ^ oracle))[:5]
 
@@ -270,15 +272,16 @@ def sampled_commutation(data, k, sample_words, image_samples=None):
     """Oracle: alpha∘phi^k = psi^k∘alpha on the samples over phi's alphabet
     and phi^k∘beta = beta∘psi^k on the image samples (derived via alpha
     when not given)."""
+    phi, psi, alpha, beta = data
     if image_samples is None:
-        image_samples = [data.alpha.apply(u) for u in sample_words]
+        image_samples = [_image_of(alpha, u) for u in sample_words]
     for u in sample_words:
-        if data.alpha.apply(_iterate_of(data.phi, u, k)) != \
-                _iterate_of(data.psi, data.alpha.apply(u), k):
+        if _image_of(alpha, _iterate_of(phi, u, k)) != \
+                _iterate_of(psi, _image_of(alpha, u), k):
             return False
     for z in image_samples:
-        if _iterate_of(data.phi, data.beta.apply(z), k) != \
-                data.beta.apply(_iterate_of(data.psi, z, k)):
+        if _iterate_of(phi, _image_of(beta, z), k) != \
+                _image_of(beta, _iterate_of(psi, z, k)):
             return False
     return True
 
@@ -290,11 +293,11 @@ def bounded_language_check(system, target, alpha, beta, max_len):
     beta_stretch = max(1, max(len(beta.image(b)) for b in target.alphabet))
     target_words = factor_language(target, max_len * alpha_stretch)
     for u in factor_language(system, max_len).all_words():
-        if alpha.apply(u) not in target_words:
+        if _image_of(alpha, u) not in target_words:
             return False
     source_words = factor_language(system, max_len * beta_stretch)
     for z in factor_language(target, max_len).all_words():
-        if beta.apply(z) not in source_words:
+        if _image_of(beta, z) not in source_words:
             return False
     return True
 
@@ -340,6 +343,28 @@ def check_delta_report(system, result):
     assert result["count"] == len(pairs)
     assert result["delta_lower_bound"] == max(
         (len(_image_of(phi, u)) for u, _ in pairs), default=0)
+
+
+def check_twined_report(system, target, alpha, beta, max_len, result):
+    """A `twined --json` result at -L max_len, from images built letter by
+    letter: the failure is the first letter a, over phi's letters and then
+    psi's, with beta(alpha(a)) != phi(a), or alpha(beta(a)) != psi(a), and
+    the pair is twined when there is none; a twined pair commutes and its
+    language check is the bounded check at the longest axiom, and a pair
+    that is not twined reports neither; max_len is echoed.  Returns whether
+    the pair is twined."""
+    failures = [a for f, there, back in ((system.morphism, alpha, beta),
+                                         (target.morphism, beta, alpha))
+                for a in f.alphabet if _image_of(back, there.image(a)) != f.image(a)]
+    twined = not failures
+    language_check = None
+    if twined:
+        longest = max(map(len, [*system.axioms, *target.axioms]))
+        language_check = bounded_language_check(system, target, alpha, beta, longest)
+    assert result == {"twined": twined, "failure": failures[0] if failures else None,
+                      "commutation": twined or None, "language_check": language_check,
+                      "max_len": max_len}, result
+    return twined
 
 
 def _level_interpretations(system, words, n):

@@ -124,7 +124,7 @@ def test_criterion_4_power_axioms(capsys, tmp_path):
     assert payload["result"]["axioms"] == ["b", "a d"]
 
     squared = power_system(system, 2)
-    assert factor_language(system, 12).words == factor_language(squared, 12).words
+    assert factor_language(system, 12) == factor_language(squared, 12)
 
     print(f"\nACCEPTANCE 4: PASS - ad in L(S) but not in the single-axiom "
           f"square; power axioms {{b, ad}}; languages agree to length 12 "
@@ -263,8 +263,9 @@ def test_criterion_6_property_suites():
                    {"a": w("abacc"), "b": w("aba"), "c": w("aba")})
     psi = Morphism(("A", "B"), {"A": ("A", "B", "A", "B", "B"), "B": ("A", "B", "A")})
     data = TwinedData(phi, psi,
-                      LetterMap({"a": ("A",), "b": ("B",), "c": ("B",)}),
-                      LetterMap({"A": w("abacc"), "B": w("aba")}))
+                      LetterMap(phi.alphabet, psi.alphabet,
+                                {"a": ("A",), "b": ("B",), "c": ("B",)}),
+                      LetterMap(psi.alphabet, phi.alphabet, {"A": w("abacc"), "B": w("aba")}))
     assert find_twined_failure(data) is None
     assert twined_commutation_check(data)
     samples = [w("a"), w("ab"), w("abacc"), w("ccaba")]

@@ -123,8 +123,8 @@ def test_boundary_errors(call, expected):
     assert type(err.value) is expected
 
 
-IDENTITY = LetterMap({"a": w("a"), "b": w("b")})
 PHI = TM.morphism
+IDENTITY = LetterMap(PHI.alphabet, PHI.alphabet, {"a": w("a"), "b": w("b")})
 
 PRECONDITIONS = [
     ("collisions_upto", "max_len 0", lambda: collisions_upto(TM, 0), PreconditionError),
@@ -132,7 +132,8 @@ PRECONDITIONS = [
      lambda: collision_family_check(TM, 0, w("a"), w("b")), PreconditionError),
     ("simplification_language_check", "maps not commuting",
      lambda: simplification_language_check(TM, TM, IDENTITY,
-                                           LetterMap({"a": w("ab"), "b": w("a")})),
+                                           LetterMap(PHI.alphabet, PHI.alphabet,
+                                                     {"a": w("ab"), "b": w("a")})),
      PreconditionError),
     ("factor_language", "max_len -1", lambda: factor_language(TM, -1), PreconditionError),
     ("interpretation_length_bounds", "empty word",

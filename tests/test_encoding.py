@@ -125,7 +125,6 @@ def test_unknown_tokens_are_not_members(pair):
         if all(a in coded.alphabet for a in word):
             continue
         assert word not in fs
-        assert word not in fs.words
         with pytest.raises(InvalidSystemError, match="unknown letter"):
             contains(coded, word)
 
@@ -139,7 +138,7 @@ def test_factor_set_words_is_a_view(thue_morse):
         fs = factor_language(thue_morse, 150)
         held, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        count = sum(1 for _ in fs.words)
+        count = sum(1 for _ in fs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -147,12 +146,20 @@ def test_factor_set_words_is_a_view(thue_morse):
     assert held < 12 * 2**20
     assert peak - held < 2 * 2**20
     small = factor_language(thue_morse, 5)
-    assert small.words == frozenset(small.all_words())
-    assert frozenset(small.all_words()) == small.words
-    assert small.words <= fs.words and not fs.words <= small.words
-    assert fs.words - small.words == frozenset(w for w in fs.all_words() if len(w) > 5)
+    assert small == frozenset(small.all_words())
+    assert frozenset(small.all_words()) == small
+    assert small <= fs and not fs <= small
+    assert fs - small == frozenset(w for w in fs.all_words() if len(w) > 5)
     # the factor set is itself that set, equal to and hashed like a frozenset
     assert isinstance(fs, collections.abc.Set) and fs.words is fs
-    assert small == frozenset(small.all_words())
     assert hash(small) == hash(frozenset(small.all_words()))
+    # and it holds what that frozenset holds: only tuples are words, so a
+    # str is not read as a word of one-letter tokens
+    tm3 = factor_language(thue_morse, 3)
+    as_frozenset = frozenset(tm3.all_words())
+    for probe in [("a", "b"), (), "ab", "a", "", 5, None]:
+        assert (probe in tm3) == (probe in as_frozenset), probe
+    assert ("a", "b") in tm3 and () in tm3
+    assert "ab" not in tm3 and 5 not in tm3
+    assert ["a", "b"] not in tm3    # unhashable, which the frozenset refuses
     assert type(fs | small) is frozenset

@@ -1,14 +1,20 @@
+import json
+import os
 import random
 
 import pytest
 
 from df0l import (Alphabet, DF0LSystem, LetterMap, Morphism, PreconditionError,
                   TwinedData, collision_family_check, collisions_upto, contains,
-                  delta_estimate, find_twined_failure,
+                  delta_estimate, find_twined_failure, render_system,
                   simplification_language_check, twined_commutation_check)
+from df0l.cli import main
 
 from conftest import w
-from oracles import bounded_language_check, canonical_key, sampled_commutation
+from oracles import (bounded_language_check, canonical_key, check_twined_report,
+                     sampled_commutation)
+
+SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
 
 
 def test_collisions_collapse_bounded(collapse_bounded):
@@ -68,8 +74,9 @@ def test_collision_family(collapse_unbounded, collapse_bounded):
 def _example_twining(collapse_bounded):
     target = Alphabet(("A", "B"))
     psi = Morphism(target, {"A": ("A", "B", "A", "B", "B"), "B": ("A", "B", "A")})
-    alpha = LetterMap({"a": ("A",), "b": ("B",), "c": ("B",)})
-    beta = LetterMap({"A": w("abacc"), "B": w("aba")})
+    source = collapse_bounded.alphabet
+    alpha = LetterMap(source, target, {"a": ("A",), "b": ("B",), "c": ("B",)})
+    beta = LetterMap(target, source, {"A": w("abacc"), "B": w("aba")})
     return TwinedData(collapse_bounded.morphism, psi, alpha, beta)
 
 
@@ -81,15 +88,16 @@ def test_verify_twined(collapse_bounded):
 def test_identity_twining(thue_morse):
     # alpha the identity and beta the morphism itself twine phi with phi
     phi = thue_morse.morphism
-    identity = LetterMap({a: (a,) for a in phi.alphabet})
-    as_map = LetterMap({a: phi.image(a) for a in phi.alphabet})
+    identity = LetterMap(phi.alphabet, phi.alphabet, {a: (a,) for a in phi.alphabet})
+    as_map = LetterMap(phi.alphabet, phi.alphabet, {a: phi.image(a) for a in phi.alphabet})
     assert find_twined_failure(TwinedData(phi, phi, identity, as_map)) is None
 
 
 def test_perturbed_twining_pinpoints_letter(collapse_bounded):
     data = _example_twining(collapse_bounded)
     broken = TwinedData(data.phi, data.psi,
-                        LetterMap({"a": ("A",), "b": ("A",), "c": ("B",)}),
+                        LetterMap(data.phi.alphabet, data.psi.alphabet,
+                                  {"a": ("A",), "b": ("A",), "c": ("B",)}),
                         data.beta)
     assert find_twined_failure(broken) == "b"
 
@@ -113,12 +121,12 @@ def test_language_check(collapse_bounded):
         collapse_bounded, target, data.alpha, data.beta)
     # identity twining trivially passes
     phi = collapse_bounded.morphism
-    identity = LetterMap({a: (a,) for a in phi.alphabet})
+    identity = LetterMap(phi.alphabet, phi.alphabet, {a: (a,) for a in phi.alphabet})
     assert simplification_language_check(
         collapse_bounded, collapse_bounded, identity, identity)
     # a beta with an image outside the source language (bb never occurs)
     # does not commute with the morphisms, so the check refuses it
-    bad_beta = LetterMap({"A": w("abacc"), "B": w("abb")})
+    bad_beta = LetterMap(data.psi.alphabet, phi.alphabet, {"A": w("abacc"), "B": w("abb")})
     with pytest.raises(PreconditionError):
         simplification_language_check(collapse_bounded, target, data.alpha, bad_beta)
     # commuting maps whose axiom image leaves the language must fail: the
@@ -127,6 +135,31 @@ def test_language_check(collapse_bounded):
     assert not contains(collapse_bounded, w("bb"))
     assert not simplification_language_check(
         from_bb, collapse_bounded, identity, identity)
+
+
+def test_maps_must_read_and_write_the_pairs_alphabets(collapse_bounded):
+    """The checks compare code strings, which follow declaration order, so a
+    map over the same letters in another order, or over other letters, is
+    refused by each check."""
+    data = _example_twining(collapse_bounded)
+    source, target = data.phi.alphabet, data.psi.alphabet
+    reordered = Alphabet(("B", "A"))
+    images = {"a": ("A",), "b": ("B",), "c": ("B",)}
+    bad = [data._replace(alpha=LetterMap(source, reordered, images)),
+           data._replace(alpha=LetterMap(Alphabet(("c", "b", "a")), target, images)),
+           data._replace(beta=LetterMap(reordered, source,
+                                        {"A": w("abacc"), "B": w("aba")})),
+           data._replace(beta=data.alpha), data._replace(alpha=data.beta)]
+    system = DF0LSystem(data.phi, [w("a")])
+    target_system = DF0LSystem(data.psi, [("A",)])
+    for broken in bad:
+        with pytest.raises(PreconditionError, match="alpha must map"):
+            find_twined_failure(broken)
+        with pytest.raises(PreconditionError, match="alpha must map"):
+            twined_commutation_check(broken)
+        with pytest.raises(PreconditionError, match="alpha must map"):
+            simplification_language_check(system, target_system, broken.alpha, broken.beta)
+    assert find_twined_failure(data) is None
 
 
 def test_canonical_pair_order(collapse_bounded):
@@ -142,9 +175,11 @@ def _random_twined_pair(rng):
     axioms of length 1-2 on each side."""
     source = Alphabet(tuple("abc"[:rng.randint(2, 3)]))
     target = Alphabet(tuple("ABC"[:rng.randint(1, 3)]))
-    alpha = LetterMap({a: tuple(rng.choices(target.letters, k=rng.randint(1, 2)))
+    alpha = LetterMap(source, target,
+                      {a: tuple(rng.choices(target.letters, k=rng.randint(1, 2)))
                        for a in source})
-    beta = LetterMap({b: tuple(rng.choices(source.letters, k=rng.randint(1, 3)))
+    beta = LetterMap(target, source,
+                     {b: tuple(rng.choices(source.letters, k=rng.randint(1, 3)))
                       for b in target})
     phi = Morphism(source, {a: beta.apply(alpha.image(a)) for a in source})
     psi = Morphism(target, {b: alpha.apply(beta.image(b)) for b in target})
@@ -190,14 +225,17 @@ def test_commutation_is_decided_on_letters():
             # phi commutes with its own powers
             psi = phi
             powers = [phi.power(rng.randint(1, 2)) for _ in range(2)]
-            alpha, beta = (LetterMap({a: power.image(a) for a in phi.alphabet})
+            alpha, beta = (LetterMap(phi.alphabet, phi.alphabet,
+                                     {a: power.image(a) for a in phi.alphabet})
                            for power in powers)
         else:
             psi = Morphism(target, {b: tuple(rng.choices(target.letters, k=rng.randint(1, 3)))
                                     for b in target})
-            alpha = LetterMap({a: tuple(rng.choices(target.letters, k=rng.randint(1, 2)))
+            alpha = LetterMap(source, target,
+                              {a: tuple(rng.choices(target.letters, k=rng.randint(1, 2)))
                                for a in source})
-            beta = LetterMap({b: tuple(rng.choices(source.letters, k=rng.randint(1, 3)))
+            beta = LetterMap(target, source,
+                             {b: tuple(rng.choices(source.letters, k=rng.randint(1, 3)))
                               for b in target})
         data = TwinedData(phi, psi, alpha, beta)
         letters = [(a,) for a in data.phi.alphabet]
@@ -210,3 +248,67 @@ def test_commutation_is_decided_on_letters():
     for system, target, alpha, beta in TWINED_PAIRS:
         assert twined_commutation_check(
             TwinedData(system.morphism, target.morphism, alpha, beta))
+
+
+def _rules(letter_map):
+    return "; ".join(f"{a} -> {' '.join(letter_map.image(a))}" for a in letter_map.alphabet)
+
+
+def _twined_report(capsys, path, other, alpha_rules, beta_rules, max_len=4):
+    code = main(["twined", str(path), str(other), "--alpha", alpha_rules,
+                 "--beta", beta_rules, "-L", str(max_len), "--json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    del payload["elapsed_ms"]
+    return payload
+
+
+def _reversed(system):
+    """The same system with its alphabet declared in reverse order."""
+    phi = system.morphism
+    alphabet = Alphabet(reversed(phi.alphabet.letters))
+    return DF0LSystem(Morphism(alphabet, {a: phi.image(a) for a in alphabet}),
+                      system.axioms)
+
+
+def test_twined_reports_pass_the_checker(capsys, tmp_path):
+    """The `twined --json` reports of the seeded twined pairs, and of one
+    perturbed alpha per pair, pass check_twined_report, with pinned counts;
+    a target file that declares its alphabet in reverse order gives the same
+    reports, for the seeded pairs and for the sample pair."""
+    path, other, flipped = (tmp_path / name for name in ("phi.sys", "psi.sys", "rev.sys"))
+    counts = {"language ok": 0, "twined": 0, "failed on phi": 0, "failed on psi": 0}
+    for seed, (system, target, alpha, beta) in enumerate(TWINED_PAIRS):
+        path.write_text(render_system(system), encoding="utf-8")
+        other.write_text(render_system(target), encoding="utf-8")
+        flipped.write_text(render_system(_reversed(target)), encoding="utf-8")
+        rng = random.Random(seed)
+        max_len = rng.randint(1, 6)
+        report = _twined_report(capsys, path, other, _rules(alpha), _rules(beta), max_len)
+        assert check_twined_report(system, target, alpha, beta, max_len, report["result"])
+        assert _twined_report(capsys, path, flipped, _rules(alpha), _rules(beta),
+                              max_len) == report
+        counts["language ok"] += report["result"]["language_check"]
+        images = {a: alpha.image(a) for a in system.alphabet}
+        images[rng.choice(system.alphabet.letters)] = tuple(
+            rng.choices(target.alphabet.letters, k=rng.randint(1, 2)))
+        perturbed = LetterMap(system.alphabet, target.alphabet, images)
+        report = _twined_report(capsys, path, other, _rules(perturbed), _rules(beta), max_len)
+        if check_twined_report(system, target, perturbed, beta, max_len, report["result"]):
+            counts["twined"] += 1
+        elif report["result"]["failure"] in system.alphabet:
+            counts["failed on phi"] += 1
+        else:
+            counts["failed on psi"] += 1
+    assert counts == {"language ok": 330, "twined": 164, "failed on phi": 325,
+                      "failed on psi": 11}
+    collapse = os.path.join(SAMPLES, "collapse_bounded_delta.sys")
+    simplified = os.path.join(SAMPLES, "simplified_collapse.sys")
+    with open(simplified, encoding="utf-8") as handle:
+        text = handle.read()
+    flipped.write_text(text.replace("alphabet: A B", "alphabet: B A"), encoding="utf-8")
+    rules = "a -> A; b -> B; c -> B", "A -> a b a c c; B -> a b a"
+    report = _twined_report(capsys, collapse, simplified, *rules)
+    assert _twined_report(capsys, collapse, flipped, *rules) == report
+    assert report["result"] == {"twined": True, "failure": None, "commutation": True,
+                                "language_check": True, "max_len": 4}
