@@ -4,9 +4,9 @@ One system file per invocation; verdicts go to stdout as text or, with
 --json, as a schema-stable JSON report whose lists are in canonical order.
 Exit codes: 0 for any computed verdict (including cutoff exhaustion and
 no-witness results), 2 for usage, input or parse errors (including a non-UTF-8
-file and an unwritable output path) and for running out of memory, 3 for
-precondition violations such as an erasing morphism; under --json each error
-also prints a JSON error report.
+file and an unwritable output path) and for running out of memory, also
+while the report is printed, 3 for precondition violations such as an
+erasing morphism; under --json each error also prints a JSON error report.
 
 The commands form one static table, built once at import: each handler
 declares its subcommand with the `_command` decorator, which adds the
@@ -330,14 +330,14 @@ def main(argv=None) -> int:
             lines = [json.dumps({"command": args.command, "system": _system_info(system),
                                  "result": result, "elapsed_ms": elapsed_ms},
                                 sort_keys=True, ensure_ascii=False)]
+        for line in lines:
+            print(line)
     except InvalidSystemError as exc:
         return _emit_error(args.json, args.command, str(exc), 2)
     except PreconditionError as exc:
         return _emit_error(args.json, args.command, str(exc), 3)
     except MemoryError:     # what it held is freed once the handler has unwound
         return _emit_error(args.json, args.command, "out of memory", 2)
-    for line in lines:
-        print(line)
     return 0
 
 

@@ -1,9 +1,12 @@
 """Injectivity-collision enumeration and twined-morphism verification.
 
-Whether a morphism is eventually injective on its language is not known to
-be decidable, so collision enumeration is bounded by a word length and the
-delta estimate derived from it is a lower bound: exact exactly when no
-longer collisions exist.
+Whether a morphism is injective on every word is decidable: it is iff its
+images form a code (fact 4 below).  Whether it is eventually injective on
+its language is not known to be decidable, so collision enumeration is
+bounded by a word length and the delta estimate derived from it is a lower
+bound: exact exactly when no longer collisions exist.  A morphism whose
+images form a code has no collision at all, so collisions_upto answers it
+from the images alone and builds no language.
 
 The twined checks are exact and need no bound.  Let phi and psi be the
 morphisms of two systems with languages L(phi) and L(psi), and alpha and
@@ -23,6 +26,34 @@ beta letter maps between their alphabets, applied homomorphically.
    alpha(w) it holds both.
 3. Twining implies commutation: alpha∘phi = alpha∘beta∘alpha = psi∘alpha,
    and phi∘beta = beta∘alpha∘beta = beta∘psi.
+
+The code test (Sardinas and Patterson, IRE Trans. Inform. Theory, 1953)
+reads a non-erasing phi's set C of images.  A dangling suffix is a member
+of some U(n): U(1) = C^-1 C minus the empty word, the d with c d = c' for
+codewords c != c', and U(n+1) = C^-1 U(n) ∪ U(n)^-1 C, the d' with
+c d' = d or d d' = c for a codeword c and d in U(n).
+
+4. If phi's images are distinct and no dangling suffix is a codeword, phi
+   is injective on every word.  Take phi(u) = phi(v) with u != v.  Neither
+   word is a prefix of the other, as no image is empty, so after their
+   longest common prefix u = x a u' and v = x b v' with letters a != b, and
+   phi(a u') = phi(b v').  phi(a) != phi(b), and both are prefixes of one
+   word, so one is a proper prefix of the other: the longer overhangs it
+   by a d in U(1).  Read the two factorizations into images from the left.
+   While the side ahead overhangs the other by a dangling suffix d, the
+   side behind has a next image c, since both sides end at the same
+   length, and c and d are prefixes of the same word.  If c is a proper
+   prefix of d, the same side stays ahead by c^-1 d; if d is a proper
+   prefix of c, the sides swap and the new overhang is d^-1 c; both are
+   dangling suffixes of the next U.  The length read grows at every step,
+   so the reading ends, and it can only end with c = d, a dangling suffix
+   that is a codeword.
+   Conversely, every d in U(n) has words p, q with different first letters
+   and phi(p) d = phi(q) (by induction on n, from the same two cases), so
+   a dangling codeword phi(e) gives the collision phi(p e) = phi(q).
+   Every dangling suffix is a suffix of a codeword, so there are at most
+   the sum of |phi(a)| of them, and one worklist over them decides the
+   test.
 """
 
 from collections import namedtuple
@@ -44,15 +75,47 @@ def collisions_upto(system: DF0LSystem, max_len: int) -> list[CollisionPair]:
     system.require_pdf0l()
     if max_len < 1:
         raise PreconditionError("max_len must be >= 1")
+    if _is_code(system.morphism):
+        return []       # injective on every word (fact 4)
     table = system.morphism.table
     by_image = {}
     # the codes come in canonical order, and so does every group
     for w in factor_language(system, max_len)._codes():
         by_image.setdefault(w.translate(table), []).append(w)
     pairs = [pair for group in by_image.values() for pair in combinations(group, 2)]
-    pairs.sort(key=lambda p: (code_key(p[0]), code_key(p[1])))
+    # a word lies in one group, whose pairs come in order, and the sort is stable
+    pairs.sort(key=lambda p: code_key(p[0]))
     decode = system.alphabet.decode
     return [CollisionPair(decode(u), decode(v)) for u, v in pairs]
+
+
+def _is_code(phi) -> bool:
+    """Whether the images of the non-erasing phi are distinct and no dangling
+    suffix is a codeword (fact 4 of the module docstring), by one worklist
+    over the dangling suffixes: a codeword that is a prefix of d is found by
+    looking up d's prefixes of codeword lengths, and a codeword that d is a
+    proper prefix of through a table from each proper prefix of a codeword
+    to its remainders."""
+    codewords = set(phi.image_codes.values())
+    if len(codewords) < len(phi.image_codes):
+        return False
+    lengths = set(map(len, codewords))
+    remainders = {}
+    for c in codewords:
+        for k in range(1, len(c)):
+            remainders.setdefault(c[:k], []).append(c[k:])
+    todo = [d for c in codewords for d in remainders.get(c, ())]    # U(1)
+    seen = set(todo)
+    while todo:
+        d = todo.pop()
+        if d in codewords:
+            return False
+        found = [d[k:] for k in lengths if k < len(d) and d[:k] in codewords]
+        for e in found + remainders.get(d, []):
+            if e not in seen:
+                seen.add(e)
+                todo.append(e)
+    return True
 
 
 def delta_estimate(system: DF0LSystem, max_len: int) -> tuple[int, int]:

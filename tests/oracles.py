@@ -6,13 +6,14 @@ or letter map, and imports only public df0l names: word helpers, the
 canonical order, images and iterates, the factor language by unrolling the
 axioms, the language levels by registration, minimal interpretations by
 scanning images, the unpruned threshold searches, the repetitiveness
-detector by iterating the morphism, letter growth, the twined checks on
-samples and bounded languages, and checkers of the `repetitive`,
-`threshold`, `delta` and `twined` JSON reports.
+detector by iterating the morphism, letter growth, collisions by imaging
+every short word, the twined checks on samples and bounded languages, and
+checkers of the `repetitive`, `threshold`, `delta` and `twined` JSON
+reports.
 """
 
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 
 from df0l import (Interpretation, RepetitivenessVerdict, Word, contains,
                   factor_language, format_word, interpretation_length_bounds,
@@ -264,6 +265,21 @@ def _growth_oracle(phi, letter, step_cap=3000, length_cap=500):
         if len(word) > length_cap:
             return True
     raise AssertionError("growth oracle undecided; raise the caps")
+
+
+# -- injectivity ---------------------------------------------------------
+
+def naive_collision(phi, max_len):
+    """Two distinct words of at most max_len letters over phi's alphabet
+    with equal images, the second as short as can be, or None; by imaging
+    every such word in turn."""
+    seen = {}
+    for n in range(1, max_len + 1):
+        for word in product(phi.alphabet.letters, repeat=n):
+            other = seen.setdefault(_image_of(phi, word), word)
+            if other != word:
+                return other, word
+    return None
 
 
 # -- twined checks -------------------------------------------------------

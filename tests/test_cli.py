@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -384,6 +385,30 @@ def test_running_out_of_memory_is_an_exit_code():
                 "command": "power", "error": {"exit_code": 2, "message": "out of memory"}}
         else:
             assert done.stderr == b"error: out of memory\n"
+
+
+def test_running_out_of_memory_while_printing_is_an_exit_code(capsys, monkeypatch):
+    """A MemoryError from the first write of the report ends with exit 2
+    and the error report, not a traceback."""
+    class FirstWriteFails(io.StringIO):
+        failed = False
+
+        def write(self, text):
+            if not self.failed:
+                self.failed = True
+                raise MemoryError
+            return super().write(text)
+
+    for json_flag in ([], ["--json"]):
+        out = FirstWriteFails()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main([*json_flag, "letters", sample("thue_morse.sys")]) == 2
+        if json_flag:
+            assert json.loads(out.getvalue()) == {
+                "command": "letters", "error": {"exit_code": 2, "message": "out of memory"}}
+        else:
+            assert out.getvalue() == ""
+            assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_usage_errors_give_a_json_report(capsys):

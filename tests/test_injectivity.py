@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import time
+from itertools import product
 
 import pytest
 
@@ -9,15 +11,17 @@ from df0l import (Alphabet, DF0LSystem, LetterMap, Morphism, PreconditionError,
                   delta_estimate, find_twined_failure, render_system,
                   simplification_language_check, twined_commutation_check)
 from df0l.cli import main
+from df0l.injectivity import _is_code
 
 from conftest import w
 from oracles import (bounded_language_check, canonical_key, check_twined_report,
-                     sampled_commutation)
+                     naive_collision, sampled_commutation)
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
 
 
 def test_collisions_collapse_bounded(collapse_bounded):
+    assert collisions_upto(collapse_bounded, 1) == [(w("b"), w("c"))]
     pairs = collisions_upto(collapse_bounded, 3)
     assert {(p.u, p.v) for p in pairs} == {
         (w("b"), w("c")), (w("ba"), w("ca")),
@@ -43,9 +47,62 @@ def test_collisions_monotone(collapse_unbounded):
         delta_estimate(collapse_unbounded, 4)[0]
 
 
-def test_no_collisions_thue_morse(thue_morse):
-    assert collisions_upto(thue_morse, 8) == []
-    assert delta_estimate(thue_morse, 8) == (0, 0)
+def test_no_collisions_thue_morse(thue_morse, monkeypatch):
+    """Thue-Morse's images form a code, so collisions_upto answers from the
+    images alone, at any length, and builds no language."""
+    def unused(*args):
+        raise AssertionError("a code needs no language")
+
+    monkeypatch.setattr("df0l.injectivity.factor_language", unused)
+    for max_len in (1, 8, 1000):
+        assert collisions_upto(thue_morse, max_len) == []
+        assert delta_estimate(thue_morse, max_len) == (0, 0)
+
+
+def _morphism(letters, images):
+    return Morphism(Alphabet(tuple(letters)),
+                    {a: tuple(image) for a, image in zip(letters, images)})
+
+
+def test_code_test_matches_the_collision_oracle():
+    """The images form a code iff no two distinct words of at most 5 letters
+    have equal images: on all 196 morphisms over {a, b} with images of
+    length 1-3, 170 of them codes, on 300 seeded morphisms over {a, b, c},
+    265 of them codes, and on a -> a, b -> c c, c -> a c c a, where the
+    dangling suffix c c a starts with a codeword longer than the shortest
+    and leaves the codeword a.  Every collision found has at most 3
+    letters."""
+    binary = ["".join(p) for n in (1, 2, 3) for p in product("ab", repeat=n)]
+    ternary = ["".join(p) for n in (1, 2, 3) for p in product("abc", repeat=n)]
+    rng = random.Random(26)
+    morphisms = [_morphism("ab", images) for images in product(binary, repeat=2)]
+    morphisms += [_morphism("abc", rng.choices(ternary, k=3)) for _ in range(300)]
+    morphisms.append(_morphism("abc", ["a", "cc", "acca"]))
+    codes = []
+    for phi in morphisms:
+        collision = naive_collision(phi, 5)
+        assert _is_code(phi) == (collision is None), phi
+        assert collision is None or len(collision[1]) <= 3, (phi, collision)
+        codes.append(collision is None)
+    assert (sum(codes[:196]), sum(codes[196:-1]), codes[-1]) == (170, 265, False)
+
+
+def test_code_test_on_2000_letters():
+    """x0 -> x0 and x_i -> x_(i-1) x_i for 0 < i < 1999: the dangling
+    suffixes are x1, x2, ... x1998, one after the other.  With
+    x1999 -> x1998 the last is a codeword, and x0 x2 ... x1998 and
+    x1 x3 ... x1997 x1999 have equal images; with x1999 -> x1999 x1999 none
+    is, and the images form a code.  Each is decided in well under a
+    second."""
+    letters = [f"x{i}" for i in range(2000)]
+    chain = [letters[max(i - 1, 0):i + 1] for i in range(1999)]
+    non_code = _morphism(letters, chain + [["x1998"]])
+    code = _morphism(letters, chain + [["x1999", "x1999"]])
+    assert non_code.apply(letters[0:1999:2]) == non_code.apply(letters[1::2])
+    for phi, expected in ((non_code, False), (code, True)):
+        start = time.perf_counter()
+        assert _is_code(phi) is expected
+        assert time.perf_counter() - start < 1.0
 
 
 def test_delta_estimate(collapse_bounded):

@@ -175,6 +175,26 @@ def test_detector_matches_naive_reference():
     assert certified == 576
 
 
+def test_detector_at_period_bound_one():
+    """At period bound 1 only one-letter witnesses can be found: every
+    verdict field equals the naive reference on the 392 binary census
+    systems, and 116 of them are certified."""
+    verdicts = [detect_unbounded_repetitive(system, 1) for system in binary_census()]
+    assert verdicts == [_checked_naive_detect(system, 1) for system in binary_census()]
+    assert sum(verdict.repetitive for verdict in verdicts) == 116
+
+
+def test_detector_reads_letter_images_at_their_offsets():
+    """a -> b c a, b -> b, c -> c a b b: image(c a b b b) = (c a b b b)^2,
+    and the images of the witness's letters start at offsets 0, 4, 2, 3
+    and 4 of the witness repeated, so a walk that misplaces them loses the
+    certificate."""
+    system = sys1("abc", {"a": "bca", "b": "b", "c": "cabb"}, ["a"])
+    verdict = detect_unbounded_repetitive(system)
+    assert verdict == RepetitivenessVerdict(True, "c", 1, w("cabbb"), 2, 256, 3)
+    assert verdict == _checked_naive_detect(system, 256)
+
+
 def test_detector_on_a_slowly_growing_fixed_point():
     """a -> a c, c -> c: the fixed point a c c c ... grows by one letter per
     image, and no prefix is mapped to a power of itself."""
