@@ -11,11 +11,16 @@ Minimal interpretations are found, memoized and read for membership in
 `language`; see its docstring.
 
 Each parse carries its cut tuple: cuts[i] = |image(w[:i])| - |s| for
-i = 0..|w|, the offset in u at which the image of each prefix of w ends.
-A split of u after k letters is compatible with the interpretation exactly
-when k is a cut, at the prefix i with cuts[i] == k.  Every split decision
-reads one primitive, `_split_ends(parses, k)`: per interpretation, None
-(k is not a cut), `_LEFT_EMPTY` or the letter that ends the left part of w.
+i = 0..|w|, the offset in u at which the image of each prefix of w ends;
+a frontier step carries it from the trim's parse, and it is computed only
+for a parse from the full pass.  A split of u after k letters is
+compatible with the interpretation exactly when k is a cut, at the prefix
+i with cuts[i] == k.
+The parses of a word come in no fixed order, and none of the split
+decisions below depends on it; `minimal_interpretations` alone returns
+them in canonical order.  Every split decision reads one primitive,
+`_split_ends(parses, k)`: per interpretation, None (k is not a cut),
+`_LEFT_EMPTY` or the letter that ends the left part of w.
 A pair is admissible when some entry is not None, weakly synchronizing when
 none is None, strongly synchronizing when all are one letter.  Public
 predicates check the caller's input, which yields its parses, and call these
@@ -29,7 +34,7 @@ from collections import namedtuple
 
 from .errors import NotInLanguageError, PreconditionError
 from .language import _cuts, _member, _parses, interpretation_length_bounds
-from .system import DF0LSystem
+from .system import DF0LSystem, code_key
 
 
 class Interpretation(namedtuple("Interpretation", "s w t")):
@@ -94,9 +99,11 @@ def _word_sync(parses, n: int) -> WordSyncReport:
     if not parses:
         return WordSyncReport(True, 0, True)
     # the first parse's cuts are increasing: the first one shared by every
-    # parse is the smallest offset in the intersection of the cut sets
+    # parse is the smallest offset in the intersection of the cut sets,
+    # whichever parse comes first
+    others = [p[3] for p in parses[1:]]
     split = next((k for k in parses[0][3] if 0 <= k <= n
-                  and all(_cut(cuts, k) is not None for *_, cuts in parses[1:])), None)
+                  and all(k in cuts for cuts in others)), None)
     return WordSyncReport(split is not None, split, False)
 
 
@@ -125,6 +132,8 @@ def _pair_ends(system: DF0LSystem, left, right) -> list[str | None]:
 def minimal_interpretations(system: DF0LSystem, u) -> list[Interpretation]:
     """All minimal interpretations of u, deduplicated, in canonical order."""
     parses = _require_word(system, u, "interpretations are defined for non-empty words")
+    if len(parses) > 1:
+        parses = sorted(parses, key=lambda p: (code_key(p[0]), code_key(p[1]), code_key(p[2])))
     decode = system.alphabet.decode
     return [Interpretation(decode(s), decode(w), decode(t)) for s, w, t, _ in parses]
 

@@ -67,6 +67,15 @@ or (ε, w[1:], t) when image(w[0]) = s·c, since then w[1:] is a non-empty
 language word whose image is u·t.  So a word whose trim u[:-1], u[1:] or
 u[1:-1] has a memoized parse is parsed by one or two steps from it, which
 is how the threshold searches parse their candidates.
+A state of a stepped parse is (s, w, t, cuts), with the cut tuple of
+`interpretations`, measured from u's first letter, and the steps carry it:
+a right step keeps the cuts of a state that advances inside t and appends
+cuts[-1] + |image(b)| when it extends w by b; a left step adds one to every
+cut, and an extension by b also prepends -|s|.  The full pass carries no
+cuts, since each extension would copy a tuple that grows with u; they are
+computed once per state it returns.  A parse is in no fixed order: it
+follows the trim it was stepped from, which follows the order in which the
+searches visit a level's set of words; only `minimal_interpretations` sorts.
 """
 
 import threading
@@ -75,7 +84,7 @@ from collections.abc import Set
 from itertools import accumulate, islice
 
 from .errors import InvalidSystemError, PreconditionError
-from .system import DF0LSystem, code_key
+from .system import DF0LSystem
 from .words import Word
 
 
@@ -141,8 +150,8 @@ class FactorSet(Set):
 class _Record:
     """What df0l remembers about one system; see the module docstring.
     heads[c] lists each letter b whose image starts with c, with the rest
-    of that image, and tails[c] each b whose image ends with c, with the
-    image before c; the frontier steps read them."""
+    of that image and the image's length, and tails[c] each b whose image
+    ends with c, with the image before c; the frontier steps read them."""
 
     __slots__ = ("levels", "registered", "pending", "parses", "verdicts", "heads", "tails")
 
@@ -154,7 +163,7 @@ class _Record:
         self.verdicts = {}                      # period bound -> RepetitivenessVerdict
         self.heads, self.tails = {}, {}
         for b, code in phi.image_codes.items():     # non-erasing, as _record checks
-            self.heads.setdefault(code[0], []).append((b, code[1:]))
+            self.heads.setdefault(code[0], []).append((b, code[1:], len(code)))
             self.tails.setdefault(code[-1], []).append((b, code[:-1]))
 
 
@@ -266,45 +275,49 @@ def _cuts(phi, s_len: int, w: str) -> tuple[int, ...]:
 
 
 def _right_step(states, c: str, heads, levels) -> list:
-    """The frontier step u -> u·c: the minimal interpretations (s, w, t) of
-    u·c from those of u, read on t."""
+    """The frontier step u -> u·c: the minimal interpretations (s, w, t, cuts)
+    of u·c from those of u, read on t; cuts, if not None, gains the end of
+    each letter that extends w."""
     starting = heads.get(c, ())
     stepped = []
-    for s, w, t in states:
+    for s, w, t, cuts in states:
         if t:
             if t[0] == c:
-                stepped.append((s, w, t[1:]))
+                stepped.append((s, w, t[1:], cuts))
         else:
             level = levels[len(w) + 1]
-            for b, rest in starting:
+            for b, rest, size in starting:
                 v = w + b
                 if v in level:
-                    stepped.append((s, v, rest))
+                    stepped.append((s, v, rest, cuts and cuts + (cuts[-1] + size,)))
     return stepped
 
 
 def _left_step(states, c: str, tails, levels) -> list:
-    """Its mirror u -> c·u, read on s."""
+    """Its mirror u -> c·u, read on s; cuts, if not None, move one letter on,
+    and a letter that extends w on the left prepends its start."""
     ending = tails.get(c, ())
     stepped = []
-    for s, w, t in states:
+    for s, w, t, cuts in states:
         if s:
             if s[-1] == c:
-                stepped.append((s[:-1], w, t))
+                stepped.append((s[:-1], w, t, cuts and tuple(map((1).__add__, cuts))))
         else:
             level = levels[len(w) + 1]
             for b, rest in ending:
                 v = b + w
                 if v in level:
-                    stepped.append((rest, v, t))
+                    stepped.append((rest, v, t, cuts and (-len(rest), *map((1).__add__, cuts))))
     return stepped
 
 
 def _full_pass(phi, heads, levels, u: str) -> list:
-    """The minimal interpretations (s, w, t) of u: right steps from those of
-    u[:1], every language letter a with an offset j where image(a)[j] = u[0]."""
+    """The minimal interpretations (s, w, t, None) of u: right steps from
+    those of u[:1], every language letter a with an offset j where
+    image(a)[j] = u[0].  No cuts are carried, so that no state copies a
+    growing tuple at each extension; the caller computes them once."""
     c = u[0]
-    states = [(image[:j], a, image[j + 1:]) for a, image in phi.image_codes.items()
+    states = [(image[:j], a, image[j + 1:], None) for a, image in phi.image_codes.items()
               if a in levels[1] for j in range(len(image)) if image[j] == c]
     for c in islice(u, 1, None):
         states = _right_step(states, c, heads, levels)
@@ -314,14 +327,15 @@ def _full_pass(phi, heads, levels, u: str) -> list:
 def _parses(system: DF0LSystem, u: str,
             record: _Record | None = None) -> tuple[tuple[str, str, str, tuple[int, ...]], ...]:
     """Every minimal interpretation (s, w, t) of the code string u, with its
-    cuts, in canonical order; record, if given, is the system's record,
+    cuts, in no fixed order; record, if given, is the system's record,
     looked up by the caller.
 
     A memoized parse is returned as it is.  Else u is parsed by one frontier
-    step from the memoized parse of a trim: a right step from u[:-1], a left
-    step from u[1:], or a left and then a right step from u[1:-1], the core
-    that a strong candidate's search memoized.  Only with no trim memoized
-    does the full pass run."""
+    step from the memoized parse of a trim, whose cuts the step carries: a
+    right step from u[:-1], a left step from u[1:], or a left and then a
+    right step from u[1:-1], the core that a strong candidate's search
+    memoized.  Only with no trim memoized does the full pass run, and its
+    cuts are computed once per parse at the end."""
     if record is None:
         record = _record(system, 0)
     memo = record.parses
@@ -334,17 +348,15 @@ def _parses(system: DF0LSystem, u: str,
     if len(levels) <= hi:
         levels = _record(system, hi).levels
     if (trim := memo.get(u[:-1])) is not None:
-        states = _right_step([p[:3] for p in trim], u[-1], heads, levels)
+        parses = tuple(_right_step(trim, u[-1], heads, levels))
     elif (trim := memo.get(u[1:])) is not None:
-        states = _left_step([p[:3] for p in trim], u[0], tails, levels)
+        parses = tuple(_left_step(trim, u[0], tails, levels))
     elif (trim := memo.get(u[1:-1])) is not None:
-        states = _right_step(_left_step([p[:3] for p in trim], u[0], tails, levels),
-                             u[-1], heads, levels)
+        parses = tuple(_right_step(_left_step(trim, u[0], tails, levels),
+                                   u[-1], heads, levels))
     else:
-        states = _full_pass(phi, heads, levels, u)
-    if len(states) > 1:
-        states.sort(key=lambda i: (code_key(i[0]), code_key(i[1]), code_key(i[2])))
-    parses = tuple((s, w, t, _cuts(phi, len(s), w)) for s, w, t in states)
+        parses = tuple((s, w, t, _cuts(phi, len(s), w))
+                       for s, w, t, _ in _full_pass(phi, heads, levels, u))
     if len(memo) >= _PARSE_MEMO_SIZE:
         memo.clear()
     memo[u] = parses

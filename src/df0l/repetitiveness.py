@@ -129,13 +129,24 @@ def detect_unbounded_repetitive(system: DF0LSystem,
     return verdicts[period_bound]
 
 
+_WINDOW = 16
+
+
 def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
     """One fixed point per language letter on a growing first-letter cycle:
     that of image^c, c the cycle length, the least power whose image of the
     letter starts with it (fact 1); image^c is built once per distinct c.
     Since image^c(a) is longer than a, total > m, so m dividing total
     already gives n = total / m >= 2 (fact 2).  A letter that does not recur
-    in its fixed point is skipped before its prefix is built (fact 3)."""
+    in its fixed point is skipped before its prefix is built (fact 3).  The
+    `grows` test is a shortcut that fact 3 implies: with one-letter images
+    on the cycle, image^c(a) = a, from whose empty rest nothing is
+    reachable; it skips building image^c.
+    Before the period test copies x[m:seen], a window of _WINDOW letters is
+    compared: a witness makes x = u^w (fact 2), so x[m:m + _WINDOW] =
+    x[:_WINDOW] is necessary and no verdict changes.  Where every m divides
+    total, as with equal image lengths, most m fail on the window, and the
+    scan no longer copies a slice of up to period_bound letters for each."""
     phi = system.morphism
     alphabet = system.alphabet
     images = phi.image_codes
@@ -164,8 +175,8 @@ def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
         for m, total in enumerate(ends, 1):
             # prefix[m:total] is x[m:seen], seen = min(total, period_bound),
             # so the prefix starts with it iff x[:seen] has period m
-            if (total % m == 0 and prefix.startswith(prefix[m:total])
-                    and _tiles(power, prefix[:m])):
+            if (total % m == 0 and prefix.startswith(prefix[m:m + _WINDOW])
+                    and prefix.startswith(prefix[m:total]) and _tiles(power, prefix[:m])):
                 return RepetitivenessVerdict(
                     True, alphabet.letters[ord(a)], cycle, alphabet.decode(prefix[:m]),
                     total // m, period_bound, power_bound)

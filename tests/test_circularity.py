@@ -12,7 +12,7 @@ from df0l import (check_threshold_bounds, clear_interpretation_cache, clear_lang
                   power_system, strong_threshold, weak_power_transfer_bound, weak_threshold)
 
 from conftest import binary_census, random_pdf0l, w
-from oracles import _oracle_strong, _oracle_weak, is_primitive, iterated_prefix
+from oracles import _iterate_of, _oracle_strong, _oracle_weak, is_primitive, iterated_prefix
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
 
@@ -138,6 +138,21 @@ def test_weak_power_transfer_bound_builds_no_word(thue_morse):
         tracemalloc.stop()
     assert bound == 2**21
     assert peak < 2**20
+
+
+def test_weak_power_transfer_bound_over_the_binary_census():
+    """On every census system and k = 2..6 the bound is the longest letter
+    image times the longest image^(k-2)(axiom), built word by word."""
+    cases = 0
+    for system in binary_census():
+        phi = system.morphism
+        longest = max(len(phi.image(a)) for a in system.alphabet)
+        for k in range(2, 7):
+            expected = longest * max(len(_iterate_of(phi, axiom, k - 2))
+                                     for axiom in system.axioms)
+            assert weak_power_transfer_bound(system, k) == expected, (system, k)
+            cases += 1
+    assert cases == 1960
 
 
 def test_threshold_bounds_on_fixtures(thue_morse, collapse_bounded,
@@ -315,6 +330,29 @@ def test_candidates_are_stepped_from_their_trims(full_passes, monkeypatch):
     assert len(full_passes) <= 50, len(full_passes)
     monkeypatch.setattr(df0l.circularity, "_parses", cold)
     assert stepped == _sample_reports()
+
+
+def test_stepped_parses_compute_no_cuts(full_passes, monkeypatch):
+    """While both searches run on the six samples, cut tuples are computed
+    once per state that a full pass returns, and never for a parse that was
+    stepped from a trim's, whose step carries the trim's cuts."""
+    full_pass, cuts = df0l.language._full_pass, df0l.language._cuts
+    states, computed = [], []
+
+    def counted_pass(*args):
+        found = full_pass(*args)
+        states.append(len(found))
+        return found
+
+    def counted_cuts(*args):
+        computed.append(args)
+        return cuts(*args)
+
+    monkeypatch.setattr(df0l.language, "_full_pass", counted_pass)
+    monkeypatch.setattr(df0l.language, "_cuts", counted_cuts)
+    _sample_reports()
+    assert len(states) == len(full_passes) > 0
+    assert len(computed) == sum(states) > 0, (len(computed), sum(states))
 
 
 def test_threshold_reports_survive_parse_memo_eviction(full_passes, monkeypatch):

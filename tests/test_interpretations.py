@@ -407,48 +407,82 @@ def test_a_full_parse_memo_empties_itself(thue_morse, monkeypatch):
     assert max(sizes) == 4 and sizes.count(1) > 1, sizes
 
 
-def test_stepped_parses_equal_the_full_pass_and_the_oracle(full_passes):
-    """On every language word u of length 2-9 of seeded random systems, the
-    parse stepped right from that of u[:-1], left from that of u[1:], and
-    left then right from that of u[1:-1] equals the full pass and the
-    definition-level oracle, cuts and canonical order included."""
-
-    def parse(system, code, trim=None):
-        """The parse of code from a cold memo, or from one holding only the
-        parse of trim, which then must not run the full pass."""
-        clear_interpretation_cache()
-        if trim is not None:
-            _parses(system, trim)
-        full_passes.clear()
-        parsed = _parses(system, code)
-        assert len(full_passes) == (trim is None), (system, code, trim)
-        return parsed
-
-    def canonical(parse):
-        return [(len(x), x) for x in parse[:3]]
-
+def _seeded_words():
+    """Every language word u of length 2-9, with its system, of 25 seeded
+    random systems whose level 9 holds 1 to 60 words."""
     rng = random.Random(53)
-    systems = words = 0
+    systems = 0
     while systems < 25:
         system = random_pdf0l(rng, max_letters=3, max_image_len=3)
         language = factor_language(system, 9)
         if not 0 < len(language.words_of_length(9)) <= 60:
             continue
         systems += 1
-        encode, image = system.alphabet.encode, system.morphism.apply
         for u in language.all_words():
-            if len(u) < 2:
-                continue
-            expected = sorted(
-                ((encode(i.s), encode(i.w), encode(i.t),
-                  tuple(len(image(i.w[:k])) - len(i.s) for k in range(len(i.w) + 1)))
-                 for i in naive_minimal_interpretations(system, u)), key=canonical)
-            code = encode(u)
-            full = parse(system, code)
-            assert list(full) == expected, (system, u)
-            assert parse(system, code, code[:-1]) == full, (system, u)
-            assert parse(system, code, code[1:]) == full, (system, u)
-            if len(code) > 2:
-                assert parse(system, code, code[1:-1]) == full, (system, u)
-            words += 1
+            if len(u) >= 2:
+                yield system, u
+
+
+def _parsed(full_passes, system, code, trim=None):
+    """The parse of code from a cold memo, or from one holding only the
+    parse of trim, which then must not run the full pass."""
+    clear_interpretation_cache()
+    if trim is not None:
+        _parses(system, trim)
+    full_passes.clear()
+    parsed = _parses(system, code)
+    assert len(full_passes) == (trim is None), (system, code, trim)
+    return parsed
+
+
+def test_stepped_parses_equal_the_full_pass_and_the_oracle(full_passes):
+    """On every language word u of length 2-9 of seeded random systems, the
+    full pass, the parse stepped right from that of u[:-1], left from that
+    of u[1:], and left then right from that of u[1:-1] each equal the
+    definition-level oracle, cuts included, once sorted canonically; the
+    full pass has no duplicates."""
+
+    def canonical(parse):
+        return [(len(x), x) for x in parse[:3]]
+
+    def parse(system, code, trim=None):
+        return sorted(_parsed(full_passes, system, code, trim), key=canonical)
+
+    words = 0
+    for system, u in _seeded_words():
+        encode, image = system.alphabet.encode, system.morphism.apply
+        expected = sorted(
+            ((encode(i.s), encode(i.w), encode(i.t),
+              tuple(len(image(i.w[:k])) - len(i.s) for k in range(len(i.w) + 1)))
+             for i in naive_minimal_interpretations(system, u)), key=canonical)
+        code = encode(u)
+        full = parse(system, code)
+        assert len(set(full)) == len(full), (system, u)
+        assert full == expected, (system, u)
+        assert parse(system, code, code[:-1]) == expected, (system, u)
+        assert parse(system, code, code[1:]) == expected, (system, u)
+        if len(code) > 2:
+            assert parse(system, code, code[1:-1]) == expected, (system, u)
+        words += 1
     assert words > 1000, words
+
+
+def test_stepped_interpretations_come_in_canonical_order(full_passes):
+    """On the same words, minimal_interpretations returns canonical order
+    when the memo holds only the parse of u[:-1], only that of u[1:] or
+    only that of u[1:-1], whatever order the step left its parse in."""
+    words = unordered = 0
+    for system, u in _seeded_words():
+        key = canonical_key(system.alphabet)
+        code = system.alphabet.encode(u)
+        for trim in (code[:-1], code[1:], code[1:-1]):
+            if not trim:
+                continue
+            parsed = _parsed(full_passes, system, code, trim)
+            interps = minimal_interpretations(system, u)
+            assert interps == sorted(interps, key=lambda i: (key(i.s), key(i.w), key(i.t))), \
+                (system, u, trim)
+            unordered += [p[:3] for p in parsed] != [tuple(map(system.alphabet.encode, i))
+                                                    for i in interps]
+        words += 1
+    assert words > 1000 and unordered, (words, unordered)
