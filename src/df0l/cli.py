@@ -131,6 +131,8 @@ def _cmd_interpretations(args, system):
 @_command("sync", "synchronization test for a pair", _arg("left"), _arg("right"),
           _arg("--mode", choices=["weak", "strong"], default="weak"))
 def _cmd_sync(args, system):
+    """The pair's verdict; letter is None in the weak mode, so the text
+    names a letter for a strongly synchronizing pair only."""
     left, right = parse_word(args.left), parse_word(args.right)
     admissible = interpretations.is_admissible(system, left, right)
     count = len(interpretations.minimal_interpretations(system, left + right))
@@ -145,7 +147,7 @@ def _cmd_sync(args, system):
               "letter": letter, "interpretations": count, "vacuous": count == 0}
     verdict = f"{args.mode}ly synchronizing" if ok else f"not {args.mode}ly synchronizing"
     lines = [f"pair ({_word_text(left)} | {_word_text(right)}): {verdict}"
-             + (f" (letter {letter})" if letter and args.mode == "strong" else "")
+             + (f" (letter {letter})" if letter else "")
              + (" [vacuous: no interpretations]" if count == 0 else "")]
     return result, lines
 

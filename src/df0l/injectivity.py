@@ -60,7 +60,7 @@ from collections import namedtuple
 from itertools import combinations
 
 from .errors import PreconditionError
-from .language import _member, contains, factor_language
+from .language import _member, factor_language
 from .system import DF0LSystem, LetterMap, code_key
 
 
@@ -95,7 +95,8 @@ def _is_code(phi) -> bool:
     over the dangling suffixes: a codeword that is a prefix of d is found by
     looking up d's prefixes of codeword lengths, and a codeword that d is a
     proper prefix of through a table from each proper prefix of a codeword
-    to its remainders."""
+    to its remainders.  A codeword length k >= |d| finds nothing: d[:k] is
+    d itself, which has just been found not to be a codeword."""
     codewords = set(phi.image_codes.values())
     if len(codewords) < len(phi.image_codes):
         return False
@@ -110,7 +111,7 @@ def _is_code(phi) -> bool:
         d = todo.pop()
         if d in codewords:
             return False
-        found = [d[k:] for k in lengths if k < len(d) and d[:k] in codewords]
+        found = [d[k:] for k in lengths if d[:k] in codewords]
         for e in found + remainders.get(d, []):
             if e not in seen:
                 seen.add(e)
@@ -136,20 +137,20 @@ def _delta_bound(system: DF0LSystem, pairs) -> int:
 def collision_family_check(system: DF0LSystem, n: int, seed_u, seed_v) -> bool:
     """Verify the recurrence u1 = seed_u, u_{k+1} = u1·image(u_k) (same for v)
     yields genuine collisions up to n: distinct members, equal images, both
-    in the language."""
+    in the language.  The seeds are encoded once, and the members are
+    stepped as code strings."""
     system.require_pdf0l()
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    u = seed_u = system.alphabet.check_word(seed_u)
-    v = seed_v = system.alphabet.check_word(seed_v)
-    phi = system.morphism
+    u = seed_u = system.alphabet.encode(seed_u)
+    v = seed_v = system.alphabet.encode(seed_v)
+    table = system.morphism.table
     for _ in range(n):
-        if u == v or phi.apply(u) != phi.apply(v):
+        image = u.translate(table)
+        if (u == v or v.translate(table) != image
+                or not (_member(system, u) and _member(system, v))):
             return False
-        if not contains(system, u) or not contains(system, v):
-            return False
-        u = seed_u + phi.apply(u)
-        v = seed_v + phi.apply(v)
+        u, v = seed_u + image, seed_v + image
     return True
 
 

@@ -63,9 +63,10 @@ def _cut(cuts: tuple[int, ...], k: int) -> int | None:
 
     Cuts strictly increase along w because the morphism is non-erasing, so
     a split of u after k letters is compatible with at most one prefix.
+    Every caller has k <= |u| <= cuts[-1] = |u·t|, so i indexes cuts.
     """
     i = bisect_left(cuts, k)
-    return i if i < len(cuts) and cuts[i] == k else None
+    return i if cuts[i] == k else None
 
 
 # a letter code is one character, so this marks a split with an empty left part
@@ -87,12 +88,14 @@ def _admissible(ends: list[str | None]) -> bool:
 
 
 def _strong_letter(system: DF0LSystem, ends: list[str | None]) -> str | None:
-    """The code of the common non-empty end letter; the first letter's code
-    when the pair is vacuously synchronizing (no interpretation at all)."""
+    """The code of the common end letter; the first letter's code when the
+    pair is vacuously synchronizing (no interpretation at all).  Both
+    callers split after k >= 1 letters, and every parse has cuts[0] = -|s|
+    <= 0, so no end is _LEFT_EMPTY, and a None first gives None."""
     if not ends:
         return system.alphabet.codes[0]
     first = ends[0]
-    return first if first and ends.count(first) == len(ends) else None
+    return first if ends.count(first) == len(ends) else None
 
 
 def _word_sync(parses, n: int) -> WordSyncReport:
@@ -141,18 +144,15 @@ def minimal_interpretations(system: DF0LSystem, u) -> list[Interpretation]:
 def compatible_split(system: DF0LSystem, interp: Interpretation,
                      left, right) -> PairSplit | None:
     """The unique split (w', w'') of interp.w with image(w') = s·left and
-    image(w'') = right·t, if it exists."""
+    image(w'') = right·t, if it exists; image(w) must be s·left·right·t."""
     system.require_pdf0l()
     alphabet = system.alphabet
+    s, w, t = map(alphabet.encode, interp)
     left = alphabet.encode(left)
-    right = alphabet.encode(right)
     phi = system.morphism
-    w = alphabet.encode(interp.w)
-    image = w.translate(phi.table)
-    u = image[len(interp.s):len(image) - len(interp.t)]
-    if left + right != u:
-        raise PreconditionError("left·right must equal the interpreted word")
-    index = _cut(_cuts(phi, len(interp.s), w), len(left))
+    if w.translate(phi.table) != s + left + alphabet.encode(right) + t:
+        raise PreconditionError("image(w) must equal s·left·right·t")
+    index = _cut(_cuts(phi, len(s), w), len(left))
     if index is None:
         return None
     return PairSplit(alphabet.decode(w[:index]), alphabet.decode(w[index:]))

@@ -294,20 +294,22 @@ def _right_step(states, c: str, heads, levels) -> list:
 
 
 def _left_step(states, c: str, tails, levels) -> list:
-    """Its mirror u -> c·u, read on s; cuts, if not None, move one letter on,
-    and a letter that extends w on the left prepends its start."""
+    """Its mirror u -> c·u, read on s; cuts move one letter on, and a letter
+    that extends w on the left prepends its start.  Every state has cuts:
+    only memoized parses are stepped left, and the full pass, the one source
+    of states without cuts, takes right steps only."""
     ending = tails.get(c, ())
     stepped = []
     for s, w, t, cuts in states:
         if s:
             if s[-1] == c:
-                stepped.append((s[:-1], w, t, cuts and tuple(map((1).__add__, cuts))))
+                stepped.append((s[:-1], w, t, tuple(map((1).__add__, cuts))))
         else:
             level = levels[len(w) + 1]
             for b, rest in ending:
                 v = b + w
                 if v in level:
-                    stepped.append((rest, v, t, cuts and (-len(rest), *map((1).__add__, cuts))))
+                    stepped.append((rest, v, t, (-len(rest), *map((1).__add__, cuts))))
     return stepped
 
 

@@ -296,11 +296,12 @@ def classify_letters(morphism: Morphism) -> GrowthReport:
     re-occurs in its own iterated images, so lengths grow past any bound;
     conversely, when every reachable cyclic letter has a one-letter image,
     every long walk is trapped in a deterministic loop and lengths stall.
-    Reachability is the union of the alph vectors.  The invariant exponent
-    p is the least multiple of the walk's period that is >= max(1, its
-    preperiod), so alph(phi^p(a)) = alph(phi^(pk)(a)) for every letter a
-    and k >= 1; the minimal invariant subalphabets are the inclusion-minimal
-    sets alph(phi^p(g)) over unbounded letters g.  Valid for non-erasing
+    Reachability is the union of the alph vectors, and a heavy letter lies
+    on a cycle, so it is in its own reach.  The invariant exponent p is the
+    least multiple of the walk's period that is >= max(1, its preperiod),
+    so alph(phi^p(a)) = alph(phi^(pk)(a)) for every letter a and k >= 1;
+    the minimal invariant subalphabets are the inclusion-minimal sets
+    alph(phi^p(g)) over unbounded letters g.  Valid for non-erasing
     morphisms only."""
     morphism.require_nonerasing()
     codes, images = morphism.alphabet.codes, morphism.image_codes
@@ -310,7 +311,7 @@ def classify_letters(morphism: Morphism) -> GrowthReport:
     # the letters reachable in >= 1 step: alph(phi^k(a)) over k = 1 .. K
     reach = [frozenset().union(*col) for col in zip(*walk[1:], walk[s])]
     heavy = {c for c, r in zip(codes, reach) if c in r and len(images[c]) >= 2}
-    unbounded = "".join(a for a, r in zip(codes, reach) if a in heavy or r & heavy)
+    unbounded = "".join(a for a, r in zip(codes, reach) if r & heavy)
     # alph(phi^p(a)) for p >= s, read off the walk modulo its period
     candidates = {b for a, b in zip(codes, walk[s + (p - s) % period]) if a in unbounded}
     # code points follow declaration order: a sorted letter set lists its

@@ -5,20 +5,24 @@ Checks run in a fixed order at every entry: letters against the alphabet,
 then the non-erasing requirement, then language membership, then the
 non-empty preconditions (the strong test rejects an empty left part first).
 A second table pins the numeric and non-empty preconditions of the other
-public entries, and the rule errors of parse_letter_map.
+public entries, their non-erasing requirement, and the rule errors of
+parse_letter_map.  Each erasing row is built so that nothing after the
+entry's own check would raise: collisions_upto would find the erasing
+a -> a b, b -> ε a code and report no collision, and the family check gets
+seeds with different images.
 """
 
 import pytest
 
-from df0l import (ErasingMorphismError, InvalidSystemError, LetterMap,
-                  NotInLanguageError, ParseError, PreconditionError,
-                  collision_family_check, collisions_upto, contains,
-                  detect_unbounded_repetitive, factor_language,
-                  interpretation_length_bounds, is_admissible,
+from df0l import (ErasingMorphismError, Interpretation, InvalidSystemError,
+                  LetterMap, NotInLanguageError, ParseError, PreconditionError,
+                  collision_family_check, collisions_upto, compatible_split,
+                  contains, delta_estimate, detect_unbounded_repetitive,
+                  factor_language, interpretation_length_bounds, is_admissible,
                   is_weakly_synchronized, is_weakly_synchronizing,
                   minimal_interpretations, parse_letter_map, power_system,
                   simplification_language_check, strong_sync_letter,
-                  strong_threshold, weak_threshold)
+                  strong_threshold, weak_power_transfer_bound, weak_threshold)
 
 from conftest import sys1, w
 
@@ -125,16 +129,33 @@ def test_boundary_errors(call, expected):
 
 PHI = TM.morphism
 IDENTITY = LetterMap(PHI.alphabet, PHI.alphabet, {"a": w("a"), "b": w("b")})
+# beta in a pair (IDENTITY, beta) that commutes with neither TM's morphism
+# nor ERASING's
+NOT_COMMUTING = LetterMap(PHI.alphabet, PHI.alphabet, {"a": w("ab"), "b": w("a")})
 
 PRECONDITIONS = [
     ("collisions_upto", "max_len 0", lambda: collisions_upto(TM, 0), PreconditionError),
     ("collision_family_check", "n 0",
      lambda: collision_family_check(TM, 0, w("a"), w("b")), PreconditionError),
     ("simplification_language_check", "maps not commuting",
-     lambda: simplification_language_check(TM, TM, IDENTITY,
-                                           LetterMap(PHI.alphabet, PHI.alphabet,
-                                                     {"a": w("ab"), "b": w("a")})),
+     lambda: simplification_language_check(TM, TM, IDENTITY, NOT_COMMUTING),
      PreconditionError),
+    ("collisions_upto", "erasing", lambda: collisions_upto(ERASING, 3),
+     ErasingMorphismError),
+    ("delta_estimate", "erasing", lambda: delta_estimate(ERASING, 3), ErasingMorphismError),
+    ("collision_family_check", "erasing",
+     lambda: collision_family_check(ERASING, 1, w("a"), w("b")), ErasingMorphismError),
+    ("simplification_language_check", "erasing source",
+     lambda: simplification_language_check(ERASING, TM, IDENTITY, NOT_COMMUTING),
+     ErasingMorphismError),
+    ("simplification_language_check", "erasing target",
+     lambda: simplification_language_check(TM, ERASING, IDENTITY, NOT_COMMUTING),
+     ErasingMorphismError),
+    ("weak_power_transfer_bound", "erasing", lambda: weak_power_transfer_bound(ERASING, 2),
+     ErasingMorphismError),
+    ("compatible_split", "erasing",
+     lambda: compatible_split(ERASING, Interpretation((), w("a"), w("b")), w("a"), ()),
+     ErasingMorphismError),
     ("factor_language", "max_len -1", lambda: factor_language(TM, -1), PreconditionError),
     ("interpretation_length_bounds", "empty word",
      lambda: interpretation_length_bounds(TM, ()), PreconditionError),
@@ -147,6 +168,13 @@ PRECONDITIONS = [
      lambda: parse_letter_map("a b", PHI.alphabet, PHI.alphabet), ParseError),
     ("parse_letter_map", "unknown source letter",
      lambda: parse_letter_map("a -> a; x -> b", PHI.alphabet, PHI.alphabet), ParseError),
+    ("parse_letter_map", "unknown source letter after every known one",
+     lambda: parse_letter_map("a -> a; b -> b; x -> b", PHI.alphabet, PHI.alphabet),
+     ParseError),
+    ("parse_letter_map", "rule with another arrow",
+     lambda: parse_letter_map("a => b; b -> a", PHI.alphabet, PHI.alphabet), ParseError),
+    ("parse_letter_map", "bare letter",
+     lambda: parse_letter_map("a; b -> a", PHI.alphabet, PHI.alphabet), ParseError),
 ]
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -10,7 +11,7 @@ from df0l import (clear_language_cache, contains, is_weakly_synchronized,
 from df0l import cli
 from df0l.cli import main
 
-from conftest import binary_census
+from conftest import binary_census, sys1
 from oracles import check_delta_report, check_repetitive_report, check_threshold_report
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
@@ -115,6 +116,16 @@ def test_letters_command(capsys):
     assert payload["result"]["bounded"] == ["c", "d"]
     assert payload["result"]["unbounded"] == ["a", "b"]
     assert payload["result"]["invariant_exponent"] == 2
+
+
+def test_letters_text_without_unbounded_letters(capsys, tmp_path):
+    swap = tmp_path / "swap.sys"
+    swap.write_text("alphabet: a b\nmap a -> b\nmap b -> a\naxiom: a\n", encoding="utf-8")
+    code, out = run(capsys, "letters", str(swap))
+    assert code == 0
+    assert out.splitlines() == ["bounded letters:   a b", "unbounded letters: (none)",
+                                "invariant exponent: 2",
+                                "minimal invariant subalphabets: (none)"]
 
 
 def test_delta_command(capsys):
@@ -292,6 +303,29 @@ def test_census_reports_pass_the_report_checkers(capsys, tmp_path):
     assert statuses == {("weak", "found"): 266, ("weak", "cutoff_exceeded"): 126,
                         ("strong", "found"): 250,
                         ("strong", "not_strongly_circular"): 142}
+
+
+def test_delta_reports_pass_the_checker_beyond_the_binary_census(capsys, tmp_path):
+    """`delta` reports pass check_delta_report on two ternary systems whose
+    image groups interleave in canonical order, so that the report's sort
+    decides the order of its pairs, and on 300 seeded ternary systems at
+    -L 6; 32 of the 302 reports list pairs.  In the binary census no group
+    interleaves, at -L 4 or at 8."""
+    rng = random.Random(1)
+    systems = [(sys1("abc", {"a": "cab", "b": "ac", "c": "cab"}, ["c"]), 2),
+               (sys1("abc", {"a": "abb", "b": "cc", "c": "c"}, ["a"]), 4)]
+    for _ in range(300):
+        rules = {a: "".join(rng.choices("abc", k=rng.randint(1, 3))) for a in "abc"}
+        systems.append((sys1("abc", rules, [rng.choice("abc")]), 6))
+    colliding = 0
+    for index, (system, max_len) in enumerate(systems):
+        path = tmp_path / f"ternary{index}.sys"
+        path.write_text(render_system(system), encoding="utf-8")
+        code, delta = run_json(capsys, "delta", str(path), "-L", str(max_len))
+        assert code == 0
+        check_delta_report(system, delta["result"])
+        colliding += bool(delta["result"]["count"])
+    assert colliding == 32
 
 
 def test_witnesses_revalidate(capsys):

@@ -57,6 +57,8 @@ def test_comments_and_blank_lines():
     ("alphabet: a\nmap a a\naxiom: a", 2, "map syntax"),
     ("map a -> a\nalphabet: a\naxiom: a", 1, "before alphabet"),
     ("alphabet: a\nmap a -> a\nbogus: x", 3, "unknown directive"),
+    ("alphabet: a\nalphabet: a\nmap a -> a\naxiom: a", 2, "duplicate alphabet line"),
+    ("alphabet:\nmap a -> a\naxiom: a", 1, "alphabet line has no letters"),
 ])
 def test_line_numbered_errors(text, line, fragment):
     with pytest.raises(ParseError) as err:
@@ -95,6 +97,10 @@ def test_parse_letter_map():
     mapping = parse_letter_map("a -> X; b -> X X", source, target)
     assert mapping.image("a") == ("X",)
     assert mapping.image("b") == ("X", "X")
+    # an empty rule, between two others or after a trailing ';', is skipped
+    for rules in ("a -> X; ; b -> X X", "a -> X; b -> X X;"):
+        spaced = parse_letter_map(rules, source, target)
+        assert spaced.image_codes == mapping.image_codes
     with pytest.raises(ParseError):
         parse_letter_map("a -> X", source, target)  # missing rule for b
     with pytest.raises(ParseError):

@@ -126,6 +126,16 @@ def test_collision_family(collapse_unbounded, collapse_bounded):
     # in the bounded-delta system the seed word aca is not in the language
     assert not collision_family_check(collapse_bounded, 1, *seeds)
     assert not contains(collapse_bounded, w("aca"))
+    # ... whichever seed it is, while aba is
+    assert contains(collapse_bounded, w("aba"))
+    assert not collision_family_check(collapse_bounded, 1, w("aba"), w("aca"))
+    # b, c collide, but the next members b a b a, c a b a do not: b a b a
+    # is not in the language, so delta stays bounded
+    assert collision_family_check(collapse_bounded, 1, w("b"), w("c"))
+    assert not collision_family_check(collapse_bounded, 2, w("b"), w("c"))
+    # seeds whose images differ, and equal seeds, are no collision
+    assert not collision_family_check(collapse_unbounded, 1, w("a"), w("b"))
+    assert not collision_family_check(collapse_unbounded, 1, w("aca"), w("aca"))
 
 
 def _example_twining(collapse_bounded):

@@ -6,9 +6,9 @@ import pytest
 import df0l.interpretations
 import df0l.language
 from df0l import (Alphabet, DF0LSystem, Interpretation, Morphism,
-                  NotInLanguageError, PairSplit, clear_interpretation_cache,
-                  compatible_split, contains, factor_language,
-                  interpretation_length_bounds, is_admissible,
+                  NotInLanguageError, PairSplit, PreconditionError,
+                  clear_interpretation_cache, compatible_split, contains,
+                  factor_language, interpretation_length_bounds, is_admissible,
                   is_strongly_synchronizing, is_weakly_synchronized,
                   is_weakly_synchronizing, minimal_interpretations,
                   strong_sync_letter)
@@ -49,6 +49,13 @@ def test_compatible_split_cases(thue_morse):
         PairSplit(w("a"), w("a"))
     with pytest.raises(ValueError):
         compatible_split(thue_morse, interp, w("ab"), w("ab"))
+    # image(w) must be s·left·right·t, not merely as long as it: image(a) is
+    # a b, so s = b, left = b is no interpretation of a, and neither is
+    # s = a b a, which is longer than image(a)
+    with pytest.raises(PreconditionError):
+        compatible_split(thue_morse, Interpretation(w("b"), w("a"), ()), w("b"), ())
+    with pytest.raises(PreconditionError):
+        compatible_split(thue_morse, Interpretation(w("aba"), w("a"), ()), (), ())
 
 
 def test_whole_word_split(thue_morse):
@@ -101,6 +108,13 @@ def test_strong_synchronization_levels(thue_morse):
 def test_strong_requires_nonempty_left(thue_morse):
     with pytest.raises(ValueError):
         is_strongly_synchronizing(thue_morse, (), w("ab"))
+
+
+def test_words_may_be_lists_and_iterators(thue_morse):
+    assert is_admissible(thue_morse, ["a", "b"], ["a"])
+    assert is_weakly_synchronized(thue_morse, iter(w("aa"))) == (True, 1, False)
+    with pytest.raises(PreconditionError):
+        strong_sync_letter(thue_morse, iter(()), w("ab"))
 
 
 def test_strong_implies_weak(thue_morse, collapse_bounded):

@@ -28,6 +28,7 @@ def test_thue_morse_language_matches_listing(thue_morse):
     fs = factor_language(thue_morse, 3)
     assert fs.all_words() == sorted(listed, key=canonical_key(thue_morse.alphabet))
     assert w("aaa") not in fs and w("bbb") not in fs
+    assert repr(fs) == "FactorSet(max_len=3, words=13)"
     fs4 = factor_language(thue_morse, 4)
     assert w("aaba") in fs4 and w("aabb") in fs4
 

@@ -319,3 +319,37 @@ def test_detector_power_holds_code_strings_only():
     assert (verdict.letter, verdict.power, verdict.witness, verdict.exponent) == \
         ("x0", 18, ("x0",), 2 ** 18)
     assert peak < 24 * 2**20
+
+
+def test_detector_follows_recurrence_through_several_letters():
+    """a -> c, b -> b a, c -> b a c, axiom c: b recurs in its fixed point
+    b a c b a c ... only through a -> c -> b a c, two steps past the rest
+    of image(b), so the reachability walk must go on from the letters it
+    has just reached."""
+    system = sys1("abc", {"a": "c", "b": "ba", "c": "bac"}, ["c"])
+    for period_bound in (64, None):
+        verdict = detect_unbounded_repetitive(system, period_bound)
+        assert (verdict.letter, verdict.power, verdict.witness, verdict.exponent) == \
+            ("b", 1, w("bac"), 2)
+
+
+def test_detector_builds_no_power_for_a_long_non_growing_cycle():
+    """a -> a a b, b -> c0 -> ... -> c19 -> b, axiom a, at period bound 64:
+    b's first-letter cycle has 21 letters, all with one-letter images, so
+    image^21 cannot grow b and is not built; image^21(a) alone has over
+    2^21 letters.  The fixed point of a is not periodic, so there is no
+    witness."""
+    cycle = [f"c{i}" for i in range(20)]
+    letters = ("a", "b", *cycle)
+    images = {"a": ("a", "a", "b"), "b": ("c0",), "c19": ("b",)}
+    images.update({c: (d,) for c, d in zip(cycle, cycle[1:])})
+    system = DF0LSystem(Morphism(Alphabet(letters), images), [("a",)])
+    clear_language_cache()
+    tracemalloc.start()
+    try:
+        verdict = detect_unbounded_repetitive(system, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict == RepetitivenessVerdict(False, None, None, None, None, 64, 22)
+    assert peak < 2**20

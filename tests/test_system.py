@@ -21,6 +21,15 @@ def test_alphabet_rejects_bad_input():
         Alphabet(("a", "b c"))
     with pytest.raises(InvalidSystemError):
         Alphabet(("a", ""))
+    with pytest.raises(InvalidSystemError):
+        Alphabet([1])   # a token is a string
+
+
+def test_alphabet_reads_words_from_any_iterable():
+    alpha = Alphabet(("a", "b"))
+    assert alpha.encode(iter(())) == ""
+    assert alpha.encode(iter(("b", "a"))) == "\x01\x00"
+    assert alpha.check_word(["a"]) == ("a",)
 
 
 def test_alphabet_canonical_order_uses_declaration_order():
@@ -50,6 +59,25 @@ def test_system_validation():
         DF0LSystem(m, [()])
     s = DF0LSystem(m, [("a",), ("a",)])
     assert s.axioms == (("a",),)  # deduplicated
+    with pytest.raises(InvalidSystemError):
+        DF0LSystem({"a": ("a",)}, [("a",)])
+
+
+def test_equality_and_repr_read_images_and_axioms():
+    alpha = Alphabet(("a", "b"))
+    phi = Morphism(alpha, {"a": ("a", "b"), "b": ("b",)})
+    psi = Morphism(alpha, {"a": ("a", "b"), "b": ("a",)})
+    assert phi == Morphism(alpha, {"a": ("a", "b"), "b": ("b",)})
+    assert phi != psi and phi != 5
+    system = DF0LSystem(phi, [("a",)])
+    assert system == DF0LSystem(phi, [("a",)])
+    for other in (DF0LSystem(psi, [("a",)]), DF0LSystem(phi, [("b",)]), 5):
+        assert system != other
+    assert repr(alpha) == "Alphabet(a b)"
+    assert repr(phi) == "Morphism(a->a b, b->b)"
+    assert repr(DF0LSystem(phi, [("b", "a"), ("a",)])) == \
+        "DF0LSystem(Morphism(a->a b, b->b); axioms: a, b a)"
+    assert repr(Morphism(alpha, {"a": ("a", "b"), "b": ()})) == "Morphism(a->a b, b->ε)"
 
 
 def test_validate_reports(thue_morse):
@@ -149,6 +177,10 @@ def test_classify_letters(thue_morse, two_fixed, repetitive_square):
     growth = classify_letters(two_fixed.morphism)
     assert growth.bounded == ("c", "d")
     assert growth.unbounded == ("a", "b")
+    # c has a two-letter image but lies on no cycle, so a -> c -> b b -> b b
+    # stays bounded
+    growth = classify_letters(sys1("abc", {"a": "c", "b": "b", "c": "bb"}, ["a"]).morphism)
+    assert growth.bounded == ("a", "b", "c") and growth.unbounded == ()
 
 
 def test_invariant_exponent(thue_morse, two_fixed):
