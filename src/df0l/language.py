@@ -32,9 +32,12 @@ Every word held here is a code string, one character per letter (see
 Alphabet), so a stored word of length n over at most 128 letters costs
 49 + n bytes, where a tuple of tokens costs 56 + 8n with its GC header.
 Queries are encoded on the way in, and words are decoded only on the way
-out.  A FactorSet is an immutable view of the first max_len + 1 levels and
-is itself a read-only set of words, decoded one at a time, equal to and
-hashed like the frozenset of the same words.
+out.  A system has a record only once its morphism has been checked
+non-erasing, so a query on a known system finds its record with one
+lookup, and an erasing system, which never has one, raises on every call.
+A FactorSet is an immutable view of the first max_len + 1 levels and is
+itself a read-only set of words, decoded one at a time, equal to and hashed
+like the frozenset of the same words.
 Membership reads the same recurrence: u is in the language iff it is a
 factor of an axiom or has a minimal interpretation (s, w, t), a language
 word w with image(w) = s·u·t, s and t shorter than the images of w's first
@@ -229,10 +232,15 @@ def _next_level(system: DF0LSystem, n: int, record: _Record) -> frozenset:
 
 
 def _record(system: DF0LSystem, max_len: int) -> _Record:
-    """The system's record, its levels (the words by length) grown to cover max_len."""
-    system.require_pdf0l()
+    """The system's record, its levels (the words by length) grown to cover max_len.
+
+    A record is made only after require_pdf0l() passes, and equal systems
+    have equal images, so an erasing system never has one: a record found
+    long enough is returned with no check, and every other call checks
+    first, so an erasing system raises on every call."""
     record = _RECORDS.get(system)
     if record is None or len(record.levels) <= max_len:
+        system.require_pdf0l()
         with _GROWTH:
             record = _RECORDS.get(system) or _RECORDS.setdefault(system, _Record(system.morphism))
             levels = record.levels

@@ -1,13 +1,16 @@
 """Alphabets, morphisms, DF0L systems, and letter-growth analysis.
 
-Inside df0l words are code strings (see Alphabet), and a LetterMap, from a
-source alphabet to a target alphabet, holds each image once, as a code
-string, with the str.translate table that maps a code string to its image:
-apply translates once.  A Morphism is a LetterMap onto its own alphabet, so
-Morphism.apply_power and Morphism.power iterate the table and decode only
-the answer.  Each map holds its image-length bounds.  classify_letters, the
-one way into letter growth, reads it off one walk of alph vectors, the
-letter sets of the iterated images, so it builds no power.
+Inside df0l words are code strings (see Alphabet): a word of one-character
+tokens is encoded by one str.translate of its spaced join, which is sound
+because tokens hold no whitespace, and any other word token by token.  A
+LetterMap, from a source alphabet to a target alphabet, holds each image
+once, as a code string, with the str.translate table that maps a code
+string to its image: apply translates once.  A Morphism is a LetterMap
+onto its own alphabet, so Morphism.apply_power and Morphism.power iterate
+the table and decode only the answer.  Each map holds its image-length
+bounds.  classify_letters, the one way into letter growth, reads it off
+one walk of alph vectors, the letter sets of the iterated images, so it
+builds no power.
 All objects here are immutable after construction and safe to share between
 threads; every analysis is a pure function of its arguments.
 """
@@ -25,14 +28,39 @@ def _check_token(token):
         raise InvalidSystemError(f"bad letter token {token!r}")
 
 
+class _NotALetter(Exception):
+    """A character with no one-character token.  Not a LookupError, which
+    str.translate would take as "leave the character as it is"."""
+
+
+class _OneCharCodes(dict):
+    """The str.translate table of the one-character tokens, by code point."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        raise _NotALetter
+
+
 class Alphabet:
     """Ordered set of letter tokens; declaration order is the canonical order.
 
     Inside df0l a word is a code string: letter i, in declaration order, is
     chr(i).  encode and decode convert at the library boundary, and code
-    points follow declaration order, so (len(c), c) is the canonical order."""
+    points follow declaration order, so (len(c), c) is the canonical order.
 
-    __slots__ = ("letters", "codes", "_encode", "_decode")
+    encode reads a word of n one-character tokens with one str.translate:
+    its spaced join J = " ".join(word) has 2n - 1 characters, and J[::2]
+    translates through the table of the one-character tokens.  That is
+    sound because a token holds no whitespace: when J has 2n - 1
+    characters and every character at an even index is a one-character
+    token, no separator sits at an even index, J has n - 1 odd indices
+    for the n - 1 separators, so separator k is J[2k - 1], every element
+    has one character, and J[::2] is the word.  Any other word takes the
+    token-by-token path, with its errors: it fails the join or the length,
+    or misses the table, as ("ab", "") does at the space of "ab "."""
+
+    __slots__ = ("letters", "codes", "_encode", "_decode", "_one_char")
 
     def __init__(self, letters):
         letters = tuple(letters)
@@ -50,6 +78,8 @@ class Alphabet:
         self.codes = "".join(encode.values())
         self._encode = encode
         self._decode = dict(zip(self.codes, letters))
+        self._one_char = _OneCharCodes(
+            (ord(token), code) for token, code in encode.items() if len(token) == 1)
 
     def __len__(self):
         return len(self.letters)
@@ -68,6 +98,12 @@ class Alphabet:
         word = tuple(word)
         if not word:
             return ""
+        try:
+            spaced = " ".join(word)
+            if len(spaced) == 2 * len(word) - 1:
+                return spaced[::2].translate(self._one_char)
+        except (TypeError, _NotALetter):
+            pass
         try:
             # one item fetches a 1-character str, which join takes as well
             return "".join(itemgetter(*word)(self._encode))

@@ -3,22 +3,22 @@
 Every reference works from the definitions, on words as tuples of letter
 tokens, with images built letter by letter from each image(a) of a morphism
 or letter map, and imports only public df0l names: word helpers, the
-canonical order, images and iterates, the factor language by unrolling the
-axioms, the language levels by registration, minimal interpretations by
-scanning images, the unpruned threshold searches, the repetitiveness
-detector by iterating the morphism, letter growth, collisions by imaging
-every short word, the twined checks on samples and bounded languages, and
-checkers of the `repetitive`, `threshold`, `delta` and `twined` JSON
-reports.
+canonical order, the encoding of a word token by token, images and
+iterates, the factor language by unrolling the axioms, the language levels
+by registration, minimal interpretations by scanning images, the unpruned
+threshold searches, the repetitiveness detector by iterating the morphism,
+letter growth, collisions by imaging every short word, the twined checks on
+samples and bounded languages, and checkers of the `repetitive`,
+`threshold`, `delta` and `twined` JSON reports.
 """
 
 from functools import lru_cache
 from itertools import accumulate, combinations, product
 
-from df0l import (Interpretation, RepetitivenessVerdict, Word, contains,
-                  factor_language, format_word, interpretation_length_bounds,
-                  is_admissible, is_strongly_synchronizing,
-                  is_weakly_synchronized, parse_word)
+from df0l import (Interpretation, InvalidSystemError, RepetitivenessVerdict,
+                  Word, contains, factor_language, format_word,
+                  interpretation_length_bounds, is_admissible,
+                  is_strongly_synchronizing, is_weakly_synchronized, parse_word)
 
 
 # -- words ---------------------------------------------------------------
@@ -75,6 +75,21 @@ def canonical_key(alphabet):
     first, then the letters' indices in declaration order."""
     index = {a: i for i, a in enumerate(alphabet.letters)}
     return lambda word: (len(word), tuple(map(index.__getitem__, word)))
+
+
+def encoded(alphabet, word) -> str:
+    """The code string of a word, token by token: letter i of the alphabet,
+    in declaration order, is chr(i).  An element that is no letter raises
+    InvalidSystemError naming the first such token in word order, and an
+    unhashable one the TypeError of its dict lookup."""
+    codes = {a: chr(i) for i, a in enumerate(alphabet.letters)}
+    out = []
+    for token in tuple(word):
+        try:
+            out.append(codes[token])
+        except KeyError:
+            raise InvalidSystemError(f"unknown letter {token!r}") from None
+    return "".join(out)
 
 
 # -- images ----------------------------------------------------------------

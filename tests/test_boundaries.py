@@ -9,7 +9,9 @@ public entries, their non-erasing requirement, and the rule errors of
 parse_letter_map.  Each erasing row is built so that nothing after the
 entry's own check would raise: collisions_upto would find the erasing
 a -> a b, b -> ε a code and report no collision, and the family check gets
-seeds with different images.
+seeds with different images.  A last test runs every erasing row between
+calls that leave records for non-erasing systems: a record found is used
+unchecked, so no erasing system may ever have one.
 """
 
 import pytest
@@ -17,12 +19,15 @@ import pytest
 from df0l import (ErasingMorphismError, Interpretation, InvalidSystemError,
                   LetterMap, NotInLanguageError, ParseError, PreconditionError,
                   collision_family_check, collisions_upto, compatible_split,
-                  contains, delta_estimate, detect_unbounded_repetitive,
-                  factor_language, interpretation_length_bounds, is_admissible,
-                  is_weakly_synchronized, is_weakly_synchronizing,
-                  minimal_interpretations, parse_letter_map, power_system,
-                  simplification_language_check, strong_sync_letter,
-                  strong_threshold, weak_power_transfer_bound, weak_threshold)
+                  classify_letters, clear_language_cache, contains,
+                  delta_estimate, detect_unbounded_repetitive, factor_language,
+                  interpretation_length_bounds, is_admissible,
+                  is_strongly_synchronizing, is_weakly_synchronized,
+                  is_weakly_synchronizing, minimal_interpretations,
+                  parse_letter_map, power_system, simplification_language_check,
+                  strong_sync_letter, strong_threshold,
+                  weak_power_transfer_bound, weak_threshold)
+from df0l.language import _RECORDS
 
 from conftest import sys1, w
 
@@ -157,10 +162,17 @@ PRECONDITIONS = [
      lambda: compatible_split(ERASING, Interpretation((), w("a"), w("b")), w("a"), ()),
      ErasingMorphismError),
     ("factor_language", "max_len -1", lambda: factor_language(TM, -1), PreconditionError),
+    ("factor_language", "erasing", lambda: factor_language(ERASING, 3), ErasingMorphismError),
+    ("is_strongly_synchronizing", "erasing",
+     lambda: is_strongly_synchronizing(ERASING, w("a"), w("b")), ErasingMorphismError),
+    ("classify_letters", "erasing", lambda: classify_letters(ERASING.morphism),
+     ErasingMorphismError),
     ("interpretation_length_bounds", "empty word",
      lambda: interpretation_length_bounds(TM, ()), PreconditionError),
     ("detect_unbounded_repetitive", "period_bound 0",
      lambda: detect_unbounded_repetitive(TM, 0), PreconditionError),
+    ("detect_unbounded_repetitive", "erasing",
+     lambda: detect_unbounded_repetitive(ERASING, 8), ErasingMorphismError),
     ("Morphism.apply_power", "k -1", lambda: PHI.apply_power(w("a"), -1), PreconditionError),
     ("Morphism.power", "k 0", lambda: PHI.power(0), PreconditionError),
     ("power_system", "k 0", lambda: power_system(TM, 0), PreconditionError),
@@ -186,3 +198,39 @@ def test_precondition_errors(call, expected):
     with pytest.raises(ValueError) as err:
         call()
     assert type(err.value) is expected
+
+
+FIBONACCI = sys1("ab", {"a": "ab", "b": "a"}, ["a"])
+# calls that leave records for non-erasing systems
+LEAVING_RECORDS = [
+    lambda: contains(TM, w("abba")),
+    lambda: factor_language(FIBONACCI, 5),
+    lambda: minimal_interpretations(TM, w("abbab")),
+    lambda: weak_threshold(FIBONACCI, 4),
+    lambda: detect_unbounded_repetitive(TM, 8),
+]
+
+
+def test_no_erasing_system_has_a_record():
+    """Every erasing row of both tables, run twice between calls that leave
+    records for non-erasing systems, raises each time, and no record of an
+    erasing system is ever made: a record found is returned unchecked."""
+    clear_language_cache()
+    erasing = [(name, case, call) for name, case, call, expected in CASES + PRECONDITIONS
+               if expected is ErasingMorphismError]
+    assert {name for name, _, _ in erasing} == {
+        "classify_letters", "collision_family_check", "collisions_upto",
+        "compatible_split", "contains", "delta_estimate",
+        "detect_unbounded_repetitive", "factor_language",
+        "interpretation_length_bounds", "is_admissible",
+        "is_strongly_synchronizing", "is_weakly_synchronized",
+        "is_weakly_synchronizing", "minimal_interpretations",
+        "simplification_language_check", "strong_sync_letter",
+        "strong_threshold", "weak_power_transfer_bound", "weak_threshold"}
+    for i, (name, case, call) in enumerate(erasing):
+        LEAVING_RECORDS[i % len(LEAVING_RECORDS)]()
+        for _ in range(2):
+            with pytest.raises(ErasingMorphismError):
+                call()
+            assert all(system.morphism.is_nonerasing for system in _RECORDS), (name, case)
+    assert TM in _RECORDS and FIBONACCI in _RECORDS

@@ -360,12 +360,27 @@ def test_closed_pipe_ends_quietly():
     assert done.stderr == b""
 
 
-def run_module(*argv):
-    """`python -m df0l argv` in a fresh interpreter, with captured output."""
+def run_module(*argv, module="df0l"):
+    """`python -m module argv` in a fresh interpreter, with captured output."""
     env = {**os.environ,
            "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
-    return subprocess.run([sys.executable, "-m", "df0l", *argv],
+    return subprocess.run([sys.executable, "-m", module, *argv],
                           capture_output=True, env=env, timeout=60)
+
+
+def test_cli_module_runs_as_a_script(capsys):
+    """`python -m df0l.cli` runs the console entry point: the same report as
+    main(), apart from elapsed_ms."""
+    argv = ["--json", "letters", sample("thue_morse.sys")]
+    done = run_module(*argv, module="df0l.cli")
+    assert done.returncode == 0
+    assert done.stderr == b""
+    report = json.loads(done.stdout)
+    assert main(argv) == 0
+    expected = json.loads(capsys.readouterr().out)
+    report.pop("elapsed_ms")
+    expected.pop("elapsed_ms")
+    assert report == expected
 
 
 def assert_input_error(argv, message):

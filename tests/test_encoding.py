@@ -6,6 +6,8 @@ the declaration order of the language letters, so canonical orders agree.
 """
 
 import collections.abc
+import random
+import re
 import tracemalloc
 
 import pytest
@@ -18,6 +20,7 @@ from df0l import (Alphabet, DF0LSystem, InvalidSystemError, Morphism,
 from df0l.circularity import _level_search
 
 from conftest import sys1
+from oracles import encoded
 
 MAX_LEN = 7
 CUTOFF = 6
@@ -163,3 +166,79 @@ def test_factor_set_words_is_a_view(thue_morse):
     assert "ab" not in tm3 and 5 not in tm3
     assert ["a", "b"] not in tm3    # unhashable, which the frozenset refuses
     assert type(fs | small) is frozenset
+
+
+ENCODE_ALPHABETS = {
+    "one-character": ("a", "b", "c"),
+    "multi-character": ("a1", "a2", "bb"),
+    # the token ab is the join of two letters, so ("a", "b") and ("ab",)
+    # are two words
+    "mixed": ("a", "b", "ab", "x1"),
+    "control-character": ("\x01", "\x00", "\x7f", "\x1b"),
+    # two-byte, three-byte and astral characters
+    "non-ASCII": ("α", "€", "𝔞", "b"),
+    # the last three codes pass U+00FF
+    "300 letters": FILLERS + ("α", "β", "γ"),
+}
+# ("ab", "") and ("", "a", "bb") join to the spelling of a word of
+# one-character letters, and the spaced join of ("ab", "") has 2n - 1
+# characters
+MALFORMED = [("ab", ""), ("", "a", "bb"), (" ",), ("a", 5), ("a", None), ("a", ["b"])]
+JUNK = ["", " ", "zz", "a b", "ab", "\x02", "Ā", "𝔟", 5, None, ("a",), ["b"]]
+
+
+def _outcome(call, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(ENCODE_ALPHABETS))
+def test_encode_matches_the_token_by_token_oracle(name):
+    """Alphabet.encode, contains and FactorSet membership give, on every
+    probe, the code of the token-by-token oracle or its exception, with the
+    same type and message."""
+    letters = ENCODE_ALPHABETS[name]
+    rng = random.Random(f"encode {name}")
+    images = {a: tuple(rng.choice(letters) for _ in range(rng.randint(1, 2))) for a in letters}
+    system = DF0LSystem(Morphism(Alphabet(letters), images),
+                        [(rng.choice(letters), rng.choice(letters))])
+    alphabet = system.alphabet
+    fs = factor_language(system, 6)
+    language = frozenset(fs.all_words())
+    probes = MALFORMED + fs.all_words()[:200]
+    for _ in range(400):
+        word = [rng.choice(letters) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.5:
+            word[rng.randrange(len(word))] = rng.choice(JUNK)
+        probes.append(tuple(word))
+    for word in probes:
+        expected = _outcome(encoded, alphabet, word)
+        assert _outcome(alphabet.encode, word) == expected, word
+        if isinstance(expected, str):
+            member = alphabet.decode(expected) in language
+            assert contains(system, word) is member, word
+            assert (word in fs) is member, word
+        else:
+            assert _outcome(contains, system, word) == expected, word
+            if expected[0] is InvalidSystemError:
+                assert word not in fs, word
+            else:
+                assert _outcome(fs.__contains__, word) == expected, word
+
+
+def test_malformed_words_raise_as_token_by_token():
+    """Each malformed word raises naming its first element that is no
+    letter, in word order; an unhashable element raises TypeError."""
+    alphabet = Alphabet(("a", "b", "c"))
+    for word, message in [(("ab", ""), "unknown letter 'ab'"),
+                          (("", "a", "bb"), "unknown letter ''"),
+                          ((" ",), "unknown letter ' '"),
+                          (("a", 5), "unknown letter 5"),
+                          (("a", None), "unknown letter None")]:
+        with pytest.raises(InvalidSystemError, match=re.escape(message)):
+            alphabet.encode(word)
+    with pytest.raises(TypeError, match="unhashable"):
+        alphabet.encode(("a", ["b"]))

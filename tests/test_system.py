@@ -1,8 +1,10 @@
 import random
 import tracemalloc
+import types
 
 import pytest
 
+import df0l.system
 from df0l import (Alphabet, DF0LSystem, ErasingMorphismError,
                   InvalidSystemError, LetterMap, Morphism, classify_letters,
                   factor_language, power_system, validate)
@@ -23,6 +25,16 @@ def test_alphabet_rejects_bad_input():
         Alphabet(("a", ""))
     with pytest.raises(InvalidSystemError):
         Alphabet([1])   # a token is a string
+
+
+def test_alphabet_has_at_most_one_letter_per_code_point(monkeypatch):
+    """Letter i has code chr(i), so an alphabet holds at most
+    sys.maxunicode + 1 letters; with a code space of 4 the fifth letter is
+    refused."""
+    monkeypatch.setattr(df0l.system, "sys", types.SimpleNamespace(maxunicode=3))
+    assert Alphabet("abcd").codes == "\x00\x01\x02\x03"
+    with pytest.raises(InvalidSystemError, match="alphabet has more than 4 letters"):
+        Alphabet("abcde")
 
 
 def test_alphabet_reads_words_from_any_iterable():
