@@ -2,7 +2,9 @@
 
 The reports in cli_text_golden.json pin the text output (stdout, stderr and
 exit code) of every command byte for byte, including every threshold status
-in both modes and both repetitiveness verdicts.  Regenerate the file with
+in both modes and both repetitiveness verdicts.  Every case runs in a
+temporary working directory that holds the small systems of WRITTEN, so that
+`power -o` writes there.  Regenerate the file with
 `PYTHONPATH=src python tests/test_cli_text.py`, and only when a report is
 meant to change.
 """
@@ -11,6 +13,7 @@ import contextlib
 import io
 import json
 import os
+import tempfile
 
 import pytest
 
@@ -33,6 +36,18 @@ FIXED = sample("two_fixed_letters.sys")
 SIMPLIFIED = sample("simplified_collapse.sys")
 TWINED_MAPS = ["--alpha", "a -> A; b -> B; c -> B",
                "--beta", "A -> a b a c c; B -> a b a"]
+IDENTITY_MAPS = ["--alpha", "a -> a; b -> b", "--beta", "a -> a; b -> b"]
+
+# systems written into the working directory of every case, by file name
+WRITTEN = {
+    # every word of {ε, a, x} synchronizes: D = 0 in both modes, no witness
+    "swap.sys": "alphabet: a x\nmap a -> x\nmap x -> a\naxiom: a\n",
+    # a lies in no image, so it has no interpretation
+    "sink.sys": "alphabet: a b\nmap a -> b\nmap b -> b\naxiom: a\n",
+    # twined with identity.sys by the identity maps, but b is not in its language
+    "identity.sys": "alphabet: a b\nmap a -> a\nmap b -> b\naxiom: a\n",
+    "identity_b.sys": "alphabet: a b\nmap a -> a\nmap b -> b\naxiom: b\n",
+}
 
 # case id -> argv; paths are sample files, so no report depends on where the
 # repository lives
@@ -47,6 +62,8 @@ CASES = {
                                          "--cutoff", "5"],
     "threshold strong not_strongly_circular": ["threshold", SQUARE, "--mode",
                                                "strong"],
+    "threshold weak found D=0": ["threshold", "swap.sys", "--mode", "weak"],
+    "threshold strong found D=0": ["threshold", "swap.sys", "--mode", "strong"],
     "repetitive certificate": ["repetitive", SQUARE],
     "repetitive no witness": ["repetitive", TM],
     "letters thue_morse": ["letters", TM],
@@ -55,13 +72,19 @@ CASES = {
     "sync weak no": ["sync", TM, "a a", "b", "--mode", "weak"],
     "sync strong yes": ["sync", TM, "a", "a b", "--mode", "strong"],
     "sync strong no": ["sync", BOUNDED, "a", "b a", "--mode", "strong"],
+    "sync weak vacuous": ["sync", "sink.sys", "a", ""],
     "delta": ["delta", BOUNDED, "-L", "6"],
+    "delta no pair": ["delta", TM, "-L", "4"],
     "language": ["language", TM, "-L", "3"],
     "interpretations": ["interpretations", TM, "a b a"],
+    "interpretations none": ["interpretations", "sink.sys", "a"],
     "power": ["power", FIXED, "-k", "2"],
+    "power to a file": ["power", FIXED, "-k", "2", "-o", "squared.sys"],
     "twined yes": ["twined", BOUNDED, SIMPLIFIED, *TWINED_MAPS],
     "twined no": ["twined", BOUNDED, SIMPLIFIED, "--alpha", "a -> A; b -> A; c -> B",
                   "--beta", "A -> a b a c c; B -> a b a"],
+    "twined language check failed": ["twined", "identity.sys", "identity_b.sys",
+                                     *IDENTITY_MAPS],
     "error unknown letter": ["interpretations", TM, "a z"],
     "error not in language": ["interpretations", TM, "a a a"],
 }
@@ -70,6 +93,27 @@ CASES = {
 COMMANDS = {}
 for _argv in CASES.values():
     COMMANDS.setdefault(_argv[0], _argv)
+
+
+@contextlib.contextmanager
+def _workdir():
+    """A temporary working directory holding the WRITTEN systems."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in WRITTEN.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as handle:
+                handle.write(text)
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            yield tmp
+        finally:
+            os.chdir(cwd)
+
+
+@pytest.fixture(autouse=True)
+def workdir():
+    with _workdir() as tmp:
+        yield tmp
 
 
 def _run(argv):
@@ -111,6 +155,12 @@ def test_json_flag_before_or_after_the_command(command):
     assert _json_report([*argv, "--json"]) == before
 
 
+def test_power_writes_the_rendered_system(workdir):
+    assert _run(CASES["power to a file"])["exit_code"] == 0
+    with open(os.path.join(workdir, "squared.sys"), encoding="utf-8") as handle:
+        assert handle.read() == _golden()["power"]["stdout"]
+
+
 def test_usage_error_leaves_later_calls_unchanged():
     argv = ["--json", "threshold", TM, "--mode", "strong"]
     first = _json_report(argv)
@@ -127,7 +177,8 @@ def test_usage_error_leaves_later_calls_unchanged():
 
 
 if __name__ == "__main__":
-    reports = {case: _run(argv) for case, argv in CASES.items()}
+    with _workdir():
+        reports = {case: _run(argv) for case, argv in CASES.items()}
     # one report per line, so that a changed report shows as one changed line
     lines = [f"{json.dumps(case)}: {json.dumps(reports[case], sort_keys=True)}"
              for case in sorted(reports)]
