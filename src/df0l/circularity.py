@@ -15,6 +15,27 @@ parse of a trim, two (left, then right) from the core of a strong pair;
 the full pass runs only where no trim's parse is memoized.  Strong
 circularity is not known to be decidable, so exhausting the cutoff is an
 explicit result rather than an error.
+
+Several axioms.  The language L of a system with axioms w1, ..., wk is the
+union of the languages Li of its one-axiom subsystems, which share its
+morphism, so each Li is a subset of L.  Both thresholds obey
+D(L) >= max D(Li).  Proof: an interpretation (s, w, t) of u in Li has w in
+Li, hence in L, and its minimality reads only s, t and the images of w's
+end letters; so every minimal interpretation of u in Li is one in L, and L
+may add more.  A split compatible with every minimal interpretation in L is
+then compatible with every one in Li, so a word of Li that no split weakly
+synchronizes in Li is not weakly synchronized in L either.  An admissible
+pair of Li keeps its compatible interpretation in L, and a letter ending
+the left part in every interpretation in L ends it in every one in Li, so
+an admissible pair of Li that is not strongly synchronizing in Li is
+neither in L.  Every failing word or pair of Li fails in L at the same
+level, which gives the bound; a weak exhaustion of some Li is one of L,
+and a certificate that some Li is not strongly circular is one for L (see
+`repetitiveness`).  The bound is not an equality: a -> c a, b -> a c,
+c -> c with axioms a b, a c and b b b has (weak, strong) thresholds (4, 2),
+and its one-axiom subsystems (2, 1), (0, 0) and (2, 1), since the
+interpretations that one axiom's language adds unsynchronize words of
+another's.
 """
 
 from collections import namedtuple
@@ -29,17 +50,18 @@ _SURVIVOR_SAMPLE = 8
 
 
 class ThresholdReport(namedtuple(
-        "ThresholdReport", "mode status threshold witness_word witness_pair "
-        "last_level survivors repetition", defaults=(None,) * 6)):
+        "ThresholdReport", "mode status threshold witness last_level survivors "
+        "repetition", defaults=(None,) * 5)):
     """The answer of a threshold search.
 
     mode is 'weak' or 'strong'; status is 'found', 'cutoff_exceeded' or
     'not_strongly_circular'.  A found threshold D (int) comes with a failing
-    witness_word (Word, weak mode) or witness_pair (tuple[Word, Word],
-    strong mode), unless no word fails at all; an exhausted cutoff with
+    witness, unless no word fails at all; an exhausted cutoff with
     last_level (int) and a sample of failing survivors (tuple); a strong
     search stopped by a repetitiveness certificate with its repetition
-    (RepetitivenessVerdict).  Fields that do not apply are None.
+    (RepetitivenessVerdict).  The witness and each survivor are a Word in
+    the weak mode and a (left, right) pair of Words in the strong mode.
+    Fields that do not apply are None.
     """
     __slots__ = ()
 
@@ -77,10 +99,8 @@ def _level_search(system: DF0LSystem, cutoff: int, mode: str) -> ThresholdReport
                         f"level {level} verification failed on {' '.join(decode(w))}")
             # only the failing words reach the report, in canonical order,
             # which within one length is the order of the code strings
-            witness = item(min(failed)) if failed else None
             return ThresholdReport(mode, "found", threshold=level - 1,
-                                   witness_word=witness if mode == "weak" else None,
-                                   witness_pair=witness if mode == "strong" else None)
+                                   witness=item(min(failed)) if failed else None)
         failed = bad
     return ThresholdReport(mode, "cutoff_exceeded", last_level=cutoff,
                            survivors=tuple(map(item, sorted(failed)[:_SURVIVOR_SAMPLE])))

@@ -10,9 +10,12 @@ erasing morphism; under --json each error also prints a JSON error report.
 
 The commands form one static table, built once at import: each handler
 declares its subcommand with the `_command` decorator, which adds the
-system-file argument and the shared --json flag and attaches the handler to
-the parsed arguments.  A handler returns (JSON result, text lines) for one
-loaded system, and main() parses, loads, dispatches and prints.  Each call
+system-file argument and the shared --json flag and attaches the handler and
+its text renderer to the parsed arguments.  A handler returns the JSON
+result for one loaded system, and the command's one renderer makes the lines
+of the text report from that result alone, so the text states nothing the
+JSON does not.  main() parses, loads, dispatches and prints the JSON report
+under --json and the rendered text otherwise.  Each call
 reads its file, but a system text is parsed once: language.py keeps the
 system parsed from each text until clear_language_cache().
 """
@@ -57,15 +60,16 @@ def _arg(*flags, **options):
     return flags, options
 
 
-def _command(name, help, *arguments):
+def _command(name, help, text, *arguments):
     """Declare subcommand `name`, with the system file and `arguments`
-    (from _arg), handled by the decorated function."""
+    (from _arg), handled by the decorated function, which returns the JSON
+    result; text(result) gives the lines of the text report."""
     def declare(handler):
         parser = _COMMANDS.add_parser(name, parents=[_JSON_AFTER], help=help)
         parser.add_argument("file")
         for flags, options in arguments:
             parser.add_argument(*flags, **options)
-        parser.set_defaults(command=name, handler=handler)
+        parser.set_defaults(command=name, handler=handler, text=text)
         return handler
     return declare
 
@@ -87,7 +91,8 @@ def _load(path):
 
 
 def _word_text(word):
-    return format_word(word) or "ε"
+    """A word of a JSON result as text: its tokens, or ε if it is empty."""
+    return word or "ε"
 
 
 def _system_info(system):
@@ -101,38 +106,50 @@ def _system_info(system):
     }
 
 
-@_command("language", "enumerate language factors up to a length",
+def _language_text(result):
+    return [f"{result['count']} words of length <= {result['max_len']}:",
+            *("  " + _word_text(w) for w in result["words"])]
+
+
+@_command("language", "enumerate language factors up to a length", _language_text,
           _max_len(required=True))
 def _cmd_language(args, system):
     fs = language.factor_language(system, args.max_len)
     words = fs.all_words()
-    result = {"max_len": args.max_len, "count": len(words),
-              "words": [format_word(w) for w in words]}
-    lines = [f"{len(words)} words of length <= {args.max_len}:"]
-    lines += ["  " + _word_text(w) for w in words]
-    return result, lines
+    return {"max_len": args.max_len, "count": len(words),
+            "words": [format_word(w) for w in words]}
 
 
-@_command("interpretations", "minimal interpretations of a word",
+def _interpretations_text(result):
+    return [f"{result['count']} minimal interpretation(s) of "
+            f"{_word_text(result['word'])}:",
+            *(f"  ({_word_text(i['s'])}, {_word_text(i['w'])}, {_word_text(i['t'])})"
+              for i in result["interpretations"])]
+
+
+@_command("interpretations", "minimal interpretations of a word", _interpretations_text,
           _arg("word", help="space-separated letter tokens, quoted"))
 def _cmd_interpretations(args, system):
     u = parse_word(args.word)
     found = interpretations.minimal_interpretations(system, u)
-    result = {"word": format_word(u), "count": len(found),
-              "interpretations": [
-                  {"s": format_word(i.s), "w": format_word(i.w), "t": format_word(i.t)}
-                  for i in found]}
-    lines = [f"{len(found)} minimal interpretation(s) of {_word_text(u)}:"]
-    lines += [f"  ({_word_text(i.s)}, {_word_text(i.w)}, {_word_text(i.t)})"
-              for i in found]
-    return result, lines
+    return {"word": format_word(u), "count": len(found),
+            "interpretations": [
+                {"s": format_word(i.s), "w": format_word(i.w), "t": format_word(i.t)}
+                for i in found]}
 
 
-@_command("sync", "synchronization test for a pair", _arg("left"), _arg("right"),
-          _arg("--mode", choices=["weak", "strong"], default="weak"))
-def _cmd_sync(args, system):
+def _sync_text(result):
     """The pair's verdict; letter is None in the weak mode, so the text
     names a letter for a strongly synchronizing pair only."""
+    verdict = ("" if result["synchronizing"] else "not ") + f"{result['mode']}ly synchronizing"
+    return [f"pair ({_word_text(result['left'])} | {_word_text(result['right'])}): "
+            f"{verdict}" + (f" (letter {result['letter']})" if result["letter"] else "")
+            + (" [vacuous: no interpretations]" if result["vacuous"] else "")]
+
+
+@_command("sync", "synchronization test for a pair", _sync_text, _arg("left"),
+          _arg("right"), _arg("--mode", choices=["weak", "strong"], default="weak"))
+def _cmd_sync(args, system):
     left, right = parse_word(args.left), parse_word(args.right)
     admissible = interpretations.is_admissible(system, left, right)
     count = len(interpretations.minimal_interpretations(system, left + right))
@@ -142,63 +159,65 @@ def _cmd_sync(args, system):
     else:
         letter = interpretations.strong_sync_letter(system, left, right)
         ok = letter is not None
-    result = {"left": format_word(left), "right": format_word(right),
-              "mode": args.mode, "synchronizing": ok, "admissible": admissible,
-              "letter": letter, "interpretations": count, "vacuous": count == 0}
-    verdict = f"{args.mode}ly synchronizing" if ok else f"not {args.mode}ly synchronizing"
-    lines = [f"pair ({_word_text(left)} | {_word_text(right)}): {verdict}"
-             + (f" (letter {letter})" if letter else "")
-             + (" [vacuous: no interpretations]" if count == 0 else "")]
-    return result, lines
+    return {"left": format_word(left), "right": format_word(right),
+            "mode": args.mode, "synchronizing": ok, "admissible": admissible,
+            "letter": letter, "interpretations": count, "vacuous": count == 0}
 
 
 _WITNESS_LABEL = {"weak": "witness (not weakly synchronized)",
                   "strong": "witness pair (admissible, not strongly synchronizing)"}
 
 
-@_command("threshold", "weak or strong circularity threshold search",
+def _threshold_text(result):
+    mode = result["mode"]
+
+    def show(item):
+        """A word of the weak search, or a pair of the strong search."""
+        return (_word_text(item) if mode == "weak"
+                else f"({_word_text(item[0])} | {_word_text(item[1])})")
+
+    if result["status"] == "found":
+        lines = [f"{mode} circularity threshold: D = {result['D']}"]
+        if result["witness"] is not None:
+            lines.append(f"{_WITNESS_LABEL[mode]}: {show(result['witness'])}")
+        return lines
+    if result["status"] == "not_strongly_circular":
+        rep = result["repetition"]
+        return ["not strongly circular: unboundedly repetitive with witness "
+                f"{_word_text(rep['witness'])} (letter {rep['letter']}, "
+                f"power {rep['power']}, exponent {rep['exponent']})"]
+    return [f"cutoff {result['last_level']} exceeded; sample survivors:",
+            *("  " + show(item) for item in result["survivors"])]
+
+
+@_command("threshold", "weak or strong circularity threshold search", _threshold_text,
           _arg("--mode", choices=["weak", "strong"], required=True),
           _arg("--cutoff", type=int, default=30))
 def _cmd_threshold(args, system):
     search = (circularity.weak_threshold if args.mode == "weak"
               else circularity.strong_threshold)
     report = search(system, args.cutoff)
-    weak = report.mode == "weak"
 
-    def show(item, text):
-        """A word of the weak search or a pair of the strong search, as text
-        or as JSON."""
-        word = _word_text if text else format_word
-        if weak:
-            return word(item)
-        left, right = word(item[0]), word(item[1])
-        return f"({left} | {right})" if text else [left, right]
+    def show(item):
+        """A word of the weak search, or a pair of the strong search."""
+        return format_word(item) if report.mode == "weak" else list(map(format_word, item))
 
-    witness = report.witness_word if weak else report.witness_pair
-    survivors = report.survivors
     rep = report.repetition
-    result = {"mode": report.mode, "status": report.status, "D": report.threshold,
-              "witness": None if witness is None else show(witness, False),
-              "last_level": report.last_level,
-              "survivors": None if survivors is None
-              else [show(item, False) for item in survivors],
-              "repetition": None if rep is None else _repetition_result(rep),
-              "cutoff": args.cutoff}
-    if report.status == "found":
-        lines = [f"{report.mode} circularity threshold: D = {report.threshold}"]
-        if witness is not None:
-            lines.append(f"{_WITNESS_LABEL[report.mode]}: {show(witness, True)}")
-    elif report.status == "not_strongly_circular":
-        lines = ["not strongly circular: unboundedly repetitive with witness "
-                 f"{_word_text(rep.witness)} (letter {rep.letter}, power {rep.power}, "
-                 f"exponent {rep.exponent})"]
-    else:
-        lines = [f"cutoff {report.last_level} exceeded; sample survivors:"]
-        lines += ["  " + show(item, True) for item in survivors]
-    return result, lines
+    return {"mode": report.mode, "status": report.status, "D": report.threshold,
+            "witness": None if report.witness is None else show(report.witness),
+            "last_level": report.last_level,
+            "survivors": None if report.survivors is None
+            else list(map(show, report.survivors)),
+            "repetition": None if rep is None else _repetition_result(rep),
+            "cutoff": args.cutoff}
 
 
-@_command("power", "k-th power of the system",
+def _power_text(result):
+    output = result["output"]
+    return [result["rendered"].rstrip("\n")] if not output else [f"wrote {output}"]
+
+
+@_command("power", "k-th power of the system", _power_text,
           _arg("-k", type=int, required=True), _arg("-o", "--output"))
 def _cmd_power(args, system):
     powered = power_system(system, args.k)
@@ -209,28 +228,28 @@ def _cmd_power(args, system):
                 handle.write(text)
         except OSError as exc:
             raise InvalidSystemError(f"cannot write {args.output}: {exc}") from exc
-    result = {"k": args.k, "axioms": [format_word(w) for w in powered.axioms],
-              "rendered": text, "output": args.output}
-    lines = [text.rstrip("\n")] if not args.output else [f"wrote {args.output}"]
-    return result, lines
+    return {"k": args.k, "axioms": [format_word(w) for w in powered.axioms],
+            "rendered": text, "output": args.output}
 
 
-@_command("letters", "bounded/unbounded letters and invariant subalphabets")
-def _cmd_letters(args, system):
-    growth = classify_letters(system.morphism)
-    result = {"bounded": list(growth.bounded), "unbounded": list(growth.unbounded),
-              "invariant_exponent": growth.invariant_exponent,
-              "minimal_invariant_subalphabets": [
-                  list(b) for b in growth.minimal_invariant_subalphabets]}
-    lines = [
-        "bounded letters:   " + (" ".join(growth.bounded) or "(none)"),
-        "unbounded letters: " + (" ".join(growth.unbounded) or "(none)"),
-        f"invariant exponent: {growth.invariant_exponent}",
+def _letters_text(result):
+    return [
+        "bounded letters:   " + (" ".join(result["bounded"]) or "(none)"),
+        "unbounded letters: " + (" ".join(result["unbounded"]) or "(none)"),
+        f"invariant exponent: {result['invariant_exponent']}",
         "minimal invariant subalphabets: "
         + (", ".join("{" + " ".join(b) + "}"
-                     for b in growth.minimal_invariant_subalphabets) or "(none)"),
+                     for b in result["minimal_invariant_subalphabets"]) or "(none)"),
     ]
-    return result, lines
+
+
+@_command("letters", "bounded/unbounded letters and invariant subalphabets", _letters_text)
+def _cmd_letters(args, system):
+    growth = classify_letters(system.morphism)
+    return {"bounded": list(growth.bounded), "unbounded": list(growth.unbounded),
+            "invariant_exponent": growth.invariant_exponent,
+            "minimal_invariant_subalphabets": [
+                list(b) for b in growth.minimal_invariant_subalphabets]}
 
 
 def _repetition_result(verdict):
@@ -242,35 +261,45 @@ def _repetition_result(verdict):
             "power_bound": verdict.power_bound}
 
 
-@_command("repetitive", "unbounded-repetitiveness detector",
+def _repetitive_text(result):
+    if result["status"] == "repetitive":
+        return [f"unboundedly repetitive: letter {result['letter']}, "
+                f"power {result['power']}, witness {_word_text(result['witness'])}, "
+                f"exponent {result['exponent']}"]
+    return [f"no witness up to period {result['period_bound']} "
+            f"and power {result['power_bound']} (not a proof of absence)"]
+
+
+@_command("repetitive", "unbounded-repetitiveness detector", _repetitive_text,
           _arg("--period-bound", type=int, default=None, dest="period_bound"))
 def _cmd_repetitive(args, system):
-    verdict = repetitiveness.detect_unbounded_repetitive(system, args.period_bound)
-    result = _repetition_result(verdict)
-    if verdict.repetitive:
-        lines = [f"unboundedly repetitive: letter {verdict.letter}, "
-                 f"power {verdict.power}, witness {_word_text(verdict.witness)}, "
-                 f"exponent {verdict.exponent}"]
-    else:
-        lines = [f"no witness up to period {verdict.period_bound} "
-                 f"and power {verdict.power_bound} (not a proof of absence)"]
-    return result, lines
+    return _repetition_result(
+        repetitiveness.detect_unbounded_repetitive(system, args.period_bound))
 
 
-@_command("delta", "injectivity collisions up to a length", _max_len(required=True))
+def _delta_text(result):
+    return [f"{result['count']} collision pair(s) up to length {result['max_len']}; "
+            f"delta lower bound {result['delta_lower_bound']}:",
+            *(f"  {{{_word_text(u)}, {_word_text(v)}}}" for u, v in result["pairs"])]
+
+
+@_command("delta", "injectivity collisions up to a length", _delta_text,
+          _max_len(required=True))
 def _cmd_delta(args, system):
     pairs = injectivity.collisions_upto(system, args.max_len)
-    bound, count = injectivity._delta_bound(system, pairs), len(pairs)
-    result = {"max_len": args.max_len, "count": count,
-              "pairs": [[format_word(p.u), format_word(p.v)] for p in pairs],
-              "delta_lower_bound": bound}
-    lines = [f"{count} collision pair(s) up to length {args.max_len}; "
-             f"delta lower bound {bound}:"]
-    lines += [f"  {{{_word_text(p.u)}, {_word_text(p.v)}}}" for p in pairs]
-    return result, lines
+    return {"max_len": args.max_len, "count": len(pairs),
+            "pairs": [[format_word(p.u), format_word(p.v)] for p in pairs],
+            "delta_lower_bound": injectivity._delta_bound(system, pairs)}
 
 
-@_command("twined", "verify a twined pair of morphisms", _arg("file2"),
+def _twined_text(result):
+    if not result["twined"]:
+        return [f"twined: no (first failing letter: {result['failure']})"]
+    return ["twined: yes", "commutation: ok",
+            f"language check: {'ok' if result['language_check'] else 'FAILED'}"]
+
+
+@_command("twined", "verify a twined pair of morphisms", _twined_text, _arg("file2"),
           _arg("--alpha", required=True, help='rules like "a -> x; b -> x y"'),
           _arg("--beta", required=True),
           _max_len(default=4, help="echoed in the JSON report only: both checks are exact"))
@@ -281,20 +310,13 @@ def _cmd_twined(args, system):
     data = injectivity.TwinedData(system.morphism, other.morphism, alpha, beta)
     failure = injectivity.find_twined_failure(data)
     twined = failure is None
-    # twining implies commutation (fact 3 of the injectivity docstring)
-    commutation = twined or None
     language_ok = None
     if twined:
         language_ok = injectivity.simplification_language_check(
             system, other, alpha, beta)
-    result = {"twined": twined, "failure": failure, "commutation": commutation,
-              "language_check": language_ok, "max_len": args.max_len}
-    if twined:
-        lines = ["twined: yes", "commutation: ok",
-                 f"language check: {'ok' if language_ok else 'FAILED'}"]
-    else:
-        lines = [f"twined: no (first failing letter: {failure})"]
-    return result, lines
+    # twining implies commutation (fact 3 of the injectivity docstring)
+    return {"twined": twined, "failure": failure, "commutation": twined or None,
+            "language_check": language_ok, "max_len": args.max_len}
 
 
 def _parse_known_args(argv):
@@ -326,14 +348,14 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         system = _load(args.file)
-        result, lines = args.handler(args, system)
+        result = args.handler(args, system)
         elapsed_ms = round((time.monotonic() - started) * 1000, 3)
         if args.json:
-            lines = [json.dumps({"command": args.command, "system": _system_info(system),
-                                 "result": result, "elapsed_ms": elapsed_ms},
-                                sort_keys=True, ensure_ascii=False)]
-        for line in lines:
-            print(line)
+            print(json.dumps({"command": args.command, "system": _system_info(system),
+                              "result": result, "elapsed_ms": elapsed_ms},
+                             sort_keys=True, ensure_ascii=False))
+        else:
+            print(*args.text(result), sep="\n")
     except InvalidSystemError as exc:
         return _emit_error(args.json, args.command, str(exc), 2)
     except PreconditionError as exc:

@@ -46,6 +46,16 @@ A third fact answers some letters without a scan.
 A negative answer is exact for a letter skipped by fact 3, and otherwise
 complete in the power and bounded only by the searched period, and must be
 read as "no certificate found".
+
+Several axioms.  The language L of a system with axioms w1, ..., wk is the
+union of the languages Li of its one-axiom subsystems, and L is unboundedly
+repetitive iff some Li is.  (<=) Li is a subset of L.  (=>) If u^j is in L
+for every j, infinitely many of the u^j lie in one Li, since there are k of
+them, and Li is factorial, so u^j, a factor of every longer power, is in Li
+for every j.  The detector keeps the equivalence: it scans the language
+letters, and L's are the union of the Li's, while the scan of one letter
+reads only the morphism and the period bound, which the subsystems share.
+So the full system is certified iff some subsystem is.
 """
 
 from collections import namedtuple

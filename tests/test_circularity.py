@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import tracemalloc
@@ -6,12 +7,12 @@ import pytest
 
 import df0l.circularity
 import df0l.language
-from df0l import (check_threshold_bounds, clear_interpretation_cache, clear_language_cache,
-                  contains, detect_unbounded_repetitive, factor_language, is_admissible,
+from df0l import (Alphabet, DF0LSystem, Morphism, check_threshold_bounds,
+                  clear_interpretation_cache, clear_language_cache, contains, detect_unbounded_repetitive, factor_language, is_admissible,
                   is_strongly_synchronizing, is_weakly_synchronized, parse_system,
                   power_system, strong_threshold, weak_power_transfer_bound, weak_threshold)
 
-from conftest import binary_census, random_pdf0l, w
+from conftest import binary_census, random_pdf0l, sys1, w
 from oracles import _iterate_of, _oracle_strong, _oracle_weak, is_primitive, iterated_prefix
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
@@ -20,8 +21,8 @@ SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
 def test_weak_threshold_thue_morse(thue_morse):
     report = weak_threshold(thue_morse, 10)
     assert report.found and report.threshold == 3
-    assert report.witness_word == w("aba")
-    assert not is_weakly_synchronized(thue_morse, report.witness_word).synchronized
+    assert report.witness == w("aba")
+    assert not is_weakly_synchronized(thue_morse, report.witness).synchronized
 
 
 def test_weak_threshold_collapse(collapse_bounded, collapse_unbounded):
@@ -32,7 +33,7 @@ def test_weak_threshold_collapse(collapse_bounded, collapse_unbounded):
 def test_weak_threshold_repetitive_square(repetitive_square):
     report = weak_threshold(repetitive_square, 10)
     assert report.found and report.threshold == 1
-    assert len(report.witness_word) == 1
+    assert len(report.witness) == 1
 
 
 def test_weak_threshold_square_power_diverges(repetitive_square):
@@ -52,7 +53,7 @@ def test_weak_threshold_square_power_diverges(repetitive_square):
 def test_strong_threshold_thue_morse(thue_morse):
     report = strong_threshold(thue_morse, 10)
     assert report.found and report.threshold == 1
-    left, right = report.witness_pair
+    left, right = report.witness
     assert len(left) == len(right) == 1
     assert is_admissible(thue_morse, left, right)
     assert not is_strongly_synchronizing(thue_morse, left, right)
@@ -62,7 +63,7 @@ def test_strong_threshold_collapse(collapse_bounded, collapse_unbounded):
     assert strong_threshold(collapse_bounded, 12).threshold == 3
     report = strong_threshold(collapse_unbounded, 15)
     assert report.found and report.threshold == 9
-    left, right = report.witness_pair
+    left, right = report.witness
     assert len(left) == len(right) == 9
     assert is_admissible(collapse_unbounded, left, right)
     assert not is_strongly_synchronizing(collapse_unbounded, left, right)
@@ -108,9 +109,9 @@ def test_degenerate_thresholds():
     # two letters swapping: language is {ε, a, x}, everything synchronizes
     toy = sys1("ax", {"a": "x", "x": "a"}, ["a"])
     weak = weak_threshold(toy, 5)
-    assert weak.found and weak.threshold == 0 and weak.witness_word is None
+    assert weak.found and weak.threshold == 0 and weak.witness is None
     strong = strong_threshold(toy, 5)
-    assert strong.found and strong.threshold == 0 and strong.witness_pair is None
+    assert strong.found and strong.threshold == 0 and strong.witness is None
 
     # unary doubling: never weakly circular, and certified repetitive
     single = sys1("a", {"a": "aa"}, ["a"])
@@ -171,7 +172,7 @@ def test_threshold_bounds_on_fixtures(thue_morse, collapse_bounded,
 def test_found_reports_are_tight(thue_morse, collapse_bounded):
     for system, dw, ds in ((thue_morse, 3, 1), (collapse_bounded, 3, 3)):
         weak = weak_threshold(system, 10)
-        assert (weak.threshold, len(weak.witness_word)) == (dw, dw)
+        assert (weak.threshold, len(weak.witness)) == (dw, dw)
         for word in factor_language(system, dw + 1).words_of_length(dw + 1):
             assert is_weakly_synchronized(system, word).synchronized
         strong = strong_threshold(system, 10)
@@ -231,11 +232,11 @@ def test_exhaustive_binary_census():
         mine = ("found", weak.threshold) if weak.found else ("cutoff", None)
         verdict, failing = _oracle_weak(system, 14)
         assert mine == verdict, system
-        assert weak.witness_word == (failing[0] if weak.threshold else None), system
+        assert weak.witness == (failing[0] if weak.threshold else None), system
         assert list(weak.survivors or ()) == ([] if weak.found else failing[:8]), system
-        if weak.witness_word is not None:
-            assert len(weak.witness_word) == weak.threshold
-            assert not is_weakly_synchronized(system, weak.witness_word).synchronized
+        if weak.witness is not None:
+            assert len(weak.witness) == weak.threshold
+            assert not is_weakly_synchronized(system, weak.witness).synchronized
         for word in weak.survivors or ():
             assert len(word) == 14
             assert not is_weakly_synchronized(system, word).synchronized
@@ -245,12 +246,12 @@ def test_exhaustive_binary_census():
         mine = ("found", strong.threshold) if strong.found else ("cutoff", None)
         verdict, failing = _oracle_strong(system, 10)
         assert mine == verdict, system
-        assert strong.witness_pair == (failing[0] if strong.threshold else None), system
+        assert strong.witness == (failing[0] if strong.threshold else None), system
         assert list(strong.survivors or ()) == ([] if strong.found else failing[:8]), system
         pairs = list(strong.survivors or ())
-        if strong.witness_pair is not None:
-            assert len(strong.witness_pair[0]) == strong.threshold
-            pairs.append(strong.witness_pair)
+        if strong.witness is not None:
+            assert len(strong.witness[0]) == strong.threshold
+            pairs.append(strong.witness)
         for left, right in pairs:
             assert len(left) == len(right)
             assert is_admissible(system, left, right)
@@ -270,6 +271,65 @@ def test_exhaustive_binary_census():
             certificates += 1
     assert weak_exhausted == 126
     assert certificates == 142
+
+
+def _outcomes(system):
+    return (weak_threshold(system, 10), strong_threshold(system, 8),
+            detect_unbounded_repetitive(system).repetitive)
+
+
+def test_one_axiom_subsystems_bound_the_full_system():
+    """The language of a system with several axioms is the union of its
+    one-axiom subsystems' languages.  So (circularity and repetitiveness
+    docstrings) a subsystem's weak exhaustion and not_strongly_circular carry
+    over to the full system, a found threshold of the full system is no
+    smaller than the subsystem's, and the full system is certified
+    repetitive iff some subsystem is.  Every binary system with images of
+    length 1-2 and two distinct axioms of length 1-2: 540 systems."""
+    images = [image for n in (1, 2) for image in itertools.product("ab", repeat=n)]
+    axioms = [axiom for n in (1, 2) for axiom in itertools.product("ab", repeat=n)]
+    count = weak_found = strong_found = repetitive = weak_above = 0
+    for image_a, image_b in itertools.product(images, repeat=2):
+        morphism = Morphism(Alphabet(("a", "b")), {"a": image_a, "b": image_b})
+        for pair in itertools.combinations(axioms, 2):
+            system = DF0LSystem(morphism, list(pair))
+            weak, strong, certified = _outcomes(system)
+            parts = [_outcomes(DF0LSystem(morphism, [axiom])) for axiom in pair]
+            for part_weak, part_strong, _ in parts:
+                assert part_weak.found or not weak.found, system
+                if weak.found and part_weak.found:
+                    assert weak.threshold >= part_weak.threshold, system
+                if part_strong.status == "not_strongly_circular":
+                    assert strong.status == "not_strongly_circular", system
+                if strong.found:
+                    assert part_strong.found, system
+                    assert strong.threshold >= part_strong.threshold, system
+            assert certified == any(part[2] for part in parts), system
+            count += 1
+            weak_found += weak.found
+            strong_found += strong.found
+            repetitive += certified
+            weak_above += weak.found and weak.threshold > max(
+                part[0].threshold for part in parts)
+    assert (count, weak_found, strong_found, repetitive) == (540, 332, 302, 238)
+    # the thresholds lower bound is strict for two of them
+    assert weak_above == 2
+
+
+def test_several_axioms_threshold_exceeds_every_subsystem():
+    """a -> c a, b -> a c, c -> c with axioms a b, a c and b b b: the full
+    system's thresholds are above those of all three one-axiom subsystems,
+    so the thresholds lower bound is not an equality."""
+    rules = {"a": "ca", "b": "ac", "c": "c"}
+    axioms = ["ab", "ac", "bbb"]
+
+    def thresholds(system):
+        weak, strong, _ = _outcomes(system)
+        return weak.threshold, strong.threshold
+
+    assert thresholds(sys1("abc", rules, axioms)) == (4, 2)
+    assert [thresholds(sys1("abc", rules, [axiom])) for axiom in axioms] == [
+        (2, 1), (0, 0), (2, 1)]
 
 
 def test_power_transfer_property_random():

@@ -344,20 +344,27 @@ def test_witnesses_revalidate(capsys):
 
 def test_closed_pipe_ends_quietly():
     """`df0l --json delta ... | head -c 10` must not end in a traceback: with
-    the reader of stdout gone, the console entry point exits with status 1."""
-    env = {**os.environ,
-           "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
-    read_end, write_end = os.pipe()
-    os.close(read_end)   # the reader is gone before the first write
-    try:
-        done = subprocess.run(
-            [sys.executable, "-m", "df0l", "--json", "delta", "-L", "14",
-             sample("collapse_unbounded_delta.sys")],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
-    finally:
-        os.close(write_end)
-    assert done.returncode == 1
-    assert done.stderr == b""
+    the reader of stdout gone, the console entry point exits with status 1.
+    Unbuffered, print raises inside main(); buffered, the report reaches the
+    pipe only at console_main's own flush, and a stdout left unredirected
+    would raise again in the interpreter's flush at exit."""
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    reports = (["letters", sample("thue_morse.sys")],
+               ["delta", "-L", "14", sample("collapse_unbounded_delta.sys")])
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        for argv in reports:
+            read_end, write_end = os.pipe()
+            os.close(read_end)   # the reader is gone before the first write
+            try:
+                done = subprocess.run(
+                    [sys.executable, "-m", "df0l", "--json", *argv],
+                    stdout=write_end, stderr=subprocess.PIPE,
+                    env={**env, **unbuffered}, timeout=60)
+            finally:
+                os.close(write_end)
+            assert (done.returncode, done.stderr) == (1, b""), (argv, unbuffered)
 
 
 def run_module(*argv, module="df0l"):

@@ -17,7 +17,7 @@ import tempfile
 
 import pytest
 
-from df0l.cli import main
+from df0l.cli import _COMMANDS, main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SAMPLES = os.path.join(HERE, os.pardir, "samples")
@@ -153,6 +153,18 @@ def test_json_flag_before_or_after_the_command(command):
     assert before[0] == 0
     assert before[1]["command"] == command
     assert _json_report([*argv, "--json"]) == before
+
+
+@pytest.mark.parametrize("case", [case for case, report in sorted(_golden().items())
+                                  if report["exit_code"] == 0])
+def test_text_report_is_rendered_from_the_json_result(case):
+    """The text report is the command's renderer applied to the JSON result
+    alone, so it states nothing that the JSON report does not."""
+    argv = CASES[case]
+    code, payload = _json_report(["--json", *argv])
+    assert code == 0
+    render = _COMMANDS.choices[argv[0]].get_default("text")
+    assert _run(argv)["stdout"] == "".join(line + "\n" for line in render(payload["result"]))
 
 
 def test_power_writes_the_rendered_system(workdir):

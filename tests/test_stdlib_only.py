@@ -61,8 +61,8 @@ def test_cli_import_loads_no_code_generation_modules():
 
 
 RECORDS = {
-    "ThresholdReport": ("mode", "status", "threshold", "witness_word", "witness_pair",
-                        "last_level", "survivors", "repetition"),
+    "ThresholdReport": ("mode", "status", "threshold", "witness", "last_level",
+                        "survivors", "repetition"),
     "BoundsCheck": ("weak_ok", "weak_slack", "strong_checked", "strong_ok",
                     "strong_slack"),
     "CollisionPair": ("u", "v"),
@@ -109,7 +109,7 @@ def test_record_contract(name):
 
 def test_threshold_report_defaults_and_found():
     report = df0l.ThresholdReport("weak", "found")
-    assert report == ("weak", "found") + (None,) * 6
+    assert report == ("weak", "found") + (None,) * 5
     assert report.found
     assert not df0l.ThresholdReport("strong", "cutoff_exceeded", last_level=4).found
     assert df0l.ThresholdReport("strong", "not_strongly_circular").found is False

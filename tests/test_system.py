@@ -248,7 +248,7 @@ def test_multichar_tokens_behave_like_their_isomorph():
     rename = {"a": "x1", "b": "y22"}
     report = weak_threshold(fancy, 8)
     assert report.threshold == weak_threshold(plain, 8).threshold == 3
-    assert report.witness_word == tuple(rename[t] for t in w("aba"))
+    assert report.witness == tuple(rename[t] for t in w("aba"))
     fancy_interps = minimal_interpretations(fancy, ("x1", "y22", "x1"))
     plain_interps = minimal_interpretations(plain, w("aba"))
     translate = lambda word: tuple(rename[t] for t in word)
