@@ -49,8 +49,8 @@ WRITTEN = {
     "identity_b.sys": "alphabet: a b\nmap a -> a\nmap b -> b\naxiom: b\n",
 }
 
-# case id -> argv; paths are sample files, so no report depends on where the
-# repository lives
+# case id -> argv; paths are sample files or WRITTEN file names, so no report
+# depends on where the repository lives
 CASES = {
     "threshold weak found": ["threshold", TM, "--mode", "weak"],
     "threshold strong found": ["threshold", TM, "--mode", "strong"],
