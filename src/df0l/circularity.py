@@ -174,13 +174,12 @@ def weak_power_transfer_bound(system: DF0LSystem, k: int) -> int:
 
 
 class BoundsCheck(namedtuple(
-        "BoundsCheck", "weak_ok weak_slack strong_checked strong_ok strong_slack")):
+        "BoundsCheck", "weak_ok weak_slack strong_ok strong_slack")):
     """The threshold inequalities checked by `check_threshold_bounds`.
 
     weak_ok (bool) and weak_slack (int) for D_weak <= 2·D_strong + max
-    image length; strong_checked (bool) says whether a delta was given,
-    and strong_ok (bool | None) and strong_slack (int | None), None
-    without one, are for D_strong <= D_weak + delta + 1.  A slack is the
+    image length; strong_ok (bool | None) and strong_slack (int | None),
+    None when no delta was given, are for D_strong <= D_weak + delta + 1.  A slack is the
     bound minus the threshold.
     """
     __slots__ = ()
@@ -194,7 +193,7 @@ def check_threshold_bounds(system: DF0LSystem, weak: int, strong: int,
     max_len = system.morphism.max_image_len
     weak_bound = 2 * strong + max_len
     if delta is None:
-        return BoundsCheck(weak <= weak_bound, weak_bound - weak, False, None, None)
+        return BoundsCheck(weak <= weak_bound, weak_bound - weak, None, None)
     strong_bound = weak + delta + 1
     return BoundsCheck(weak <= weak_bound, weak_bound - weak,
-                       True, strong <= strong_bound, strong_bound - strong)
+                       strong <= strong_bound, strong_bound - strong)

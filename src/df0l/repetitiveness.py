@@ -32,16 +32,31 @@ So whether a prefix length m passes, and the first m that does, do not
 depend on the power, and a test that m divides total already implies
 total >= 2m.  The first u that passes is primitive: it is r, by (<=).
 
-A third fact answers some letters without a scan.
+A third fact answers some letters without a scan, from the images of the
+morphism alone.
 
-3. If a is not reachable from the letters of image^c(a)[1:] in the letter
-   graph of image^c (an edge from b to each letter of image^c(b)), no
-   prefix of x is a witness, whatever the period bound.  Write
-   image^c(a) = a·r, with r non-empty by fact 1.  From x = image^c(x),
-   x[1:] = r·image^c(x[1:]) = r·image^c(r)·image^2c(r)···, so the letters
-   of x[1:] are those reachable from the letters of r in zero or more
-   steps.  A witness u makes x = u^w purely periodic by fact 2, so a = x[0]
-   occurs again at x[|u|], and |u| >= 1.
+3. Let S_k be the letter set of image^(ck)(a)[1:], so S_0 is empty.  If no
+   S_k holds a, no prefix of x is a witness, whatever the period bound: a
+   witness u makes x = u^w purely periodic by fact 2, so a = x[0] occurs
+   again at x[|u|], |u| >= 1, and the S_k together are the letter set of
+   x[1:].  For, image^(ck)(a) is a prefix of image^(c(k+1))(a) and of x
+   (fact 1), so S_k grows with k, and every letter of x[1:] lies in one of
+   these prefixes, which grow without bound once image^c(a) is longer than
+   a; if it is not, S_1 is empty, and so is every S_k.
+   The S_k follow one letter step at a time.  Let T_t be the letter set of
+   image^t(a)[1:].  Since image^t(a) = f^t(a)·image^t(a)[1:],
+   image^(t+1)(a)[1:] = image(f^t(a))[1:]·image(image^t(a)[1:]), so T_(t+1)
+   is the letter set of image(f^t(a))[1:] joined with those of the images
+   of the letters of T_t.  f^t(a) depends only on t mod c, so the c steps
+   from t = ck to t = c(k+1), a block, are one fixed map B of letter sets,
+   and S_(k+1) = B(S_k).  A block that adds nothing ends the growth: from
+   S_(k+1) = S_k follows S_(k+2) = B(S_(k+1)) = B(S_k) = S_(k+1), and so
+   on.  Until then each block adds a letter, so at most |A| + 1 blocks of
+   c <= |A| steps on sets of at most |A| letters decide whether a occurs
+   in x[1:]: polynomial time, where image^c(a) can have max|image(b)|^c
+   letters.  An empty S_1 means that every image on the cycle is one
+   letter (fact 1), so one rule also skips a letter whose cycle does not
+   grow.
 
 A negative answer is exact for a letter skipped by fact 3, and otherwise
 complete in the power and bounded only by the searched period, and must be
@@ -114,7 +129,9 @@ def detect_unbounded_repetitive(system: DF0LSystem,
     witness that image^c misses, and the first u that passes is primitive:
     the answer is complete in the power and bounded only by the period.  A
     letter that never occurs again in its x is skipped without a scan, which
-    by fact 3 loses no witness at any period bound.
+    by fact 3 loses no witness at any period bound, and is found from the
+    letter sets of the morphism's images, so image^c is built only for a
+    letter that recurs.
     power_bound = |A| is reported as the cycle lengths' upper bound.
 
     The test is a period test: image^c(u) is x[:total], total = |image^c(u)|,
@@ -148,10 +165,8 @@ def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
     letter starts with it (fact 1); image^c is built once per distinct c.
     Since image^c(a) is longer than a, total > m, so m dividing total
     already gives n = total / m >= 2 (fact 2).  A letter that does not recur
-    in its fixed point is skipped before its prefix is built (fact 3).  The
-    `grows` test is a shortcut that fact 3 implies: with one-letter images
-    on the cycle, image^c(a) = a, from whose empty rest nothing is
-    reachable; it skips building image^c.
+    in its fixed point is skipped before image^c and its prefix are built
+    (fact 3), and so is a letter whose cycle has only one-letter images.
     Before the period test copies x[m:seen], a window of _WINDOW letters is
     compared: a witness makes x = u^w (fact 2), so x[m:m + _WINDOW] =
     x[:_WINDOW] is necessary and no verdict changes.  Where every m divides
@@ -166,19 +181,16 @@ def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
     for a in alphabet.codes:
         if a not in letters:
             continue
-        b, grows = a, False
+        b = a
         for cycle in range(1, power_bound + 1):
-            grows = grows or len(images[b]) > 1
             b = images[b][0]
             if b == a:
                 break
-        if b != a or not grows:
+        if b != a or not _recurs(images, a, cycle):
             continue
         if cycle not in powers:
             powers[cycle] = phi.power(cycle)
         power = powers[cycle]
-        if not _recurs(power, a):
-            continue
         prefix = _fixed_prefix(power, a, period_bound)
         # the running sums are |image^c(prefix[:m])|, m = 1, 2, ...
         ends = accumulate(map(len, map(power.image_codes.__getitem__, prefix)))
@@ -193,17 +205,18 @@ def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
     return RepetitivenessVerdict(False, None, None, None, None, period_bound, power_bound)
 
 
-def _recurs(power, a: str) -> bool:
-    """Whether a occurs in x[1:], x the fixed point of `power` at a: whether
-    a is reachable from the letters of power(a)[1:] (fact 3)."""
-    images = power.image_codes
-    reached = set(images[a][1:])
-    todo = list(reached)
-    while todo and a not in reached:
-        new = set(images[todo.pop()]) - reached
-        reached |= new
-        todo.extend(new)
-    return a in reached
+def _recurs(images, a: str, c: int) -> bool:
+    """Whether a occurs in x[1:], x the fixed point of image^c at a, c the
+    length of a's first-letter cycle (fact 3).  `rest` is S_k, the letter
+    set of image^(ck)(a)[1:], grown one block of c letter steps at a time
+    until it holds a or a block adds nothing."""
+    rest, previous = set(), None
+    while a not in rest and rest != previous:
+        previous, b = rest, a
+        for _ in range(c):
+            rest = set(images[b][1:]).union(*map(images.__getitem__, rest))
+            b = images[b][0]
+    return a in rest
 
 
 def _tiles(power, u: str) -> bool:

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import time
@@ -9,7 +10,7 @@ from df0l import (Alphabet, DF0LSystem, Morphism, PreconditionError,
                   RepetitivenessVerdict, classify_letters, clear_language_cache,
                   contains, detect_unbounded_repetitive, default_period_bound,
                   factor_language, parse_system, render_system, strong_threshold)
-from df0l.repetitiveness import _fixed_prefix
+from df0l.repetitiveness import _fixed_prefix, _recurs
 
 from conftest import binary_census, random_pdf0l, sys1, w
 from oracles import _naive_detect, is_primitive
@@ -353,3 +354,90 @@ def test_detector_builds_no_power_for_a_long_non_growing_cycle():
         tracemalloc.stop()
     assert verdict == RepetitivenessVerdict(False, None, None, None, None, 64, 22)
     assert peak < 2**20
+
+
+def test_detector_builds_no_power_for_a_letter_that_does_not_recur(monkeypatch):
+    """a0 -> a1 b, a_i -> a_(i+1), a19 -> a0, b -> b b, axiom a0, at period
+    bound 64: the first-letter cycle of every a_i has 20 letters and grows,
+    but the rest of its fixed point is b b b ..., so no a_i recurs (fact 3)
+    and image^20, whose image of a0 has over 2^19 letters, is not built.
+    The witness is b, from image^1."""
+    chain = [f"a{i}" for i in range(20)]
+    images = {a: (c,) for a, c in zip(chain, chain[1:] + chain[:1])}
+    images.update({"a0": ("a1", "b"), "b": ("b", "b")})
+    system = DF0LSystem(Morphism(Alphabet((*chain, "b")), images), [("a0",)])
+    built = []
+    power = Morphism.power
+
+    def recorded(phi, k):
+        built.append(k)
+        return power(phi, k)
+    monkeypatch.setattr(Morphism, "power", recorded)
+    clear_language_cache()
+    tracemalloc.start()
+    try:
+        verdict = detect_unbounded_repetitive(system, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict == RepetitivenessVerdict(True, "b", 1, ("b",), 2, 64, 21)
+    assert built == [1]
+    assert peak < 2**20
+
+
+def _recurs_in_power(phi, a, c):
+    """Fact 3 decided on image^c itself, the reference for `_recurs`: the
+    cycle of a grows, and a is reachable from the letters of image^c(a)[1:]
+    in the letter graph of image^c (an edge from b to each letter of
+    image^c(b))."""
+    b, grows = a, False
+    for _ in range(c):
+        grows = grows or len(phi.image_codes[b]) > 1
+        b = phi.image_codes[b][0]
+    if not grows:
+        return False
+    images = phi.power(c).image_codes
+    reached = set(images[a][1:])
+    todo = list(reached)
+    while todo:
+        new = set(images[todo.pop()]) - reached
+        reached |= new
+        todo.extend(new)
+    return a in reached
+
+
+def _morphisms(letters, lengths):
+    images = [image for n in lengths for image in itertools.product(letters, repeat=n)]
+    for chosen in itertools.product(images, repeat=len(letters)):
+        yield Morphism(Alphabet(tuple(letters)), dict(zip(letters, chosen)))
+
+
+def test_recurrence_from_letter_sets_matches_image_power():
+    """`_recurs` grows the letter set of image^(ck)(a)[1:] from the images
+    of the morphism alone (fact 3); it agrees with the reachability walk in
+    the letter graph of image^c on every letter whose first-letter walk
+    returns, over every binary morphism with images of length 1-3, every
+    ternary one with images of length 1-2 and seeded random ones with 2-7
+    letters."""
+    rng = random.Random(31)
+    morphisms = [*_morphisms("ab", (1, 2, 3)), *_morphisms("abc", (1, 2))]
+    for _ in range(2000):
+        letters = "abcdefg"[:rng.randint(2, 7)]
+        images = {a: tuple(rng.choices(letters, k=rng.randint(1, 3))) for a in letters}
+        morphisms.append(Morphism(Alphabet(tuple(letters)), images))
+    cases = recurring = 0
+    for phi in morphisms:
+        images = phi.image_codes
+        for a in images:
+            b = a
+            for c in range(1, len(images) + 1):
+                b = images[b][0]
+                if b == a:
+                    break
+            if b != a:
+                continue
+            cases += 1
+            recurs = _recurs(images, a, c)
+            assert recurs == _recurs_in_power(phi, a, c), (phi.image_codes, a, c)
+            recurring += recurs
+    assert (cases, recurring) == (8227, 6215)

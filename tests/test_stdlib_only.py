@@ -63,8 +63,7 @@ def test_cli_import_loads_no_code_generation_modules():
 RECORDS = {
     "ThresholdReport": ("mode", "status", "threshold", "witness", "last_level",
                         "survivors", "repetition"),
-    "BoundsCheck": ("weak_ok", "weak_slack", "strong_checked", "strong_ok",
-                    "strong_slack"),
+    "BoundsCheck": ("weak_ok", "weak_slack", "strong_ok", "strong_slack"),
     "CollisionPair": ("u", "v"),
     "TwinedData": ("phi", "psi", "alpha", "beta"),
     "Interpretation": ("s", "w", "t"),
