@@ -44,22 +44,35 @@ word w with image(w) = s·u·t, s and t shorter than the images of w's first
 and last letters.  `_member` is the only membership rule: one lookup where
 level |u| is built, else the parse of u, which reads the levels up to the
 length bound hi of `interpretation_length_bounds`, about |u| / min|image(a)|.
-Minimal interpretations are found by desubstitution, one frontier step at
-a time.  The right step takes the minimal interpretations (s, w, t) of u to
-those of u·c: a state with t non-empty advances if t starts with c, and t
-loses that letter; a state with t empty extends w by each letter b whose
-image starts with c, keeps w·b only if it is a language word, and takes
-the rest of image(b) as its t.  The full pass starts from the minimal
-interpretations of u[:1], every language letter a and offset j with
-image(a)[j] = u[0], and takes one right step per further letter of u.
-The right step is exact because every minimal interpretation (s, w, t) of
-u·c restricts to one of u: w is kept and t grows by c, or, when the image
-of w's last letter starts at c, w drops that letter and t is empty; s and
-the first letter of w stay.  So the frontier after u[:i] is exactly the
-set of minimal interpretations of u[:i], with no duplicates, as (s, w)
-fixes the state.  A minimal interpretation of a prefix of u is no longer
-than hi, and since the language is factorial the pass's work follows the
-minimal interpretations of the prefixes, not the size of the language.
+Minimal interpretations are found by desubstitution (Mossé, TCS 1992).
+A cold parse, the full pass, reads image(w) against u one image at a time.
+The first image puts u[0] at offset |s| of image(w[0]), so w[0] is a
+language letter a with image(a)[j] = u[0], j = |s|, and |s| < |image(w[0])|.
+Each later image starts where the one before it ended, and it must agree
+with u up to u's end.  The last image is the first one to reach u's end,
+and its overhang is t; it is the first image or starts inside u, so |t| <
+|image(w[-1])|.  So every minimal interpretation is read this way, and
+every (s, w, t) read this way with w a language word is one.  The offsets
+at which the images start follow from |s| and w, so (s, w) fixes the path,
+and the pass, which extends a state by distinct letters, finds no parse
+twice.  The language is factorial, so requiring w[:k] to be a language
+word at each step keeps exactly the w that are in it: the parse set is the
+set of minimal interpretations.  A state's w, no longer than hi, is a
+language word whose image agrees with u up to its last image, which starts
+with the letter of u there; the pass tests that image when it reads the
+state.  So its work follows the minimal interpretations of the prefixes of
+u, not the size of the language, and it takes one step per image, not one
+per letter.
+The right step takes the minimal interpretations (s, w, t) of u to those
+of u·c: a state with t non-empty advances if t starts with c, and t loses
+that letter; a state with t empty extends w by each letter b whose image
+starts with c, keeps w·b only if it is a language word, and takes the rest
+of image(b) as its t.  The right step is exact because every minimal
+interpretation (s, w, t) of u·c restricts to one of u: w is kept and t
+grows by c, or, when the image of w's last letter starts at c, w drops
+that letter and t is empty; s and the first letter of w stay.  So the
+states after a right step are exactly the minimal interpretations of u·c,
+with no duplicates, as (s, w) fixes the state.
 The left step, u to c·u, is its mirror and works on s: a state with s
 non-empty is kept if s ends with c, and s loses that letter; a state with s
 empty extends w on the left by each letter b whose image ends with c,
@@ -84,7 +97,7 @@ searches visit a level's set of words; only `minimal_interpretations` sorts.
 import threading
 from collections import defaultdict
 from collections.abc import Set
-from itertools import accumulate, islice
+from itertools import accumulate
 
 from .errors import InvalidSystemError, PreconditionError
 from .system import DF0LSystem
@@ -154,7 +167,8 @@ class _Record:
     """What df0l remembers about one system; see the module docstring.
     heads[c] lists each letter b whose image starts with c, with the rest
     of that image and the image's length, and tails[c] each b whose image
-    ends with c, with the image before c; the frontier steps read them."""
+    ends with c, with the image before c; the full pass and the frontier
+    steps read them."""
 
     __slots__ = ("levels", "registered", "pending", "parses", "verdicts", "heads", "tails")
 
@@ -304,8 +318,8 @@ def _right_step(states, c: str, heads, levels) -> list:
 def _left_step(states, c: str, tails, levels) -> list:
     """Its mirror u -> c·u, read on s; cuts move one letter on, and a letter
     that extends w on the left prepends its start.  Every state has cuts:
-    only memoized parses are stepped left, and the full pass, the one source
-    of states without cuts, takes right steps only."""
+    only memoized parses are stepped, and `_parses` gives the full pass's
+    states, the one source of states without cuts, theirs first."""
     ending = tails.get(c, ())
     stepped = []
     for s, w, t, cuts in states:
@@ -322,16 +336,41 @@ def _left_step(states, c: str, tails, levels) -> list:
 
 
 def _full_pass(phi, heads, levels, u: str) -> list:
-    """The minimal interpretations (s, w, t, None) of u: right steps from
-    those of u[:1], every language letter a with an offset j where
-    image(a)[j] = u[0].  No cuts are carried, so that no state copies a
-    growing tuple at each extension; the caller computes them once."""
-    c = u[0]
-    states = [(image[:j], a, image[j + 1:], None) for a, image in phi.image_codes.items()
-              if a in levels[1] for j in range(len(image)) if image[j] == c]
-    for c in islice(u, 1, None):
-        states = _right_step(states, c, heads, levels)
-    return states
+    """The minimal interpretations (s, w, t, None) of u, read one letter
+    image at a time; see the module docstring.  A state (s, w, rest, pos)
+    has image(w) = s·u[:pos]·rest, where rest, the part of the last image
+    not yet read, must agree with u from pos on.  It starts as every
+    language letter a at an offset j where image(a)[j] = u[0], and a state
+    with one extension follows it in place.  No cuts are carried, so that
+    no state copies a growing tuple at each extension; the caller computes
+    them once."""
+    n = len(u)
+    found = []
+    todo = [(image[:j], a, image[j + 1:], 1) for a, image in phi.image_codes.items()
+            if a in levels[1] for j in range(len(image)) if image[j] == u[0]]
+    while todo:
+        s, w, rest, pos = todo.pop()
+        while True:
+            end = pos + len(rest)
+            if end >= n:    # the last image: its overhang is t
+                if rest.startswith(u[pos:]):
+                    found.append((s, w, rest[n - pos:], None))
+                break
+            if rest and not u.startswith(rest, pos):
+                break
+            level = levels[len(w) + 1]
+            follow = None
+            for b, after, _ in heads.get(u[end], ()):
+                v = w + b
+                if v in level:
+                    if follow is None:
+                        follow = v, after
+                    else:
+                        todo.append((s, v, after, end + 1))
+            if follow is None:
+                break
+            (w, rest), pos = follow, end + 1
+    return found
 
 
 def _parses(system: DF0LSystem, u: str,

@@ -74,7 +74,7 @@ So the full system is certified iff some subsystem is.
 """
 
 from collections import namedtuple
-from itertools import accumulate
+from itertools import islice
 
 from .errors import PreconditionError
 from .language import _record
@@ -137,8 +137,9 @@ def detect_unbounded_repetitive(system: DF0LSystem,
     The test is a period test: image^c(u) is x[:total], total = |image^c(u)|,
     so image^c(u) = u^n iff m divides total and x[:total] has period m.  It
     is exact, not a sampled check.  The prefix x[:period_bound] is built
-    once per letter, linearly, and each m is filtered by one comparison of
-    x[m:seen] with x[:seen-m], seen = min(total, period_bound).  Every
+    once per letter, linearly; the m whose first _WINDOW letters of x[m:]
+    match x's are found by str.find, and each is filtered by one comparison
+    of x[m:seen] with x[:seen-m], seen = min(total, period_bound).  Every
     survivor is confirmed from u and its letter images alone, one image at a
     time against u repeated, so no copy of image^c(u) is made.  The prefix
     costs O(period_bound + max|image^c(b)|) memory, and the power image^c,
@@ -169,9 +170,12 @@ def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
     (fact 3), and so is a letter whose cycle has only one-letter images.
     Before the period test copies x[m:seen], a window of _WINDOW letters is
     compared: a witness makes x = u^w (fact 2), so x[m:m + _WINDOW] =
-    x[:_WINDOW] is necessary and no verdict changes.  Where every m divides
-    total, as with equal image lengths, most m fail on the window, and the
-    scan no longer copies a slice of up to period_bound letters for each."""
+    x[:_WINDOW] is necessary and no verdict changes.  So only the m that
+    `_windows` yields are tried, in increasing order as before, and total is
+    summed up to each of them in one call, with no Python step per letter.
+    Where every m divides total, as with equal image lengths, most m fail on
+    the window, and the scan copies no slice of up to period_bound letters
+    for them."""
     phi = system.morphism
     alphabet = system.alphabet
     images = phi.image_codes
@@ -192,9 +196,11 @@ def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
             powers[cycle] = phi.power(cycle)
         power = powers[cycle]
         prefix = _fixed_prefix(power, a, period_bound)
-        # the running sums are |image^c(prefix[:m])|, m = 1, 2, ...
-        ends = accumulate(map(len, map(power.image_codes.__getitem__, prefix)))
-        for m, total in enumerate(ends, 1):
+        sizes = map(len, map(power.image_codes.__getitem__, prefix))
+        total = done = 0
+        for m in _windows(prefix):
+            total += sum(islice(sizes, m - done))     # |image^c(prefix[:m])|
+            done = m
             # prefix[m:total] is x[m:seen], seen = min(total, period_bound),
             # so the prefix starts with it iff x[:seen] has period m
             if (total % m == 0 and prefix.startswith(prefix[m:m + _WINDOW])
@@ -203,6 +209,17 @@ def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
                     True, alphabet.letters[ord(a)], cycle, alphabet.decode(prefix[:m]),
                     total // m, period_bound, power_bound)
     return RepetitivenessVerdict(False, None, None, None, None, period_bound, power_bound)
+
+
+def _windows(prefix: str):
+    """In increasing order, every m >= 1 with prefix[m:m + _WINDOW] =
+    prefix[:_WINDOW] where the window fits, found by str.find, then every m
+    past |prefix| - _WINDOW up to |prefix|, where the window is cut short
+    and `_scan` tests it."""
+    window, m = prefix[:_WINDOW], 0
+    while (m := prefix.find(window, m + 1)) != -1:
+        yield m
+    yield from range(max(len(prefix) - _WINDOW, 0) + 1, len(prefix) + 1)
 
 
 def _recurs(images, a: str, c: int) -> bool:

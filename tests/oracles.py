@@ -9,7 +9,10 @@ by registration, minimal interpretations by scanning images, the unpruned
 threshold searches, the repetitiveness detector by iterating the morphism,
 letter growth, collisions by imaging every short word, the twined checks on
 samples and bounded languages, and checkers of the `repetitive`,
-`threshold`, `delta` and `twined` JSON reports.
+`threshold`, `delta` and `twined` JSON reports.  One reference is the
+exception: the parse pass that reads a word one letter at a time takes the
+arguments of df0l's full pass, code strings and a record's levels, so that
+the two read the same input.
 """
 
 from functools import lru_cache
@@ -180,6 +183,31 @@ def registration_levels(system, max_len):
 
 
 # -- interpretations and thresholds --------------------------------------
+
+def letter_pass(phi, heads, levels, u):
+    """The minimal interpretations (s, w, t, None) of the code string u by
+    the pass that reads u one letter at a time, with the arguments of
+    df0l's full pass: the states of u[:1], every language letter a at an
+    offset j where image(a)[j] = u[0], then one right step per further
+    letter c.  A state with t non-empty keeps going if t starts with c and
+    drops that letter of t; one with t empty extends w by each letter b of
+    heads[c], whose image starts with c, keeps w·b only if it is in its
+    level, and takes the rest of image(b) as t."""
+    states = [(image[:j], a, image[j + 1:]) for a, image in phi.image_codes.items()
+              if a in levels[1] for j in range(len(image)) if image[j] == u[0]]
+    for c in u[1:]:
+        stepped = []
+        for s, w, t in states:
+            if t:
+                if t[0] == c:
+                    stepped.append((s, w, t[1:]))
+            else:
+                for b, rest, _ in heads.get(c, ()):
+                    if w + b in levels[len(w) + 1]:
+                        stepped.append((s, w + b, rest))
+        states = stepped
+    return [(s, w, t, None) for s, w, t in states]
+
 
 def naive_minimal_interpretations(system, u, extra=2):
     """Definition-level oracle: scan every language word up to the length

@@ -12,10 +12,10 @@ from df0l import (Alphabet, DF0LSystem, Interpretation, Morphism,
                   is_strongly_synchronizing, is_weakly_synchronized,
                   is_weakly_synchronizing, minimal_interpretations,
                   strong_sync_letter)
-from df0l.language import _parses, _record
+from df0l.language import _full_pass, _length_bounds, _parses, _record
 
-from conftest import random_pdf0l, sys1, w
-from oracles import canonical_key, naive_minimal_interpretations, occurrences
+from conftest import binary_census, random_pdf0l, sys1, w
+from oracles import canonical_key, letter_pass, naive_minimal_interpretations, occurrences
 
 
 def test_thue_morse_aba(thue_morse):
@@ -313,8 +313,8 @@ def _sample_words(system, lengths, count, rng):
 
 
 def test_long_words_match_oracle(two_fixed, collapse_unbounded):
-    """The frontier pass reads u one letter at a time; long words make its
-    frontier pass through many image boundaries."""
+    """The full pass reads u one letter image at a time; long words make it
+    cross many image boundaries."""
     rng = random.Random(41)
     checked = 0
     for system in (two_fixed, collapse_unbounded):
@@ -500,3 +500,89 @@ def test_stepped_interpretations_come_in_canonical_order(full_passes):
                                                     for i in interps]
         words += 1
     assert words > 1000 and unordered, (words, unordered)
+
+
+def _same_pass(system, code):
+    """The full pass on the code string, checked against the letter-by-letter
+    pass on the system's levels built to the length bound: the same parses,
+    none twice."""
+    phi = system.morphism
+    record = _record(system, _length_bounds(phi, len(code))[1])
+    parse = _full_pass(phi, record.heads, record.levels, code)
+    assert len(set(parse)) == len(parse), (system, code)
+    assert sorted(parse) == sorted(letter_pass(phi, record.heads, record.levels, code)), \
+        (system, code)
+    return parse
+
+
+def test_full_pass_matches_the_letter_pass(thue_morse, collapse_bounded):
+    """The pass by whole images finds the parses of the pass by letters: on
+    every language word up to length 8 of the binary census; on seeded
+    random systems with images up to 5 letters, on language words up to
+    length 30 and on each with one letter changed; on words that start and
+    end inside an image of collapse_bounded_delta, so that s and t are both
+    non-empty; and on the 400-letter Thue-Morse prefix."""
+    words = 0
+    for system in binary_census():
+        for level in _record(system, 8).levels[1:9]:
+            for code in level:
+                _same_pass(system, code)
+                words += 1
+    assert words > 10000, words
+
+    rng = random.Random(59)
+    changed = 0
+    for _ in range(12):
+        system = random_pdf0l(rng, max_letters=4, max_image_len=5)
+        codes = system.alphabet.codes
+        levels = _record(system, 30).levels
+        for n in range(2, 31):
+            for code in rng.sample(sorted(levels[n]), min(2, len(levels[n]))):
+                _same_pass(system, code)
+                k = rng.randrange(n)
+                changed += not _same_pass(system, code[:k] + rng.choice(codes) + code[k + 1:])
+    assert changed > 100, changed
+
+    phi = collapse_bounded.morphism
+    inside = 0
+    for v in sorted(set().union(*_record(collapse_bounded, 6).levels[1:7])):
+        image = v.translate(phi.table)
+        for i in range(1, len(phi.image_codes[v[0]])):
+            for j in range(max(i, len(image) - len(phi.image_codes[v[-1]])) + 1, len(image)):
+                assert (image[:i], v, image[j:], None) in _same_pass(collapse_bounded, image[i:j])
+                inside += 1
+    assert inside > 300, inside
+
+    prefix = "".join("ab"[bin(i).count("1") % 2] for i in range(400))
+    assert _same_pass(thue_morse, thue_morse.alphabet.encode(w(prefix)))
+
+
+def test_full_pass_reads_its_levels_a_linear_number_of_times(collapse_unbounded):
+    """b and c share the image aba, so a pass that checked membership only
+    once u is read would double its states at every aba.  On a 400-letter
+    factor of phi^7(a), the pass reads the levels at most 4|u| times, each
+    level it takes and each membership probe counted, and it finds the
+    parses of the pass by letters."""
+    phi = collapse_unbounded.morphism
+    code = collapse_unbounded.alphabet.encode(phi.apply_power(w("a"), 7)[100:500])
+    record = _record(collapse_unbounded, _length_bounds(phi, len(code))[1])
+    reads = []
+
+    def read():
+        reads.append(None)
+        if len(reads) > 4 * len(code):
+            raise AssertionError("the pass read its levels more than 4|u| times")
+
+    class Level(frozenset):
+        def __contains__(self, word):
+            read()
+            return frozenset.__contains__(self, word)
+
+    class Levels(list):
+        def __getitem__(self, k):
+            read()
+            return list.__getitem__(self, k)
+
+    parse = _full_pass(phi, record.heads, Levels(map(Level, record.levels)), code)
+    assert parse and sorted(parse) == sorted(letter_pass(phi, record.heads, record.levels, code))
+    assert len(reads) > len(code) // 4, len(reads)

@@ -196,6 +196,21 @@ def test_detector_reads_letter_images_at_their_offsets():
     assert verdict == _checked_naive_detect(system, 256)
 
 
+def test_detector_finds_a_witness_whose_window_is_cut_short():
+    """a -> a a b1, b1 -> a a b2, b2 -> a a b2: the witness has 9 letters.
+    The scan tries only the m whose 16-letter window matches the prefix's,
+    found by str.find, and then the last 16 positions, where the window is
+    cut short; at period bounds 9 to 24, m = 9 is one of those."""
+    system = DF0LSystem(Morphism(Alphabet(("a", "b1", "b2")),
+                                 {"a": ("a", "a", "b1"), "b1": ("a", "a", "b2"),
+                                  "b2": ("a", "a", "b2")}), [("a",)])
+    witness = ("a", "a", "b1") * 2 + ("a", "a", "b2")
+    for bound in (4, 8, 9, 16, 24, 25, 64):
+        verdict = detect_unbounded_repetitive(system, bound)
+        assert verdict == _checked_naive_detect(system, bound), bound
+        assert verdict.witness == (witness if bound >= 9 else None), bound
+
+
 def test_detector_on_a_slowly_growing_fixed_point():
     """a -> a c, c -> c: the fixed point a c c c ... grows by one letter per
     image, and no prefix is mapped to a power of itself."""
