@@ -10,7 +10,9 @@
 
 Tokens are separated by spaces or tabs.  The alphabet line must come first;
 every letter needs exactly one map line; at least one axiom is required.
-Rendering and parsing round-trip exactly.
+Rendering and parsing round-trip exactly: a letter token holds no
+whitespace, and render_system refuses one that holds '#', which would
+start a comment.
 """
 
 from .errors import InvalidSystemError, ParseError
@@ -66,6 +68,9 @@ def parse_system(text: str) -> DF0LSystem:
 
 
 def render_system(system: DF0LSystem) -> str:
+    """The system file text that parse_system reads back as the system."""
+    if letter := next((a for a in system.alphabet.letters if "#" in a), None):
+        raise InvalidSystemError(f"letter {letter!r} holds '#', which starts a comment")
     lines = ["alphabet: " + " ".join(system.alphabet.letters)]
     for letter in system.alphabet:
         image = system.morphism.image(letter)

@@ -80,18 +80,20 @@ keeps b·w only if it is a language word, and takes image(b) without its
 last letter as its s.  The restriction argument reads the same from right
 to left: a minimal interpretation (s, w, t) of c·u gives (s·c, w, t) of u,
 or (ε, w[1:], t) when image(w[0]) = s·c, since then w[1:] is a non-empty
-language word whose image is u·t.  So a word whose trim u[:-1], u[1:] or
-u[1:-1] has a memoized parse is parsed by one or two steps from it, which
-is how the threshold searches parse their candidates.
-A state of a stepped parse is (s, w, t, cuts), with the cut tuple of
-`interpretations`, measured from u's first letter, and the steps carry it:
-a right step keeps the cuts of a state that advances inside t and appends
-cuts[-1] + |image(b)| when it extends w by b; a left step adds one to every
-cut, and an extension by b also prepends -|s|.  The full pass carries no
-cuts, since each extension would copy a tuple that grows with u; they are
-computed once per state it returns.  A parse is in no fixed order: it
-follows the trim it was stepped from, which follows the order in which the
-searches visit a level's set of words; only `minimal_interpretations` sorts.
+language word whose image is u·t.  So a word whose trim u[:-1] or u[1:-1]
+has a memoized parse is parsed by one or two steps from it, which is how
+the threshold searches parse their candidates: a weak candidate's u[:-1]
+and a strong candidate's u[1:-1] were parsed at the previous level.
+Every parse is a tuple of states (s, w, t, cuts), with the cut tuple of
+`interpretations`, measured from u's first letter, whichever path finds
+it.  The full pass computes the cuts once per state it returns, not at
+each extension, where they would copy a tuple that grows with u; the steps
+carry them: a right step keeps the cuts of a state that advances inside t
+and appends cuts[-1] + |image(b)| when it extends w by b; a left step adds
+one to every cut, and an extension by b also prepends -|s|.  A parse is in
+no fixed order: it follows the trim it was stepped from, which follows the
+order in which the searches visit a level's set of words; only
+`minimal_interpretations` sorts.
 """
 
 import threading
@@ -166,9 +168,8 @@ class FactorSet(Set):
 class _Record:
     """What df0l remembers about one system; see the module docstring.
     heads[c] lists each letter b whose image starts with c, with the rest
-    of that image and the image's length, and tails[c] each b whose image
-    ends with c, with the image before c; the full pass and the frontier
-    steps read them."""
+    of that image, and tails[c] each b whose image ends with c, with the
+    image before c; the full pass and the frontier steps read them."""
 
     __slots__ = ("levels", "registered", "pending", "parses", "verdicts", "heads", "tails")
 
@@ -180,7 +181,7 @@ class _Record:
         self.verdicts = {}                      # period bound -> RepetitivenessVerdict
         self.heads, self.tails = {}, {}
         for b, code in phi.image_codes.items():     # non-erasing, as _record checks
-            self.heads.setdefault(code[0], []).append((b, code[1:], len(code)))
+            self.heads.setdefault(code[0], []).append((b, code[1:]))
             self.tails.setdefault(code[-1], []).append((b, code[:-1]))
 
 
@@ -298,8 +299,8 @@ def _cuts(phi, s_len: int, w: str) -> tuple[int, ...]:
 
 def _right_step(states, c: str, heads, levels) -> list:
     """The frontier step u -> u·c: the minimal interpretations (s, w, t, cuts)
-    of u·c from those of u, read on t; cuts, if not None, gains the end of
-    each letter that extends w."""
+    of u·c from those of u, read on t; cuts gains the end of each letter
+    that extends w."""
     starting = heads.get(c, ())
     stepped = []
     for s, w, t, cuts in states:
@@ -308,18 +309,16 @@ def _right_step(states, c: str, heads, levels) -> list:
                 stepped.append((s, w, t[1:], cuts))
         else:
             level = levels[len(w) + 1]
-            for b, rest, size in starting:
+            for b, rest in starting:
                 v = w + b
                 if v in level:
-                    stepped.append((s, v, rest, cuts and cuts + (cuts[-1] + size,)))
+                    stepped.append((s, v, rest, cuts + (cuts[-1] + len(rest) + 1,)))
     return stepped
 
 
 def _left_step(states, c: str, tails, levels) -> list:
     """Its mirror u -> c·u, read on s; cuts move one letter on, and a letter
-    that extends w on the left prepends its start.  Every state has cuts:
-    only memoized parses are stepped, and `_parses` gives the full pass's
-    states, the one source of states without cuts, theirs first."""
+    that extends w on the left prepends its start."""
     ending = tails.get(c, ())
     stepped = []
     for s, w, t, cuts in states:
@@ -336,14 +335,14 @@ def _left_step(states, c: str, tails, levels) -> list:
 
 
 def _full_pass(phi, heads, levels, u: str) -> list:
-    """The minimal interpretations (s, w, t, None) of u, read one letter
+    """The minimal interpretations (s, w, t, cuts) of u, read one letter
     image at a time; see the module docstring.  A state (s, w, rest, pos)
     has image(w) = s·u[:pos]·rest, where rest, the part of the last image
     not yet read, must agree with u from pos on.  It starts as every
     language letter a at an offset j where image(a)[j] = u[0], and a state
     with one extension follows it in place.  No cuts are carried, so that
-    no state copies a growing tuple at each extension; the caller computes
-    them once."""
+    no state copies a growing tuple at each extension; they are computed
+    once per state that closes."""
     n = len(u)
     found = []
     todo = [(image[:j], a, image[j + 1:], 1) for a, image in phi.image_codes.items()
@@ -354,13 +353,13 @@ def _full_pass(phi, heads, levels, u: str) -> list:
             end = pos + len(rest)
             if end >= n:    # the last image: its overhang is t
                 if rest.startswith(u[pos:]):
-                    found.append((s, w, rest[n - pos:], None))
+                    found.append((s, w, rest[n - pos:], _cuts(phi, len(s), w)))
                 break
             if rest and not u.startswith(rest, pos):
                 break
             level = levels[len(w) + 1]
             follow = None
-            for b, after, _ in heads.get(u[end], ()):
+            for b, after in heads.get(u[end], ()):
                 v = w + b
                 if v in level:
                     if follow is None:
@@ -379,12 +378,12 @@ def _parses(system: DF0LSystem, u: str,
     cuts, in no fixed order; record, if given, is the system's record,
     looked up by the caller.
 
-    A memoized parse is returned as it is.  Else u is parsed by one frontier
-    step from the memoized parse of a trim, whose cuts the step carries: a
-    right step from u[:-1], a left step from u[1:], or a left and then a
-    right step from u[1:-1], the core that a strong candidate's search
-    memoized.  Only with no trim memoized does the full pass run, and its
-    cuts are computed once per parse at the end."""
+    A memoized parse is returned as it is.  Else u is parsed by frontier
+    steps from the memoized parse of a trim, whose cuts the steps carry: a
+    right step from u[:-1], which a weak candidate's search memoized, or a
+    left and then a right step from u[1:-1], the core that a strong
+    candidate's search memoized.  Only with neither memoized does the full
+    pass run."""
     if record is None:
         record = _record(system, 0)
     memo = record.parses
@@ -398,14 +397,11 @@ def _parses(system: DF0LSystem, u: str,
         levels = _record(system, hi).levels
     if (trim := memo.get(u[:-1])) is not None:
         parses = tuple(_right_step(trim, u[-1], heads, levels))
-    elif (trim := memo.get(u[1:])) is not None:
-        parses = tuple(_left_step(trim, u[0], tails, levels))
     elif (trim := memo.get(u[1:-1])) is not None:
         parses = tuple(_right_step(_left_step(trim, u[0], tails, levels),
                                    u[-1], heads, levels))
     else:
-        parses = tuple((s, w, t, _cuts(phi, len(s), w))
-                       for s, w, t, _ in _full_pass(phi, heads, levels, u))
+        parses = tuple(_full_pass(phi, heads, levels, u))
     if len(memo) >= _PARSE_MEMO_SIZE:
         memo.clear()
     memo[u] = parses

@@ -168,14 +168,17 @@ def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
     already gives n = total / m >= 2 (fact 2).  A letter that does not recur
     in its fixed point is skipped before image^c and its prefix are built
     (fact 3), and so is a letter whose cycle has only one-letter images.
-    Before the period test copies x[m:seen], a window of _WINDOW letters is
-    compared: a witness makes x = u^w (fact 2), so x[m:m + _WINDOW] =
-    x[:_WINDOW] is necessary and no verdict changes.  So only the m that
-    `_windows` yields are tried, in increasing order as before, and total is
-    summed up to each of them in one call, with no Python step per letter.
-    Where every m divides total, as with equal image lengths, most m fail on
-    the window, and the scan copies no slice of up to period_bound letters
-    for them."""
+    A witness makes x = u^w (fact 2), so x[m:m + _WINDOW] = x[:_WINDOW] is
+    necessary, and only the m that `_windows` yields are tried, in
+    increasing order as before; total is summed up to each of them in one
+    call, with no Python step per letter.  Where every m divides total, as
+    with equal image lengths, most m are never yielded, and the scan copies
+    no slice of up to period_bound letters for them.  A tail m, where the
+    window is cut short, needs no window test of its own: if |prefix| >=
+    2·_WINDOW, total >= 2m > |prefix|, so prefix[m:total] is the cut window,
+    which the period test compares; otherwise `_tiles`, exact once m
+    divides total (fact 2), passes only if x has period m, where the window
+    test would pass too."""
     phi = system.morphism
     alphabet = system.alphabet
     images = phi.image_codes
@@ -203,8 +206,8 @@ def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
             done = m
             # prefix[m:total] is x[m:seen], seen = min(total, period_bound),
             # so the prefix starts with it iff x[:seen] has period m
-            if (total % m == 0 and prefix.startswith(prefix[m:m + _WINDOW])
-                    and prefix.startswith(prefix[m:total]) and _tiles(power, prefix[:m])):
+            if (total % m == 0 and prefix.startswith(prefix[m:total])
+                    and _tiles(power, prefix[:m])):
                 return RepetitivenessVerdict(
                     True, alphabet.letters[ord(a)], cycle, alphabet.decode(prefix[:m]),
                     total // m, period_bound, power_bound)
@@ -214,8 +217,8 @@ def _scan(system: DF0LSystem, period_bound: int) -> RepetitivenessVerdict:
 def _windows(prefix: str):
     """In increasing order, every m >= 1 with prefix[m:m + _WINDOW] =
     prefix[:_WINDOW] where the window fits, found by str.find, then every m
-    past |prefix| - _WINDOW up to |prefix|, where the window is cut short
-    and `_scan` tests it."""
+    past |prefix| - _WINDOW up to |prefix|, where the window is cut short;
+    `_scan` says why these need no window test."""
     window, m = prefix[:_WINDOW], 0
     while (m := prefix.find(window, m + 1)) != -1:
         yield m

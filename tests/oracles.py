@@ -185,14 +185,15 @@ def registration_levels(system, max_len):
 # -- interpretations and thresholds --------------------------------------
 
 def letter_pass(phi, heads, levels, u):
-    """The minimal interpretations (s, w, t, None) of the code string u by
+    """The minimal interpretations (s, w, t, cuts) of the code string u by
     the pass that reads u one letter at a time, with the arguments of
     df0l's full pass: the states of u[:1], every language letter a at an
     offset j where image(a)[j] = u[0], then one right step per further
     letter c.  A state with t non-empty keeps going if t starts with c and
     drops that letter of t; one with t empty extends w by each letter b of
     heads[c], whose image starts with c, keeps w·b only if it is in its
-    level, and takes the rest of image(b) as t."""
+    level, and takes the rest of image(b) as t.  A state's cuts are the
+    image lengths of the letters of w accumulated from -|s|."""
     states = [(image[:j], a, image[j + 1:]) for a, image in phi.image_codes.items()
               if a in levels[1] for j in range(len(image)) if image[j] == u[0]]
     for c in u[1:]:
@@ -202,11 +203,13 @@ def letter_pass(phi, heads, levels, u):
                 if t[0] == c:
                     stepped.append((s, w, t[1:]))
             else:
-                for b, rest, _ in heads.get(c, ()):
+                for b, rest in heads.get(c, ()):
                     if w + b in levels[len(w) + 1]:
                         stepped.append((s, w + b, rest))
         states = stepped
-    return [(s, w, t, None) for s, w, t in states]
+    sizes = {a: len(image) for a, image in phi.image_codes.items()}
+    return [(s, w, t, tuple(accumulate(map(sizes.get, w), initial=-len(s))))
+            for s, w, t in states]
 
 
 def naive_minimal_interpretations(system, u, extra=2):

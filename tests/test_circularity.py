@@ -367,9 +367,11 @@ def _sample_reports():
 
 def test_candidates_are_stepped_from_their_trims(full_passes, monkeypatch):
     """On the six samples the two searches run the full pass at most 50
-    times, where one full pass per memo miss made 144: every word whose trim
-    u[:-1], u[1:] or u[1:-1] has a memoized parse is parsed by steps from it,
-    and the reports are those of full passes only."""
+    times, where one full pass per memo miss made 144: no word whose trim
+    u[:-1], u[1:] or u[1:-1] has a memoized parse runs the full pass:
+    _parses steps from u[:-1] or u[1:-1], and on the samples every word
+    whose u[1:] is memoized has one of these memoized too; the reports are
+    those of full passes only."""
     parses = df0l.circularity._parses
 
     def watched(system, u, record):

@@ -1,7 +1,7 @@
 import pytest
 
-from df0l import (Alphabet, ParseError, parse_letter_map, parse_system,
-                  power_system, render_system, validate)
+from df0l import (Alphabet, DF0LSystem, InvalidSystemError, Morphism, ParseError,
+                  parse_letter_map, parse_system, power_system, render_system, validate)
 
 from conftest import w
 
@@ -34,6 +34,15 @@ def test_multichar_tokens_round_trip():
     system = parse_system(text)
     assert system.alphabet.letters == ("aa", "b1")
     assert parse_system(render_system(system)) == system
+
+
+def test_render_refuses_a_letter_that_starts_a_comment():
+    """'#' starts a comment in a system file, so a letter holding it would
+    not read back; rendering names the letter instead."""
+    system = DF0LSystem(Morphism(Alphabet(["a#", "b"]), {"a#": ("a#", "b"), "b": ("b",)}),
+                        [("a#",)])
+    with pytest.raises(InvalidSystemError, match="'a#'"):
+        render_system(system)
 
 
 def test_erasing_image_parses():

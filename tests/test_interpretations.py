@@ -451,10 +451,9 @@ def _parsed(full_passes, system, code, trim=None):
 
 def test_stepped_parses_equal_the_full_pass_and_the_oracle(full_passes):
     """On every language word u of length 2-9 of seeded random systems, the
-    full pass, the parse stepped right from that of u[:-1], left from that
-    of u[1:], and left then right from that of u[1:-1] each equal the
-    definition-level oracle, cuts included, once sorted canonically; the
-    full pass has no duplicates."""
+    full pass, the parse stepped right from that of u[:-1], and left then
+    right from that of u[1:-1] each equal the definition-level oracle, cuts
+    included, once sorted canonically; the full pass has no duplicates."""
 
     def canonical(parse):
         return [(len(x), x) for x in parse[:3]]
@@ -474,7 +473,6 @@ def test_stepped_parses_equal_the_full_pass_and_the_oracle(full_passes):
         assert len(set(full)) == len(full), (system, u)
         assert full == expected, (system, u)
         assert parse(system, code, code[:-1]) == expected, (system, u)
-        assert parse(system, code, code[1:]) == expected, (system, u)
         if len(code) > 2:
             assert parse(system, code, code[1:-1]) == expected, (system, u)
         words += 1
@@ -483,13 +481,13 @@ def test_stepped_parses_equal_the_full_pass_and_the_oracle(full_passes):
 
 def test_stepped_interpretations_come_in_canonical_order(full_passes):
     """On the same words, minimal_interpretations returns canonical order
-    when the memo holds only the parse of u[:-1], only that of u[1:] or
-    only that of u[1:-1], whatever order the step left its parse in."""
+    when the memo holds only the parse of u[:-1] or only that of u[1:-1],
+    whatever order the step left its parse in."""
     words = unordered = 0
     for system, u in _seeded_words():
         key = canonical_key(system.alphabet)
         code = system.alphabet.encode(u)
-        for trim in (code[:-1], code[1:], code[1:-1]):
+        for trim in (code[:-1], code[1:-1]):
             if not trim:
                 continue
             parsed = _parsed(full_passes, system, code, trim)
@@ -505,7 +503,7 @@ def test_stepped_interpretations_come_in_canonical_order(full_passes):
 def _same_pass(system, code):
     """The full pass on the code string, checked against the letter-by-letter
     pass on the system's levels built to the length bound: the same parses,
-    none twice."""
+    cuts included, none twice."""
     phi = system.morphism
     record = _record(system, _length_bounds(phi, len(code))[1])
     parse = _full_pass(phi, record.heads, record.levels, code)
@@ -516,12 +514,13 @@ def _same_pass(system, code):
 
 
 def test_full_pass_matches_the_letter_pass(thue_morse, collapse_bounded):
-    """The pass by whole images finds the parses of the pass by letters: on
-    every language word up to length 8 of the binary census; on seeded
-    random systems with images up to 5 letters, on language words up to
-    length 30 and on each with one letter changed; on words that start and
-    end inside an image of collapse_bounded_delta, so that s and t are both
-    non-empty; and on the 400-letter Thue-Morse prefix."""
+    """The pass by whole images finds the parses of the pass by letters,
+    cuts included: on every language word up to length 8 of the binary
+    census; on seeded random systems with images up to 5 letters, on
+    language words up to length 30 and on each with one letter changed; on
+    words that start and end inside an image of collapse_bounded_delta, so
+    that s and t are both non-empty; and on the 400-letter Thue-Morse
+    prefix."""
     words = 0
     for system in binary_census():
         for level in _record(system, 8).levels[1:9]:
@@ -549,7 +548,8 @@ def test_full_pass_matches_the_letter_pass(thue_morse, collapse_bounded):
         image = v.translate(phi.table)
         for i in range(1, len(phi.image_codes[v[0]])):
             for j in range(max(i, len(image) - len(phi.image_codes[v[-1]])) + 1, len(image)):
-                assert (image[:i], v, image[j:], None) in _same_pass(collapse_bounded, image[i:j])
+                parse = _same_pass(collapse_bounded, image[i:j])
+                assert (image[:i], v, image[j:]) in [p[:3] for p in parse]
                 inside += 1
     assert inside > 300, inside
 
