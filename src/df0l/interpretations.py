@@ -18,11 +18,13 @@ compatible with the interpretation exactly when k is a cut, at the prefix
 i with cuts[i] == k.
 The parses of a word come in no fixed order, and none of the split
 decisions below depends on it; `minimal_interpretations` alone returns
-them in canonical order.  Every split decision reads one primitive,
-`_split_ends(parses, k)`: per interpretation, None (k is not a cut),
-`_LEFT_EMPTY` or the letter that ends the left part of w.
+them in canonical order.  Every split decision at one given k reads one
+primitive, `_split_ends(parses, k)`: per interpretation, None (k is not a
+cut), `_LEFT_EMPTY` or the letter that ends the left part of w.
 A pair is admissible when some entry is not None, weakly synchronizing when
-none is None, strongly synchronizing when all are one letter.  Public
+none is None, strongly synchronizing when all are one letter.  The one
+exception is `_word_sync`, which looks for the first k shared by every
+parse and so intersects the cut tuples itself.  Public
 predicates check the caller's input, which yields its parses, and call these
 cores on them; the threshold searches call the cores directly on the parses
 of language words.  All of this runs on code strings (see `Alphabet`): the

@@ -270,8 +270,13 @@ def power_system(system: DF0LSystem, k: int) -> DF0LSystem:
     if k < 1:
         raise PreconditionError("power must be >= 1")
     phi = system.morphism
-    axioms = [phi.apply_power(w, i) for w in system.axioms for i in range(k)]
-    return DF0LSystem(phi.power(k), [w for w in axioms if w])
+    codes = []
+    for code in system.axiom_codes:
+        codes.append(code)
+        for _ in range(k - 1):
+            code = code.translate(phi.table)
+            codes.append(code)
+    return DF0LSystem(phi.power(k), [phi.alphabet.decode(code) for code in codes if code])
 
 
 class ValidationReport(namedtuple(

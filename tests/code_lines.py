@@ -3,7 +3,7 @@
 A code line holds at least one token of code: blank lines, comment-only
 lines and the lines of docstrings (a string standing alone as a statement)
 are not counted, while every line of a statement that spans several lines
-is.  Run by hand:
+is.  Run by hand, or as the CI step that keeps it working:
 
     python tests/code_lines.py [directory]
 

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -81,11 +84,45 @@ def random_pdf0l(rng: random.Random, max_letters=4, max_image_len=4,
     return DF0LSystem(Morphism(Alphabet(tuple(letters)), images), axioms)
 
 
-def binary_census():
-    """Every binary system with images of length 1-3 and axiom a or b:
-    14 images per letter, 2 axioms, 392 systems."""
-    images = [image for n in (1, 2, 3) for image in itertools.product("ab", repeat=n)]
+def binary_census(longest=3):
+    """Every binary system with images of length 1 to longest and axiom a or
+    b: 14 images per letter and 392 systems at the default 3, 6 images per
+    letter and 72 systems at 2."""
+    images = [image for n in range(1, longest + 1)
+              for image in itertools.product("ab", repeat=n)]
     for image_a, image_b in itertools.product(images, repeat=2):
         morphism = Morphism(Alphabet(("a", "b")), {"a": image_a, "b": image_b})
         for axiom in ("a", "b"):
             yield DF0LSystem(morphism, [(axiom,)])
+
+
+# the directory that holds the df0l package this process imported: src/ in a
+# run from the checkout, site-packages in a run against an installed package
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(df0l.__file__)))
+
+
+def run_python(*args, address_space=None, timeout=60, stdout=subprocess.PIPE,
+               env=(), cwd=None):
+    """`python *args` in a fresh interpreter that imports the df0l package
+    this process imported, with stderr, and stdout unless given, captured
+    as bytes.  address_space caps the child's address space, in KiB as
+    `ulimit -v` takes it, and a child that runs longer than timeout
+    seconds fails the test.  PYTHONUNBUFFERED is left out of the child's
+    environment, and env adds variables to it."""
+    environ = {name: value for name, value in os.environ.items()
+               if name != "PYTHONUNBUFFERED"}
+    environ.update(env, PYTHONPATH=PACKAGE_ROOT)
+    limit = None
+    if address_space:
+        import resource     # Unix only, as is the limit
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (address_space * 1024,) * 2)
+
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          env=environ, cwd=cwd, timeout=timeout, preexec_fn=limit)
+
+
+def run_df0l(*argv, module="df0l", **options):
+    """`python -m module argv` through run_python."""
+    return run_python("-m", module, *argv, **options)

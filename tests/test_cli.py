@@ -2,7 +2,6 @@ import io
 import json
 import os
 import random
-import subprocess
 import sys
 from collections import Counter
 
@@ -11,7 +10,7 @@ from df0l import (clear_language_cache, contains, is_weakly_synchronized,
 from df0l import cli
 from df0l.cli import main
 
-from conftest import binary_census, sys1
+from conftest import binary_census, run_df0l, sys1
 from oracles import check_delta_report, check_repetitive_report, check_threshold_report
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
@@ -348,9 +347,6 @@ def test_closed_pipe_ends_quietly():
     Unbuffered, print raises inside main(); buffered, the report reaches the
     pipe only at console_main's own flush, and a stdout left unredirected
     would raise again in the interpreter's flush at exit."""
-    env = {name: value for name, value in os.environ.items()
-           if name != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     reports = (["letters", sample("thue_morse.sys")],
                ["delta", "-L", "14", sample("collapse_unbounded_delta.sys")])
     for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
@@ -358,28 +354,17 @@ def test_closed_pipe_ends_quietly():
             read_end, write_end = os.pipe()
             os.close(read_end)   # the reader is gone before the first write
             try:
-                done = subprocess.run(
-                    [sys.executable, "-m", "df0l", "--json", *argv],
-                    stdout=write_end, stderr=subprocess.PIPE,
-                    env={**env, **unbuffered}, timeout=60)
+                done = run_df0l("--json", *argv, stdout=write_end, env=unbuffered)
             finally:
                 os.close(write_end)
             assert (done.returncode, done.stderr) == (1, b""), (argv, unbuffered)
-
-
-def run_module(*argv, module="df0l"):
-    """`python -m module argv` in a fresh interpreter, with captured output."""
-    env = {**os.environ,
-           "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
-    return subprocess.run([sys.executable, "-m", module, *argv],
-                          capture_output=True, env=env, timeout=60)
 
 
 def test_cli_module_runs_as_a_script(capsys):
     """`python -m df0l.cli` runs the console entry point: the same report as
     main(), apart from elapsed_ms."""
     argv = ["--json", "letters", sample("thue_morse.sys")]
-    done = run_module(*argv, module="df0l.cli")
+    done = run_df0l(*argv, module="df0l.cli")
     assert done.returncode == 0
     assert done.stderr == b""
     report = json.loads(done.stdout)
@@ -391,11 +376,11 @@ def test_cli_module_runs_as_a_script(capsys):
 
 
 def assert_input_error(argv, message):
-    done = run_module(*argv)
+    done = run_df0l(*argv)
     assert done.returncode == 2
     assert b"Traceback" not in done.stderr
     assert message.encode() in done.stderr
-    done = run_module("--json", *argv)
+    done = run_df0l("--json", *argv)
     assert done.returncode == 2
     assert b"Traceback" not in done.stderr
     error = json.loads(done.stdout)["error"]
@@ -417,30 +402,6 @@ def test_unwritable_power_output_is_an_input_error(tmp_path):
     for target in (tmp_path / "missing" / "squared.sys", tmp_path):
         assert_input_error(["power", sample("two_fixed_letters.sys"), "-k", "2",
                             "-o", str(target)], f"cannot write {target}")
-
-
-def test_running_out_of_memory_is_an_exit_code():
-    """`power -k 22` on Thue-Morse needs more than a 200 MB address space:
-    the run ends with exit 2 and the error report, not a traceback."""
-    import resource
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (200_000 * 1024,) * 2)
-
-    env = {**os.environ,
-           "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
-    for json_flag in ([], ["--json"]):
-        done = subprocess.run(
-            [sys.executable, "-m", "df0l", *json_flag, "power",
-             sample("thue_morse.sys"), "-k", "22"],
-            capture_output=True, env=env, timeout=60, preexec_fn=limit)
-        assert done.returncode == 2
-        assert b"Traceback" not in done.stderr
-        if json_flag:
-            assert json.loads(done.stdout) == {
-                "command": "power", "error": {"exit_code": 2, "message": "out of memory"}}
-        else:
-            assert done.stderr == b"error: out of memory\n"
 
 
 def test_running_out_of_memory_while_printing_is_an_exit_code(capsys, monkeypatch):

@@ -1,12 +1,10 @@
-import itertools
 import random
 
 import pytest
 
 import df0l.interpretations
 import df0l.language
-from df0l import (Alphabet, DF0LSystem, Interpretation, Morphism,
-                  NotInLanguageError, PairSplit, PreconditionError,
+from df0l import (Interpretation, NotInLanguageError, PairSplit, PreconditionError,
                   clear_interpretation_cache, compatible_split, contains,
                   factor_language, interpretation_length_bounds, is_admissible,
                   is_strongly_synchronizing, is_weakly_synchronized,
@@ -221,16 +219,6 @@ def test_extension_preserves_synchronization(thue_morse, collapse_bounded):
                                 system, bigger_left, bigger_right)
 
 
-def _binary_family():
-    """Every binary non-erasing system with images of length <= 2 and a
-    one-letter axiom: 6 images per letter, 2 axioms, 72 systems."""
-    images = [image for n in (1, 2) for image in itertools.product("ab", repeat=n)]
-    for image_a, image_b in itertools.product(images, repeat=2):
-        morphism = Morphism(Alphabet(("a", "b")), {"a": image_a, "b": image_b})
-        for axiom in ("a", "b"):
-            yield DF0LSystem(morphism, [(axiom,)])
-
-
 def _rederived(system, u, interps):
     """Every synchronization predicate at every split of u, re-derived from
     the given interpretations by applying the morphism to prefixes of w."""
@@ -256,7 +244,7 @@ def _rederived(system, u, interps):
 
 
 def test_exhaustive_binary_family_matches_oracle():
-    systems = list(_binary_family())
+    systems = list(binary_census(2))
     assert len(systems) == 72
     words = 0
     for system in systems:

@@ -8,14 +8,14 @@ import weakref
 
 import pytest
 
-from df0l import (Alphabet, DF0LSystem, ErasingMorphismError, Morphism,
+from df0l import (DF0LSystem, ErasingMorphismError,
                   clear_interpretation_cache, clear_language_cache, contains,
                   factor_language, minimal_interpretations,
                   parse_system, power_system, strong_threshold, weak_threshold)
 import df0l.language
 from df0l.language import _record
 
-from conftest import random_pdf0l, sys1, w
+from conftest import binary_census, random_pdf0l, sys1, w
 from oracles import assert_matches_unrolling, canonical_key, factors, registration_levels
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
@@ -144,11 +144,7 @@ def _growth_systems():
     for name in sorted(os.listdir(SAMPLES)):
         with open(os.path.join(SAMPLES, name), encoding="utf-8") as handle:
             yield parse_system(handle.read())
-    images = [image for n in (1, 2) for image in itertools.product("ab", repeat=n)]
-    for image_a, image_b in itertools.product(images, repeat=2):
-        morphism = Morphism(Alphabet(("a", "b")), {"a": image_a, "b": image_b})
-        for axiom in ("a", "b"):
-            yield DF0LSystem(morphism, [(axiom,)])
+    yield from binary_census(2)
 
 
 def _snapshot(fs):

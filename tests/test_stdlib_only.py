@@ -5,42 +5,40 @@ pinned contract.
 
 The import runs in a fresh interpreter started with -S, so that no site
 hook (a .pth file of some installed package) loads modules of its own and
-hides, or fakes, a dependency.
+hides, or fakes, a dependency; the child finds df0l on PYTHONPATH, which
+processes no .pth file.
 """
 
 import importlib.util
 import os
-import subprocess
 import sys
 
 import pytest
 
 import df0l
 
+from conftest import run_python
+
 HERE = os.path.dirname(__file__)
-SRC = os.path.join(HERE, os.pardir, "src")
 TRACING = os.path.join(HERE, os.pardir, "bench", "tracing.py")
 
 PROBE = """
 import sys
-sys.path.insert(0, sys.argv[1])
 import df0l, df0l.cli
 print("\\n".join(sorted({name.partition(".")[0] for name in sys.modules})))
 """
 
 
 def test_imports_only_the_standard_library():
-    result = subprocess.run([sys.executable, "-S", "-c", PROBE, os.path.abspath(SRC)],
-                            capture_output=True, text=True)
+    result = run_python("-S", "-c", PROBE)
     assert result.returncode == 0, result.stderr
-    loaded = set(result.stdout.split())
+    loaded = set(result.stdout.decode().split())
     assert "df0l" in loaded
     assert loaded - sys.stdlib_module_names - {"df0l", "__main__"} == set()
 
 
 ADDED_PROBE = """
 import sys
-sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
 import df0l.cli
 print("\\n".join(sorted(set(sys.modules) - before)))
@@ -52,10 +50,9 @@ HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def test_cli_import_loads_no_code_generation_modules():
-    result = subprocess.run([sys.executable, "-S", "-c", ADDED_PROBE, os.path.abspath(SRC)],
-                            capture_output=True, text=True)
+    result = run_python("-S", "-c", ADDED_PROBE)
     assert result.returncode == 0, result.stderr
-    added = set(result.stdout.split())
+    added = set(result.stdout.decode().split())
     assert "df0l.cli" in added
     assert added & HEAVY == set()
 
