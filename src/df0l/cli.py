@@ -79,8 +79,9 @@ def _max_len(**options):
 
 
 def _load(path):
+    # utf-8-sig drops one leading byte-order mark, which some editors write
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidSystemError(f"cannot read {path}: {exc}") from exc

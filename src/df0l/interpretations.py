@@ -12,10 +12,9 @@ Minimal interpretations are found, memoized and read for membership in
 
 Each parse carries its cut tuple: cuts[i] = |image(w[:i])| - |s| for
 i = 0..|w|, the offset in u at which the image of each prefix of w ends;
-a frontier step carries it from the trim's parse, and it is computed only
-for a parse from the full pass.  A split of u after k letters is
-compatible with the interpretation exactly when k is a cut, at the prefix
-i with cuts[i] == k.
+a frontier step carries it from the trim's parse, and the full pass reads
+it off its walk.  A split of u after k letters is compatible with the
+interpretation exactly when k is a cut, at the prefix i with cuts[i] == k.
 The parses of a word come in no fixed order, and none of the split
 decisions below depends on it; `minimal_interpretations` alone returns
 them in canonical order.  Every split decision at one given k reads one
@@ -35,7 +34,7 @@ from bisect import bisect_left
 from collections import namedtuple
 
 from .errors import NotInLanguageError, PreconditionError
-from .language import _cuts, _member, _parses, interpretation_length_bounds
+from .language import _cuts, _member, _parses, _record, interpretation_length_bounds
 from .system import DF0LSystem, code_key
 
 
@@ -114,12 +113,13 @@ def _word_sync(parses, n: int) -> WordSyncReport:
 
 def _require_word(system: DF0LSystem, u, message: str) -> tuple:
     """The parses of the caller's word, required to be a non-empty language
-    word."""
+    word.  Only a system with no record is checked non-erasing: a record is
+    made only for a non-erasing one."""
     code = system.alphabet.encode(u)
-    system.require_pdf0l()
+    record = _record(system, 0)
     if not code:
         raise PreconditionError(message)
-    parses = _parses(system, code)
+    parses = _parses(system, code, record)
     if not (parses or _member(system, code)):
         word = " ".join(system.alphabet.decode(code))
         raise NotInLanguageError(f"word {word!r} is not in the language")

@@ -26,8 +26,9 @@ registered and pending sets, so the system's record is dropped and the
 next query starts from a cold build.  The record also keeps the minimal
 interpretations of queried words, all forgotten at once when
 _PARSE_MEMO_SIZE are held, the repetitiveness verdict per period bound,
-and the parse tables of the frontier steps below, heads and tails, built
-once with the record.
+and the parse tables of the full pass and the frontier steps below, built
+once with the record from the morphism alone: heads and tails for the
+steps, the start states per first letter and the run table for the pass.
 Every word held here is a code string, one character per letter (see
 Alphabet), so a stored word of length n over at most 128 letters costs
 49 + n bytes, where a tuple of tokens costs 56 + 8n with its GC header.
@@ -63,6 +64,22 @@ with the letter of u there; the pass tests that image when it reads the
 state.  So its work follows the minimal interpretations of the prefixes of
 u, not the size of the language, and it takes one step per image, not one
 per letter.
+Where an image is one letter long, the pass crosses a run of it in one
+step.  Let b be the only letter whose image is the single letter x, and
+let no other image that starts with x continue with x; the record's run
+table maps x to b.  Take a state whose images end at u[:e], where a run of
+x, u[e:l+1], starts, with its last letter at l > e.  An image that starts
+at e + i < l is image(b): any other image that starts with x continues
+with a letter other than x, which it would put at e + i + 1 <= l, where u
+has x.  So every interpretation read from this state has w·b^(l - e) as a
+prefix of its w, and the pass goes on from l with that w, where every
+image that starts with x may start.  The crossing needs no probe of its
+own: the pass probes each extension of w·b^(l - e) at l, as at any image
+end, and the language is factorial, so an extension is a language word
+only if w·b^(l - e) is; a crossed w that is not one ends the state there.
+The images of w·b^(l - e) end at u[:l] and each holds a letter of u, so
+an extension at l has at most l + 1 <= |u| letters, and |u| is hi when
+some image has one letter: its level is built.
 The right step takes the minimal interpretations (s, w, t) of u to those
 of u·c: a state with t non-empty advances if t starts with c, and t loses
 that letter; a state with t empty extends w by each letter b whose image
@@ -86,11 +103,16 @@ the threshold searches parse their candidates: a weak candidate's u[:-1]
 and a strong candidate's u[1:-1] were parsed at the previous level.
 Every parse is a tuple of states (s, w, t, cuts), with the cut tuple of
 `interpretations`, measured from u's first letter, whichever path finds
-it.  The full pass computes the cuts once per state it returns, not at
-each extension, where they would copy a tuple that grows with u; the steps
-carry them: a right step keeps the cuts of a state that advances inside t
-and appends cuts[-1] + |image(b)| when it extends w by b; a left step adds
-one to every cut, and an extension by b also prepends -|s|.  A parse is in
+it.  The full pass reads the cuts off its walk: a path appends the end of
+each image it reads to one list, a state copies that list only for each
+extension past its first, and it freezes the list into a tuple once, when
+it closes.  The steps carry them: a right step keeps the cuts of a state
+that advances inside t and appends cuts[-1] + |image(b)| when it extends w
+by b; a left step adds one to every cut, and an extension by b also
+prepends -|s|.  Each cut tuple is built from a list or a tuple, at its
+size: a tuple grown from an iterator of no known length is reallocated
+as it grows, and on a long run those reallocations fragment the heap.
+A parse is in
 no fixed order: it follows the trim it was stepped from, which follows the
 order in which the searches visit a level's set of words; only
 `minimal_interpretations` sorts.
@@ -167,11 +189,16 @@ class FactorSet(Set):
 
 class _Record:
     """What df0l remembers about one system; see the module docstring.
-    heads[c] lists each letter b whose image starts with c, with the rest
-    of that image, and tails[c] each b whose image ends with c, with the
-    image before c; the full pass and the frontier steps read them."""
+    The parse tables come from the morphism alone.  heads[c] lists each
+    letter b whose image starts with c, with the rest of that image, and
+    tails[c] each b whose image ends with c, with the image before c; the
+    full pass and the frontier steps read them.  starts[c] lists each
+    (s, a, rest) with image(a) = s·c·rest, the full pass's start states
+    for a word that starts with c, and runs[c], where it exists, is the
+    letter whose image is c that lets the full pass cross a run of c."""
 
-    __slots__ = ("levels", "registered", "pending", "parses", "verdicts", "heads", "tails")
+    __slots__ = ("levels", "registered", "pending", "parses", "verdicts", "heads", "tails",
+                 "starts", "runs")
 
     def __init__(self, phi):
         self.levels = [frozenset({""})]
@@ -179,10 +206,16 @@ class _Record:
         self.pending = defaultdict(set)         # length -> its words cut from shorter levels
         self.parses = {}                        # word -> its minimal interpretations with their cuts
         self.verdicts = {}                      # period bound -> RepetitivenessVerdict
-        self.heads, self.tails = {}, {}
+        self.heads, self.tails, self.starts, self.runs = {}, {}, {}, {}
         for b, code in phi.image_codes.items():     # non-erasing, as _record checks
             self.heads.setdefault(code[0], []).append((b, code[1:]))
             self.tails.setdefault(code[-1], []).append((b, code[:-1]))
+            for j, c in enumerate(code):
+                self.starts.setdefault(c, []).append((code[:j], b, code[j + 1:]))
+        for c, starting in self.heads.items():
+            ones = [b for b, rest in starting if not rest]
+            if len(ones) == 1 and all(rest[:1] != c for _, rest in starting):
+                self.runs[c] = ones[0]
 
 
 _PARSE_MEMO_SIZE = 1 << 17
@@ -294,7 +327,7 @@ def _length_bounds(phi, n: int) -> tuple[int, int]:
 
 def _cuts(phi, s_len: int, w: str) -> tuple[int, ...]:
     """|image(w[:i])| - s_len for i = 0..|w|: where in u each prefix image ends."""
-    return tuple(accumulate(map(len, map(phi.image_codes.__getitem__, w)), initial=-s_len))
+    return tuple([*accumulate(map(len, map(phi.image_codes.__getitem__, w)), initial=-s_len)])
 
 
 def _right_step(states, c: str, heads, levels) -> list:
@@ -324,51 +357,61 @@ def _left_step(states, c: str, tails, levels) -> list:
     for s, w, t, cuts in states:
         if s:
             if s[-1] == c:
-                stepped.append((s[:-1], w, t, tuple(map((1).__add__, cuts))))
+                stepped.append((s[:-1], w, t, tuple([k + 1 for k in cuts])))
         else:
             level = levels[len(w) + 1]
             for b, rest in ending:
                 v = b + w
                 if v in level:
-                    stepped.append((rest, v, t, (-len(rest), *map((1).__add__, cuts))))
+                    stepped.append((rest, v, t, (-len(rest), *[k + 1 for k in cuts])))
     return stepped
 
 
-def _full_pass(phi, heads, levels, u: str) -> list:
+def _full_pass(record: _Record, levels, u: str) -> list:
     """The minimal interpretations (s, w, t, cuts) of u, read one letter
-    image at a time; see the module docstring.  A state (s, w, rest, pos)
+    image at a time, with the record's parse tables and levels built to the
+    length bound; see the module docstring.  A state (s, w, rest, pos, cuts)
     has image(w) = s·u[:pos]·rest, where rest, the part of the last image
-    not yet read, must agree with u from pos on.  It starts as every
-    language letter a at an offset j where image(a)[j] = u[0], and a state
-    with one extension follows it in place.  No cuts are carried, so that
-    no state copies a growing tuple at each extension; they are computed
-    once per state that closes."""
+    not yet read, must agree with u from pos on, and cuts is the list of
+    the ends of its images.  It starts as each start state of u[0] whose
+    letter is a language letter, a state with one extension follows it in
+    place, appending to its cuts, and a run of a letter in the record's run
+    table is crossed in one step."""
     n = len(u)
+    heads, runs, letters = record.heads, record.runs, levels[1]
     found = []
-    todo = [(image[:j], a, image[j + 1:], 1) for a, image in phi.image_codes.items()
-            if a in levels[1] for j in range(len(image)) if image[j] == u[0]]
+    todo = [(s, a, rest, 1, [-len(s), len(rest) + 1])
+            for s, a, rest in record.starts.get(u[0], ()) if a in letters]
     while todo:
-        s, w, rest, pos = todo.pop()
+        s, w, rest, pos, cuts = todo.pop()
         while True:
             end = pos + len(rest)
             if end >= n:    # the last image: its overhang is t
                 if rest.startswith(u[pos:]):
-                    found.append((s, w, rest[n - pos:], _cuts(phi, len(s), w)))
+                    found.append((s, w, rest[n - pos:], tuple(cuts)))
                 break
             if rest and not u.startswith(rest, pos):
                 break
+            c = u[end]
+            if c in runs and u.startswith(c, end + 1):
+                # the run of c, up to its last letter, is images of runs[c]
+                k = n - len(u[end:].lstrip(c)) - 1 - end
+                w += runs[c] * k
+                cuts += range(end + 1, end + k + 1)
+                end += k
             level = levels[len(w) + 1]
             follow = None
-            for b, after in heads.get(u[end], ()):
+            for b, after in heads.get(c, ()):
                 v = w + b
                 if v in level:
                     if follow is None:
                         follow = v, after
                     else:
-                        todo.append((s, v, after, end + 1))
+                        todo.append((s, v, after, end + 1, [*cuts, end + 1 + len(after)]))
             if follow is None:
                 break
             (w, rest), pos = follow, end + 1
+            cuts.append(pos + len(rest))
     return found
 
 
@@ -390,8 +433,7 @@ def _parses(system: DF0LSystem, u: str,
     known = memo.get(u)
     if known is not None:
         return known
-    phi = system.morphism
-    _, hi = _length_bounds(phi, len(u))
+    _, hi = _length_bounds(system.morphism, len(u))
     levels, heads, tails = record.levels, record.heads, record.tails
     if len(levels) <= hi:
         levels = _record(system, hi).levels
@@ -401,7 +443,7 @@ def _parses(system: DF0LSystem, u: str,
         parses = tuple(_right_step(_left_step(trim, u[0], tails, levels),
                                    u[-1], heads, levels))
     else:
-        parses = tuple(_full_pass(phi, heads, levels, u))
+        parses = tuple(_full_pass(record, levels, u))
     if len(memo) >= _PARSE_MEMO_SIZE:
         memo.clear()
     memo[u] = parses

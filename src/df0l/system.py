@@ -200,11 +200,19 @@ class Morphism(LetterMap):
         return self.alphabet.decode(code)
 
     def power(self, k: int) -> "Morphism":
+        """phi^k, by repeated squaring: table is phi^(2^i) as a translate
+        table, and codes, the images of the powers of phi taken so far,
+        are mapped by it where bit i of k is set."""
         if k < 1:
             raise PreconditionError("power must be >= 1")
-        codes = list(self.image_codes.values())
-        for _ in range(k - 1):
-            codes = [code.translate(self.table) for code in codes]
+        codes, table = list(self.alphabet.codes), self.table
+        while True:
+            if k & 1:
+                codes = [code.translate(table) for code in codes]
+            k >>= 1
+            if not k:
+                break
+            table = {a: image.translate(table) for a, image in table.items()}
         power = Morphism.__new__(Morphism)
         power._own(self.alphabet, self.alphabet, codes)
         return power
@@ -266,16 +274,20 @@ class DF0LSystem:
 def power_system(system: DF0LSystem, k: int) -> DF0LSystem:
     """The k-th power: morphism taken to the k-th power, axioms closed under
     the first k-1 images so the factor language is preserved; empty iterates
-    add no factor and are left out."""
+    add no factor and are left out.  An axiom's iterates stop at the first
+    that repeats an earlier one, since every later one repeats one too."""
     if k < 1:
         raise PreconditionError("power must be >= 1")
     phi = system.morphism
-    codes = []
+    codes = set()
     for code in system.axiom_codes:
-        codes.append(code)
+        iterates = {code}
         for _ in range(k - 1):
             code = code.translate(phi.table)
-            codes.append(code)
+            if code in iterates:
+                break
+            iterates.add(code)
+        codes |= iterates
     return DF0LSystem(phi.power(k), [phi.alphabet.decode(code) for code in codes if code])
 
 

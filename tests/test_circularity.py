@@ -394,14 +394,19 @@ def test_candidates_are_stepped_from_their_trims(full_passes, monkeypatch):
 
 
 def test_stepped_parses_compute_no_cuts(full_passes, monkeypatch):
-    """While both searches run on the six samples, cut tuples are computed
-    once per state that a full pass returns, and never for a parse that was
-    stepped from a trim's, whose step carries the trim's cuts."""
+    """While both searches run on the six samples, _cuts is never called:
+    the full pass reads each cut tuple off its walk, and a parse stepped
+    from a trim's carries the trim's cuts.  Every cut tuple that a full
+    pass returns is the one _cuts computes."""
     full_pass, cuts = df0l.language._full_pass, df0l.language._cuts
     states, computed = [], []
 
-    def counted_pass(*args):
-        found = full_pass(*args)
+    def counted_pass(record, levels, u):
+        found = full_pass(record, levels, u)
+        (phi,) = [system.morphism for system, known in df0l.language._RECORDS.items()
+                  if known is record]
+        for s, v, _, cut in found:
+            assert cut == cuts(phi, len(s), v), (u, s, v)
         states.append(len(found))
         return found
 
@@ -413,7 +418,7 @@ def test_stepped_parses_compute_no_cuts(full_passes, monkeypatch):
     monkeypatch.setattr(df0l.language, "_cuts", counted_cuts)
     _sample_reports()
     assert len(states) == len(full_passes) > 0
-    assert len(computed) == sum(states) > 0, (len(computed), sum(states))
+    assert sum(states) > 0 and not computed, (len(computed), sum(states))
 
 
 def test_threshold_reports_survive_parse_memo_eviction(full_passes, monkeypatch):

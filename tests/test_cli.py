@@ -398,6 +398,27 @@ def test_undecodable_system_file_is_an_input_error(tmp_path):
                        f"cannot read {latin1}")
 
 
+def test_a_byte_order_mark_is_dropped(capsys, tmp_path):
+    """A system file that starts with a UTF-8 byte-order mark reads as the
+    file without it; one with the mark and a byte that is not UTF-8 is still
+    an input error."""
+    with open(sample("thue_morse.sys"), "rb") as handle:
+        plain = handle.read()
+    marked = tmp_path / "marked.sys"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain)
+    for argv in (("letters",), ("interpretations", "a b a")):
+        reports = []
+        for path in (sample("thue_morse.sys"), str(marked)):
+            code, payload = run_json(capsys, argv[0], path, *argv[1:])
+            assert code == 0, payload
+            del payload["elapsed_ms"]
+            reports.append(payload)
+        assert reports[0] == reports[1]
+    latin1 = tmp_path / "latin1.sys"
+    latin1.write_bytes(b"\xef\xbb\xbf" + plain + "# caf\xe9\n".encode("latin-1"))
+    assert_input_error(["letters", str(latin1)], f"cannot read {latin1}")
+
+
 def test_unwritable_power_output_is_an_input_error(tmp_path):
     for target in (tmp_path / "missing" / "squared.sys", tmp_path):
         assert_input_error(["power", sample("two_fixed_letters.sys"), "-k", "2",

@@ -133,10 +133,14 @@ RUNS = {
     "power out of memory": Run(
         ("power", sample("thue_morse.sys"), "-k", "22"),
         b"", exit_code=2, stderr=b"error: out of memory\n", address_space=200_000),
-    # each axiom steps through its k iterates once
+    # each axiom steps through its iterates only up to the first repeat
     "power -k 20000": Run(
         ("--json", "power", "fixed2.sys", "-k", "20000"),
         {"k": 20000, "axioms": ["a b"]}, timeout=10),
+    # and phi^k is built by squaring, in 20 steps
+    "power -k 1000000": Run(
+        ("--json", "power", "fixed2.sys", "-k", "1000000"),
+        {"k": 1000000, "axioms": ["a b"]}, address_space=200_000, timeout=10),
     # the parse reads levels up to 201 only, and membership comes from it
     "thue_morse 400-letter interpretations": Run(
         ("--json", "interpretations", sample("thue_morse.sys"), THUE_MORSE_400),

@@ -375,9 +375,9 @@ def test_each_query_parses_its_word_once(thue_morse, monkeypatch):
     calls = []
     parses = df0l.interpretations._parses
 
-    def counted(system, u):
+    def counted(system, u, record=None):
         calls.append(u)
-        return parses(system, u)
+        return parses(system, u, record)
 
     monkeypatch.setattr(df0l.interpretations, "_parses", counted)
     u = w("abbaab")
@@ -494,7 +494,7 @@ def _same_pass(system, code):
     cuts included, none twice."""
     phi = system.morphism
     record = _record(system, _length_bounds(phi, len(code))[1])
-    parse = _full_pass(phi, record.heads, record.levels, code)
+    parse = _full_pass(record, record.levels, code)
     assert len(set(parse)) == len(parse), (system, code)
     assert sorted(parse) == sorted(letter_pass(phi, record.heads, record.levels, code)), \
         (system, code)
@@ -545,21 +545,15 @@ def test_full_pass_matches_the_letter_pass(thue_morse, collapse_bounded):
     assert _same_pass(thue_morse, thue_morse.alphabet.encode(w(prefix)))
 
 
-def test_full_pass_reads_its_levels_a_linear_number_of_times(collapse_unbounded):
-    """b and c share the image aba, so a pass that checked membership only
-    once u is read would double its states at every aba.  On a 400-letter
-    factor of phi^7(a), the pass reads the levels at most 4|u| times, each
-    level it takes and each membership probe counted, and it finds the
-    parses of the pass by letters."""
-    phi = collapse_unbounded.morphism
-    code = collapse_unbounded.alphabet.encode(phi.apply_power(w("a"), 7)[100:500])
-    record = _record(collapse_unbounded, _length_bounds(phi, len(code))[1])
+def _counted(levels, most):
+    """A copy of levels that counts in reads each level taken and each
+    membership probe, and fails a pass that makes more than most."""
     reads = []
 
     def read():
         reads.append(None)
-        if len(reads) > 4 * len(code):
-            raise AssertionError("the pass read its levels more than 4|u| times")
+        if len(reads) > most:
+            raise AssertionError(f"the pass read its levels more than {most} times")
 
     class Level(frozenset):
         def __contains__(self, word):
@@ -571,6 +565,69 @@ def test_full_pass_reads_its_levels_a_linear_number_of_times(collapse_unbounded)
             read()
             return list.__getitem__(self, k)
 
-    parse = _full_pass(phi, record.heads, Levels(map(Level, record.levels)), code)
+    return Levels(map(Level, levels)), reads
+
+
+def test_full_pass_reads_its_levels_a_linear_number_of_times(collapse_unbounded):
+    """b and c share the image aba, so a pass that checked membership only
+    once u is read would double its states at every aba.  On a 400-letter
+    factor of phi^7(a), the pass reads the levels at most 4|u| times, each
+    level it takes and each membership probe counted, and it finds the
+    parses of the pass by letters."""
+    phi = collapse_unbounded.morphism
+    code = collapse_unbounded.alphabet.encode(phi.apply_power(w("a"), 7)[100:500])
+    record = _record(collapse_unbounded, _length_bounds(phi, len(code))[1])
+    levels, reads = _counted(record.levels, 4 * len(code))
+    parse = _full_pass(record, levels, code)
     assert parse and sorted(parse) == sorted(letter_pass(phi, record.heads, record.levels, code))
     assert len(reads) > len(code) // 4, len(reads)
+
+
+def test_full_pass_crosses_a_run_in_one_step(two_fixed):
+    """c is the one image c, and a -> c b continues with b, so the pass
+    crosses c^150 up to its last letter in one step: it reads its levels
+    at most 12 times, where a pass that takes one step per image reads
+    them three times per letter, and it finds the parses of the pass by
+    letters, c^150 and c^149 a."""
+    phi = two_fixed.morphism
+    code = two_fixed.alphabet.encode(w("c" * 150))
+    record = _record(two_fixed, _length_bounds(phi, len(code))[1])
+    levels, reads = _counted(record.levels, 12)
+    parse = _full_pass(record, levels, code)
+    assert len(parse) == 2
+    assert sorted(parse) == sorted(letter_pass(phi, record.heads, record.levels, code))
+
+
+def test_full_pass_crosses_runs_as_the_letter_pass_reads_them(two_fixed):
+    """c -> c and d -> d are the only one-letter images, and a -> c b and
+    b -> a d continue with another letter, so runs of c and d are crossed.
+    On words with runs of up to 198 letters and |u| <= 200, the pass finds
+    the parses of the pass by letters, cuts included, and a parse exactly
+    for the language words: where a run reaches u's end, where the crossed
+    word is not a language word, so that no extension at the run's last
+    letter is, and where another letter follows a run."""
+    encode = two_fixed.alphabet.encode
+    assert _record(two_fixed, 0).runs == {encode(w("c")): encode(w("c")),
+                                          encode(w("d")): encode(w("d"))}
+    parsed = {True: 0, False: 0}
+    sizes = (1, 2, 3, 7, 40, 99, 198)
+    for i in sizes:
+        for j in sizes:
+            if i + j + 1 > 200:
+                continue
+            words = {
+                # the last run reaches u's end
+                "c" * i: True, "d" * j: True, "b" + "d" * j: True,
+                "c" * i + "a" + "d" * j: True, "c" * i + "b" + "d" * j: True,
+                # a run whose crossed word is not a language word
+                "d" * i + "c" * j: False, "c" * i + "d" * j: False, "b" + "c" * j: False,
+                # another letter right after a run
+                "c" * i + "a": True, "c" * i + "b": True, "d" * j + "a": False,
+                "c" * i + "a" + "c": False, "c" * i + "b" + "d" * j + "a": False,
+            }
+            for text, member in words.items():
+                if len(text) < 2:
+                    continue
+                assert bool(_same_pass(two_fixed, encode(w(text)))) == member, text
+                parsed[member] += 1
+    assert parsed[True] > 200 and parsed[False] > 200, parsed

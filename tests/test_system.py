@@ -10,7 +10,7 @@ from df0l import (Alphabet, DF0LSystem, ErasingMorphismError,
                   factor_language, power_system, validate)
 from df0l.system import _alph_walk
 
-from conftest import random_pdf0l, sys1, w
+from conftest import binary_census, random_pdf0l, sys1, w
 from oracles import _growth_oracle, _iterate_of, canonical_key
 
 
@@ -130,7 +130,7 @@ def test_power_is_the_iterated_image_of_each_letter():
     morphisms.append(Morphism(Alphabet(("a", "b", "c")),
                               {"a": ("a", "c"), "b": ("c", "b", "a"), "c": ()}))
     for phi in morphisms:
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 6):
             power = phi.power(k)
             expected = Morphism(phi.alphabet,
                                 {a: _iterate_of(phi, (a,), k) for a in phi.alphabet})
@@ -174,6 +174,19 @@ def test_power_system(thue_morse, two_fixed):
         assert powered.axioms == (w("a"), w("c"), w("ac"))
         assert powered.morphism.image("a") == w("ac")
         assert powered.morphism.image("c") == ()
+
+
+def test_power_system_matches_every_iterate_on_the_binary_census():
+    """On every system of the binary census and k <= 5, the power system,
+    whose axioms stop at the first repeated iterate, is the one built from
+    phi^k and all k iterates of each axiom, one image at a time."""
+    for system in binary_census():
+        phi = system.morphism
+        for k in range(1, 6):
+            images = {a: _iterate_of(phi, (a,), k) for a in phi.alphabet}
+            axioms = [_iterate_of(phi, axiom, i) for axiom in system.axioms for i in range(k)]
+            assert power_system(system, k) == DF0LSystem(Morphism(phi.alphabet, images),
+                                                         axioms), (system, k)
 
 
 def test_power_preserves_language(thue_morse, two_fixed, repetitive_square):
