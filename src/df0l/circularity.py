@@ -8,13 +8,23 @@ length 2L, split into two halves, in the strong mode.  A word with a
 synchronized factor is synchronized, so level-L candidates are restricted
 to words whose trims all failed at the previous level: both end-trims
 w[1:] and w[:-1] of a weak word, the core w[1:-1] of a strong pair.  The
-level at which no candidate fails is re-verified over every word before the
-threshold is reported.  A candidate's trims were parsed at the previous
-level, so each candidate is parsed by one frontier step from the memoized
-parse of a trim, two (left, then right) from the core of a strong pair;
-the full pass runs only where no trim's parse is memoized.  Strong
-circularity is not known to be decidable, so exhausting the cutoff is an
-explicit result rather than an error.
+weak mode does not read its levels past the first: its level-n candidates
+are grown from the failing words, as f·c for f failing at level n - 1, c a
+language letter and (f·c)[1:] failing too.  Some of these words are not in
+the language, which is harmless: a word has a minimal interpretation only
+if it is a factor of an image of a language word, so a non-member has no
+parse, any split of it is vacuously weakly synchronizing, and it never
+fails.  The failing words are thus exactly those of the language.
+The level at which no candidate fails is built and re-verified over every
+word before the threshold is reported; an exhausted weak search builds
+only the levels its parses probe.  A candidate's trims were parsed at the
+previous level, so each candidate is parsed by one frontier step from the
+memoized parse of a trim, two (left, then right) from the core of a strong
+pair; the full pass runs only where no trim's parse is memoized.  The
+strong mode reads its level 2L: the level at which it finds its threshold
+is built to verify it anyway, and growing its candidates as a·f·b measured
+slower than scanning.  Strong circularity is not known to be decidable, so
+exhausting the cutoff is an explicit result rather than an error.
 
 Several axioms.  The language L of a system with axioms w1, ..., wk is the
 union of the languages Li of its one-axiom subsystems, which share its
@@ -73,11 +83,12 @@ class ThresholdReport(namedtuple(
 def _level_search(system: DF0LSystem, cutoff: int, mode: str) -> ThresholdReport:
     """The level loop shared by both searches, with the mode's settings from
     _MODES: level L tests the language words of length width·L, as code
-    strings; fails(system, record, w, L) is the mode's failure test, on the
-    record grown for the level, and trims(w) the previous-level words that
-    must all have failed for w to be a candidate.
+    strings; fails(system, record, w, L) is the mode's failure test, and
+    grow(system, record, failed, n) the level-n candidates, the words whose
+    trims all failed at the previous level.  Level n is built for the first
+    level, for the strong mode and to verify a level where nothing fails.
     """
-    width, trims, fails = _MODES[mode]
+    width, grow, fails = _MODES[mode]
     decode = system.alphabet.decode
 
     def item(w):
@@ -85,15 +96,14 @@ def _level_search(system: DF0LSystem, cutoff: int, mode: str) -> ThresholdReport
         return decode(w) if mode == "weak" else (
             decode(w[:len(w) // 2]), decode(w[len(w) // 2:]))
 
+    record = _record(system, width)
     failed: set[str] | None = None     # the previous level's failing words
     for level in range(1, cutoff + 1):
         n = width * level
-        record = _record(system, n)
-        words = record.levels[n]
-        bad = {w for w in words if (failed is None or failed.issuperset(trims(w)))
-               and fails(system, record, w, level)}
+        words = record.levels[n] if failed is None else grow(system, record, failed, n)
+        bad = {w for w in words if fails(system, record, w, level)}
         if not bad:
-            for w in words:
+            for w in _record(system, n).levels[n]:
                 if fails(system, record, w, level):
                     raise AssertionError(
                         f"level {level} verification failed on {' '.join(decode(w))}")
@@ -117,10 +127,21 @@ def _strong_fails(system: DF0LSystem, record, w: str, size: int) -> bool:
     return _admissible(ends) and _strong_letter(system, ends) is None
 
 
-# per mode: the width of a level's words, a candidate's trims, the failure test
+def _weak_grow(system: DF0LSystem, record, failed: set, n: int) -> set:
+    """f·c for f failing and c a language letter, where (f·c)[1:] fails too;
+    a word outside the language has no parse, so it never fails."""
+    return {f + c for f in failed for c in record.levels[1] if f[1:] + c in failed}
+
+
+def _strong_grow(system: DF0LSystem, record, failed: set, n: int) -> list:
+    """The words of level n whose core failed."""
+    return [w for w in _record(system, n).levels[n] if w[1:-1] in failed]
+
+
+# per mode: the width of a level's words, its candidates, the failure test
 _MODES = {
-    "weak": (1, lambda w: (w[1:], w[:-1]), _weak_fails),
-    "strong": (2, lambda w: (w[1:-1],), _strong_fails),
+    "weak": (1, _weak_grow, _weak_fails),
+    "strong": (2, _strong_grow, _strong_fails),
 }
 
 

@@ -43,8 +43,12 @@ Membership reads the same recurrence: u is in the language iff it is a
 factor of an axiom or has a minimal interpretation (s, w, t), a language
 word w with image(w) = s·u·t, s and t shorter than the images of w's first
 and last letters.  `_member` is the only membership rule: one lookup where
-level |u| is built, else the parse of u, which reads the levels up to the
-length bound hi of `interpretation_length_bounds`, about |u| / min|image(a)|.
+level |u| is built, else the parse of u.  Its full pass reads the levels
+up to the length bound hi of `interpretation_length_bounds`, about
+|u| / min|image(a)|; a parse stepped from a memoized trim, where the levels
+are not yet built to hi, builds them only as deep as the step probes: one
+past the longest w of the trim's states for a right step, two for a left
+step and then a right one, and never past hi.
 Minimal interpretations are found by desubstitution (Mossé, TCS 1992).
 A cold parse, the full pass, reads image(w) against u one image at a time.
 The first image puts u[0] at offset |s| of image(w[0]), so w[0] is a
@@ -425,8 +429,9 @@ def _parses(system: DF0LSystem, u: str,
     steps from the memoized parse of a trim, whose cuts the steps carry: a
     right step from u[:-1], which a weak candidate's search memoized, or a
     left and then a right step from u[1:-1], the core that a strong
-    candidate's search memoized.  Only with neither memoized does the full
-    pass run."""
+    candidate's search memoized; a step builds the levels only as deep as
+    it probes, the full pass to the length bound hi.  Only with neither
+    memoized does the full pass run."""
     if record is None:
         record = _record(system, 0)
     memo = record.parses
@@ -435,15 +440,22 @@ def _parses(system: DF0LSystem, u: str,
         return known
     _, hi = _length_bounds(system.morphism, len(u))
     levels, heads, tails = record.levels, record.heads, record.tails
-    if len(levels) <= hi:
-        levels = _record(system, hi).levels
     if (trim := memo.get(u[:-1])) is not None:
-        parses = tuple(_right_step(trim, u[-1], heads, levels))
+        steps = 1
     elif (trim := memo.get(u[1:-1])) is not None:
+        steps = 2
+    if len(levels) <= hi:
+        # a step probes levels up to steps + max|w| over the trim's states
+        depth = hi if trim is None else min(hi, steps + max(
+            (len(w) for _, w, _, _ in trim), default=0))
+        levels = _record(system, depth).levels
+    if trim is None:
+        parses = tuple(_full_pass(record, levels, u))
+    elif steps == 1:
+        parses = tuple(_right_step(trim, u[-1], heads, levels))
+    else:
         parses = tuple(_right_step(_left_step(trim, u[0], tails, levels),
                                    u[-1], heads, levels))
-    else:
-        parses = tuple(_full_pass(record, levels, u))
     if len(memo) >= _PARSE_MEMO_SIZE:
         memo.clear()
     memo[u] = parses

@@ -25,6 +25,20 @@ def test_weak_threshold_thue_morse(thue_morse):
     assert not is_weakly_synchronized(thue_morse, report.witness).synchronized
 
 
+def test_exhausted_weak_search_builds_only_the_levels_its_parses_probe():
+    """r185 of the benchmark census exhausts weak cutoff 60 with the failing
+    words a^60 and d^60.  Their parses are stepped from those of the
+    previous level's failing words and probe the levels only up to 31, so
+    the record holds 31 levels past level 0, where building every level to
+    scan it would make 60."""
+    system = sys1("abcd", {"a": "b", "b": "dddd", "c": "cca", "d": "aa"}, ["c"])
+    clear_language_cache()
+    report = weak_threshold(system, 60)
+    assert report.status == "cutoff_exceeded" and report.last_level == 60
+    assert report.survivors == (w("a" * 60), w("d" * 60))
+    assert len(df0l.language._RECORDS[system].levels) - 1 == 31
+
+
 def test_weak_threshold_collapse(collapse_bounded, collapse_unbounded):
     assert weak_threshold(collapse_bounded, 10).threshold == 3
     assert weak_threshold(collapse_unbounded, 10).threshold == 3
@@ -213,6 +227,49 @@ def test_threshold_searches_match_unpruned_oracles():
             assert not df0l.circularity._level_search(system, 4, "strong").found
             repetitive_cases += 1
     assert repetitive_cases > 20
+    _census_draws_match_the_weak_oracle()
+
+
+def _census_draw(rng):
+    """A system drawn as the benchmark census draws: 2-4 letters, images of
+    1-4 letters, a one-letter axiom."""
+    letters = "abcd"[:rng.randint(2, 4)]
+    return sys1(letters, {a: "".join(rng.choices(letters, k=rng.randint(1, 4)))
+                          for a in letters}, [rng.choice(letters)])
+
+
+def _census_draws_match_the_weak_oracle():
+    """Weak cutoff 16, from cold caches, on 100 seeded census draws: status,
+    threshold, witness and survivors equal the unpruned oracle's.  Some
+    draws have one-letter images, and some exhaust the cutoff with fewer
+    than 16 levels built, since their candidates are grown from the
+    failing words and only the levels their parses probe are built."""
+    rng = random.Random(36)
+    one_letter_images = partial_exhaustions = 0
+    for _ in range(100):
+        system = _census_draw(rng)
+        clear_language_cache()
+        report = weak_threshold(system, 16)
+        partial_exhaustions += (not report.found
+                                and len(df0l.language._RECORDS[system].levels) <= 16)
+        one_letter_images += system.morphism.min_image_len == 1
+        verdict, failing = _oracle_weak(system, 16)
+        assert (("found", report.threshold) if report.found else ("cutoff", None)) == verdict
+        assert report.witness == (failing[0] if report.threshold else None), system
+        assert list(report.survivors or ()) == ([] if report.found else failing[:8]), system
+    assert one_letter_images and partial_exhaustions, (one_letter_images, partial_exhaustions)
+
+
+def test_census_draws_survive_parse_memo_eviction(full_passes, monkeypatch):
+    """With room for 8 parses the memo empties mid-search, so a candidate's
+    trim is often forgotten and its parse falls back to the full pass and
+    its build to the length bound hi; the weak reports still equal the
+    oracle's."""
+    _census_draws_match_the_weak_oracle()
+    unevicted = len(full_passes)
+    monkeypatch.setattr(df0l.language, "_PARSE_MEMO_SIZE", 8)
+    _census_draws_match_the_weak_oracle()
+    assert len(full_passes) > 2 * unevicted, (len(full_passes), unevicted)
 
 
 def test_exhaustive_binary_census():

@@ -52,6 +52,8 @@ SYSTEMS = {
     # every image has length 4
     "quad.sys": _text({"a": "a b c d", "b": "c a d b", "c": "d b c a", "d": "b d a c"}, "a"),
     "fixed2.sys": _text({"a": "a", "b": "b"}, "a b"),
+    # r185 of the benchmark census
+    "r185.sys": _text({"a": "b", "b": "d d d d", "c": "c c a", "d": "a a"}, "c"),
     # every file is written as Latin-1: the others are ASCII, which reads the
     # same as UTF-8, and this one's é is not UTF-8
     "latin1.sys": "alphabet: a\nmap a -> a a\naxiom: a\n# caf\xe9\n",
@@ -163,6 +165,12 @@ RUNS = {
     "twined -L 400": Run(
         ("twined", *TWINED, "-L", "400"),
         b"twined: yes\ncommutation: ok\nlanguage check: ok\n", timeout=20),
+    # the failing words a^300 and d^300 grow from those of the level before,
+    # and their parses probe levels up to 151 only; building all 300 levels
+    # runs out of memory under this limit
+    "r185 weak --cutoff 300": Run(
+        ("--json", "threshold", "r185.sys", "--mode", "weak", "--cutoff", "300"),
+        {"status": "cutoff_exceeded", "last_level": 300}, address_space=150_000, timeout=10),
     "undecodable file": Run(("letters", "latin1.sys"), b"", exit_code=2, stderr=None),
 }
 
